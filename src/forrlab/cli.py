@@ -467,6 +467,13 @@ def _power_of_two(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="forrlab",
@@ -496,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="amplified",
                    choices=["amplified", "promise_yes", "promise_no",
                             "planted_yes", "uniform_no"])
-    p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--instances", type=_positive_int, default=100)
     p.add_argument("--copies", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--slow", action="store_true",
@@ -507,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
                                              "random protocol partitions")
     common(p)
     p.set_defaults(n=4)
-    p.add_argument("--partitions", type=int, default=1000)
-    p.add_argument("--max-cost", type=int, default=4)
+    p.add_argument("--partitions", type=_positive_int, default=1000)
+    p.add_argument("--max-cost", type=_positive_int, default=4)
     p.set_defaults(func=cmd_fourier_audit)
 
     p = sub.add_parser("advantage", help="distinguishing advantage of "

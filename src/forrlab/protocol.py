@@ -3,7 +3,8 @@
 Quantum side: per copy, the players share log2(2N) Bell pairs; each applies
 a sign oracle for their input to their half, and the referee erases one
 block, flips the half-select register, Hadamard-transforms the index block
-controlled on it, and runs a swap test.  Each copy accepts (bit 1) with
+controlled on it, and runs a swap test.  The runner simulates only the
+register left after erasure.  Each copy accepts (bit 1) with
 probability exactly 1/2 + forr(x . y)/2; the referee answers YES when the
 accept fraction over all copies clears a threshold.
 
@@ -31,7 +32,7 @@ from ._bits import (
     f2_inner_sign,
     signs_to_codes,
 )
-from ._rng import chunk_sizes, substream
+from ._rng import chunk_sizes, first_uniforms, substream
 from .boolean_fourier import (
     FunctionTable,
     SignVector,
@@ -64,6 +65,7 @@ from .quantum_sim import (
 __all__ = [
     "QuantumProtocolConfig",
     "ProtocolRunStats",
+    "referee_gates",
     "build_copy_circuit",
     "run_quantum_protocol",
     "default_copies",
@@ -123,10 +125,21 @@ class ProtocolRunStats:
     gate_count: int
 
 
+def referee_gates(half: int) -> list:
+    """The referee's gates between erasure and the swap test, on Alice's
+    ``half`` = log2(2N) qubits: flip the half-select register (the top
+    qubit), then Hadamard each index qubit controlled on it."""
+    select = half - 1
+    gates = not_gates(select)
+    for target in range(half - 1):
+        gates += controlled_h_gates(select, target)
+    return gates
+
+
 def build_copy_circuit(x: SignVector, y: SignVector) -> Circuit:
     """The single-copy circuit: Bell-pair preparation, both players'
-    oracles, and the referee's erase / flip / controlled-Hadamard cascade /
-    swap-test sequence.  Ends with the swap-test measurement."""
+    oracles, the erase cascade, the referee's gates and the swap-test
+    Hadamard.  Ends with the swap-test measurement."""
     if x.n != y.n:
         raise ValueError(f"input lengths differ: {x.n} vs {y.n}")
     half = x.n.bit_length() - 1  # log2(2N)
@@ -139,9 +152,7 @@ def build_copy_circuit(x: SignVector, y: SignVector) -> Circuit:
     gates = bell_prep_gates(half)
     gates += [Oracle(x, start=0), Oracle(y, start=half)]
     gates += e_operator_gates(alice, bob)
-    gates += not_gates(select)
-    for target in range(half - 1):
-        gates += controlled_h_gates(select, target)
+    gates += referee_gates(half)
     gates += [Hadamard(select), Measure(select)]
     return Circuit(2 * half, gates)
 
@@ -150,11 +161,19 @@ def run_quantum_protocol(x: SignVector | np.ndarray, y: SignVector | np.ndarray,
                          cfg: QuantumProtocolConfig) -> ProtocolRunStats:
     """Run the protocol on one instance.
 
-    The pre-measurement state is the same for every copy (all gates up to
-    the swap-test measurement are deterministic), so it is simulated once;
-    each copy then consumes one variate from its own substream
-    (seed, copy index) to realize its measurement, exactly as a fresh
-    simulation would.  Bits are i.i.d. with P[1] = 1/2 + forr(x . y)/2.
+    Only Alice's log2(2N)-qubit register is simulated.  After the Bell
+    pairs, both oracles and the erase cascade, the full 2 log2(2N)-qubit
+    state is exactly sum_i x_i y_i / sqrt(2N) |i>|0>: the erase CNOTs map
+    Bob's copy of each index to 0, so his block is |0> and the referee's
+    gates, which act on Alice's qubits alone, see the 2N amplitudes
+    x_i y_i / sqrt(2N).  The circuit up to the swap-test measurement is
+    deterministic, so the accept probability is computed once; copy t then
+    accepts when the first uniform of substream (seed, t) falls below it,
+    exactly as a fresh simulation of that copy would.  The draws are
+    vectorized in blocks of ``CHUNK`` copies, which keeps memory near one
+    byte per copy.  Bits are i.i.d. with
+    P[1] = 1/2 + forr(x . y)/2.  Cost accounting is taken from the full
+    single-copy circuit.
     """
     x = x if isinstance(x, SignVector) else SignVector(x)
     y = y if isinstance(y, SignVector) else SignVector(y)
@@ -162,25 +181,25 @@ def run_quantum_protocol(x: SignVector | np.ndarray, y: SignVector | np.ndarray,
         raise ValueError(
             f"inputs have length {x.n}, config expects {cfg.params.input_length}")
     circuit = build_copy_circuit(x, y)
-    select = cfg.params.n  # == log2(2N) - 1
+    half = cfg.params.n + 1  # log2(2N)
 
-    state = StateVector.zero(circuit.m)
-    for gate in circuit.gates[:-2]:
+    state = StateVector(half, x.signs * y.signs / math.sqrt(x.n))
+    for gate in referee_gates(half):
         apply_gate(state, gate)
-    p_one = swap_test_probability(state, select)
-
+    p_one = swap_test_probability(state, half - 1)
     bits = np.empty(cfg.copies, dtype=np.uint8)
-    for t in range(cfg.copies):
-        bits[t] = 1 if substream(cfg.seed, t).uniform() < p_one else 0
+    start = 0
+    for k in chunk_sizes(cfg.copies):
+        bits[start:start + k] = first_uniforms(cfg.seed, k, start) < p_one
+        start += k
 
     ones_fraction = float(bits.mean())
     decision = Label.YES if ones_fraction > cfg.decision_threshold else Label.NO
-    half = cfg.params.n + 1
     return ProtocolRunStats(
         ones_fraction=ones_fraction,
         per_copy_bits=bits,
         decision=decision,
-        qubits_sent=cfg.copies * 2 * half,
+        qubits_sent=cfg.copies * circuit.m,
         oracle_calls=cfg.copies * 2,
         gate_count=cfg.copies * circuit.size,
     )

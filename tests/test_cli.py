@@ -33,6 +33,20 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "2N <= 16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("subcommand, flag", [
+        ("run-protocol", "--instances"),
+        ("fourier-audit", "--partitions"),
+        ("fourier-audit", "--max-cost"),
+    ])
+    def test_nonpositive_counts_rejected(self, subcommand, flag, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            run([subcommand, flag, value])
+        assert err.value.code == EXIT_USAGE
+        err_text = capsys.readouterr().err
+        assert f"argument {flag}: must be positive" in err_text
+        assert "Traceback" not in err_text
+
     def test_paper_mode_requires_slow_or_copies(self, capsys):
         code = run(["run-protocol", "--n", "16", "--mode", "promise_yes",
                     "--instances", "1"])

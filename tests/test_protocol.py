@@ -42,6 +42,7 @@ from forrlab.protocol import (
     majority_amplify,
     protocol_H,
     random_protocol_partition,
+    referee_gates,
     run_quantum_protocol,
     trivial_partition,
 )
@@ -136,6 +137,31 @@ class TestQuantumProtocol:
             sign = apply_gate(state, circ.gates[-1], rng)
             bit = 1 if sign == 1 else 0
             assert bit == fast.per_copy_bits[t], f"copy {t}"
+
+    @pytest.mark.parametrize("N", [4, 8, 16, 32, 64])
+    def test_register_after_erasure_matches_full_circuit(self, N):
+        # The runner simulates only Alice's register, starting from
+        # x_i y_i / sqrt(2N); the full circuit through the erase cascade
+        # must leave exactly that state with Bob's block at |0>.
+        x, y = random_instance(N, 40 + N)
+        circ = build_copy_circuit(x, y)
+        half = circ.m // 2
+        state = StateVector.zero(circ.m)
+        for gate in circ.gates[:-len(referee_gates(half)) - 2]:
+            apply_gate(state, gate)
+        blocks = state.amps.reshape(1 << half, 1 << half)  # [bob, alice]
+        assert float(np.sum(np.abs(blocks[1:]) ** 2)) <= 1e-24
+        want = x.signs * y.signs / math.sqrt(2 * N)
+        np.testing.assert_allclose(blocks[0], want, rtol=0, atol=1e-12)
+        if N == 64:
+            for gate in referee_gates(half):
+                apply_gate(state, gate)
+            full_p = swap_test_probability(state, half - 1)
+            cfg = QuantumProtocolConfig(ForrParams(N), copies=500, seed=21)
+            out = run_quantum_protocol(x, y, cfg)
+            want_bits = [full_p > substream(cfg.seed, t).uniform()
+                         for t in range(cfg.copies)]
+            assert out.per_copy_bits.tolist() == want_bits
 
     def test_deterministic_per_copy_bits(self):
         params = ForrParams(16)
