@@ -11,19 +11,7 @@ Submodules:
 * :mod:`forrlab.protocol` - the simultaneous-message quantum protocol and
   the rectangle-partition Fourier audit of classical protocols;
 * :mod:`forrlab.cli` - seeded experiment runner.
-
-The THREADS environment variable caps internal parallelism (it seeds the
-usual BLAS/OpenMP knobs before numpy loads).  Results never depend on it:
-every kernel that lands in an output record is an elementwise or
-fixed-order reduction.
 """
-
-import os as _os
-
-if "THREADS" in _os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["THREADS"])
 
 from .boolean_fourier import (
     FourierSpectrum,

@@ -10,6 +10,9 @@ scheduled across threads or chunks.
 
 from __future__ import annotations
 
+import math
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 # Fixed chunk length for vectorized Monte Carlo loops.  Chunk i of an
@@ -89,3 +92,30 @@ def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
         raise ValueError(f"total must be nonnegative, got {total}")
     full, rest = divmod(total, chunk)
     return [chunk] * full + ([rest] if rest else [])
+
+
+class Estimate(NamedTuple):
+    """A Monte Carlo mean with its normal-approximation standard error."""
+
+    estimate: float
+    standard_error: float
+
+
+def mc_mean(draw: Callable[[np.random.Generator, int], np.ndarray],
+            samples: int, seed: int) -> Estimate:
+    """Mean and standard error of ``samples`` values, where chunk i of the
+    fixed chunking contributes ``draw(substream(seed, i), k)``, k values.
+
+    Sums accumulate chunk by chunk in chunk order, so the estimate is a pure
+    function of (draw, samples, seed).
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
+    total = total_sq = 0.0
+    for i, k in enumerate(chunk_sizes(samples)):
+        vals = draw(substream(seed, i), k)
+        total += float(vals.sum())
+        total_sq += float(np.square(vals).sum())
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return Estimate(mean, math.sqrt(var / samples))

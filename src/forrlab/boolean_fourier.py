@@ -27,6 +27,7 @@ from ._bits import (
     popcount,
     signs_to_base64,
 )
+from ._rng import substream
 
 __all__ = [
     "SignVector",
@@ -42,6 +43,8 @@ __all__ = [
     "character_table",
     "indicator_table",
     "level_k_bound",
+    "subcube_violations",
+    "random_indicator_violations",
 ]
 
 
@@ -104,13 +107,6 @@ class FunctionTable:
         if not np.all(np.isfinite(values)):
             raise ValueError("table values must all be finite")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "FunctionTable":
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or not is_power_of_two(values.shape[0]):
-            raise ValueError("table length must be a power of two")
-        return cls(int(values.shape[0]).bit_length() - 1, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,3 +240,44 @@ def level_k_bound(alpha: float, k: int) -> float:
     if k > 2 * log_inv:
         raise ValueError(f"bound requires k <= 2 ln(1/alpha) = {2 * log_inv:.4f}")
     return alpha * alpha * (2 * math.e * log_inv / k) ** k
+
+
+def subcube_violations(n: int, k: int) -> tuple[int, int]:
+    """(violations, checked) of the level-k bound over every subcube
+    indicator on n variables with at least ceil(k / (2 ln 2)) fixed
+    coordinates (so the bound applies)."""
+    checked = violations = 0
+    codes = np.arange(1 << n)
+    for mask in range(1, 1 << n):
+        alpha = 2.0 ** -mask.bit_count()
+        if k > 2 * math.log(1 / alpha):
+            continue
+        for want in range(1 << n):
+            if want & ~mask:
+                continue
+            members = (codes & mask) == want
+            weight = level_weight(spectrum(indicator_table(n, members)), k)
+            checked += 1
+            if weight > level_k_bound(alpha, k) + 1e-12:
+                violations += 1
+    return violations, checked
+
+
+def random_indicator_violations(n: int, k: int, count: int,
+                                seed: int) -> tuple[int, int]:
+    """(violations, checked) of the level-k bound over ``count`` random
+    indicators on n variables, each of density drawn from [0.02, 0.35);
+    draws too sparse for the bound to apply are skipped."""
+    gen = substream(seed, 0)
+    checked = violations = 0
+    while checked < count:
+        density = gen.uniform(0.02, 0.35)
+        members = gen.uniform(size=1 << n) < density
+        alpha = members.mean()
+        if alpha <= 0 or k > 2 * math.log(1 / alpha):
+            continue
+        weight = level_weight(spectrum(indicator_table(n, members)), k)
+        checked += 1
+        if weight > level_k_bound(alpha, k) + 1e-12:
+            violations += 1
+    return violations, checked

@@ -21,13 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import f2_inner_sign
-from ._rng import chunk_sizes, substream
-from .boolean_fourier import (
-    indicator_table,
-    level_k_bound,
-    level_weight,
-    spectrum,
-)
+from ._rng import Estimate, mc_mean, substream
+from .boolean_fourier import random_indicator_violations, subcube_violations
 from .errors import ForrlabError, ResourceLimitError
 from .forrelation_dist import (
     ForrParams,
@@ -95,28 +90,46 @@ class ResultRecord:
         return [fmt(getattr(self, c)) for c in RESULT_COLUMNS]
 
 
-def write_records(path: str | None, records: list[ResultRecord]):
-    if path is None:
+def write_csv(path: str | None, header: list[str], rows) -> None:
+    """Write a CSV table with its header row to ``path``, if one is given."""
+    if not path:
         return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def print_records(records: list[ResultRecord]):
+def recorder(subcommand: str, **shared):
+    """A record list and its appender: ``record(name, metric, estimate,
+    **columns)`` adds experiment ``subcommand:name`` with the ``shared``
+    columns and the time since the recorder was made."""
+    records: list[ResultRecord] = []
+    t0 = time.time()
+
+    def record(name: str, metric: str, estimate, **columns):
+        records.append(ResultRecord(
+            experiment=f"{subcommand}:{name}", subcommand=subcommand,
+            metric=metric, estimate=estimate, wall_time=time.time() - t0,
+            **shared, **columns))
+    return records, record
+
+
+def _exit_code(records: list[ResultRecord]) -> int:
+    bad = [r for r in records if r.passed is False]
+    return EXIT_AUDIT_FAILURE if bad else EXIT_PASS
+
+
+def finish(args, records: list[ResultRecord]) -> int:
+    """Write the records to --out, print them, and return the exit code."""
+    write_csv(args.out, RESULT_COLUMNS, (rec.row() for rec in records))
     for rec in records:
         status = {True: "pass", False: "FAIL", None: "  - "}[rec.passed]
         se = (rec.standard_error if isinstance(rec.standard_error, str)
               else f"{rec.standard_error:.3g}")
         print(f"[{status}] {rec.metric}: estimate={rec.estimate} se={se} "
               f"{rec.bound} ({rec.wall_time:.2f}s)")
-
-
-def _exit_code(records: list[ResultRecord]) -> int:
-    bad = [r for r in records if r.passed is False]
-    return EXIT_AUDIT_FAILURE if bad else EXIT_PASS
+    return _exit_code(records)
 
 
 def _params(args) -> ForrParams:
@@ -129,17 +142,15 @@ def _params(args) -> ForrParams:
 def cmd_verify_moments(args) -> int:
     params = _params(args)
     gen = substream(args.seed, 0)
-    records: list[ResultRecord] = []
-    flags = "low_power" if args.samples < LOW_POWER_SAMPLES else ""
+    records, add = recorder(
+        "verify-moments", N=params.N, eps=params.eps, seed=args.seed,
+        samples=args.samples,
+        flags="low_power" if args.samples < LOW_POWER_SAMPLES else "")
 
-    def record(metric, est, se, bound, passed):
-        records.append(ResultRecord(
-            experiment=f"verify-moments:{metric}", subcommand="verify-moments",
-            metric=metric, estimate=est, standard_error=se, bound=bound,
-            passed=passed, N=params.N, eps=params.eps, seed=args.seed,
-            samples=args.samples, flags=flags, wall_time=time.time() - t0))
+    def record(metric, est: Estimate, bound, passed):
+        add(metric, metric, est.estimate, standard_error=est.standard_error,
+            bound=bound, passed=passed)
 
-    t0 = time.time()
     # Pair moments: value eps N^{-1/2} (-1)^{<i,j>} for 20 random pairs.
     for k in range(20):
         i = int(gen.integers(params.N))
@@ -147,8 +158,8 @@ def cmd_verify_moments(args) -> int:
         est = gaussian_moment(params, [i], [j], args.samples, args.seed + 1 + k)
         want = params.eps * f2_inner_sign(i, j) / math.sqrt(params.N)
         ok = abs(est.estimate - want) <= 5 * est.standard_error
-        record(f"pair_moment[i={i},j={j}]", est.estimate, est.standard_error,
-               f"|est - {want:.3e}| <= 5 se", ok)
+        record(f"pair_moment[i={i},j={j}]", est, f"|est - {want:.3e}| <= 5 se",
+               ok)
 
     # Unequal-size moments vanish.
     for k in range(20):
@@ -159,8 +170,8 @@ def cmd_verify_moments(args) -> int:
         est = gaussian_moment(params, s_set, t_set, args.samples,
                               args.seed + 100 + k)
         ok = abs(est.estimate) <= 5 * est.standard_error
-        record(f"unequal_moment[|S|={s_size},|T|={t_size}]", est.estimate,
-               est.standard_error, "|est| <= 5 se", ok)
+        record(f"unequal_moment[|S|={s_size},|T|={t_size}]", est,
+               "|est| <= 5 se", ok)
 
     # Magnitude cap |moment| <= eps^|S| for equal sizes up to 3.
     for k, size in enumerate((1, 1, 2, 2, 3, 3)):
@@ -170,25 +181,17 @@ def cmd_verify_moments(args) -> int:
                               args.seed + 200 + k)
         cap = params.eps ** size
         ok = abs(est.estimate) <= cap + 5 * est.standard_error
-        record(f"moment_cap[|S|=|T|={size}]", est.estimate, est.standard_error,
-               f"|est| <= {cap:.3e} + 5 se", ok)
+        record(f"moment_cap[|S|=|T|={size}]", est, f"|est| <= {cap:.3e} + 5 se",
+               ok)
 
     # Mean forrelation of the sign distribution is at least eps/2.
-    total, total_sq = 0.0, 0.0
-    for idx, k in enumerate(chunk_sizes(args.samples)):
-        rows = forrelation_rows(substream(args.seed + 300, idx), params, k)
-        vals = forr(rows.astype(np.float64))
-        total += float(vals.sum())
-        total_sq += float(np.square(vals).sum())
-    mean = total / args.samples
-    se = math.sqrt(max(total_sq / args.samples - mean * mean, 0.0) / args.samples)
-    ok = mean >= params.eps / 2 - 3 * se
-    record("mean_forrelation", mean, se,
+    def draw(gen, k):
+        return forr(forrelation_rows(gen, params, k).astype(np.float64))
+    est = mc_mean(draw, args.samples, args.seed + 300)
+    ok = est.estimate >= params.eps / 2 - 3 * est.standard_error
+    record("mean_forrelation", est,
            f"est >= eps/2 = {params.eps / 2:.3e} - 3 se", ok)
-
-    write_records(args.out, records)
-    print_records(records)
-    return _exit_code(records)
+    return finish(args, records)
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +230,13 @@ def cmd_run_protocol(args) -> int:
     t0 = time.time()
     for idx in range(args.instances):
         inst_seed = args.seed + 1000 * idx
-        if mode == "amplified":
-            want = Label.YES if idx % 2 == 0 else Label.NO
-            inst = (generate_instance(params, InstanceMode.PLANTED_YES, inst_seed)
-                    if want is Label.YES else
-                    generate_instance(params, InstanceMode.UNIFORM_NO, inst_seed))
+        if mode == "amplified":  # alternate planted YES and uniform NO
+            inst_mode = (InstanceMode.PLANTED_YES, InstanceMode.UNIFORM_NO)[idx % 2]
         else:
-            inst = generate_instance(params, InstanceMode(mode), inst_seed)
-            want = Label.YES if InstanceMode(mode) in (
-                InstanceMode.PROMISE_YES, InstanceMode.PLANTED_YES) else Label.NO
+            inst_mode = InstanceMode(mode)
+        want = Label.YES if inst_mode in (
+            InstanceMode.PROMISE_YES, InstanceMode.PLANTED_YES) else Label.NO
+        inst = generate_instance(params, inst_mode, inst_seed)
         cfg = QuantumProtocolConfig(params, copies=copies, threshold=threshold,
                                     seed=inst_seed + 7)
         stats = run_quantum_protocol(inst.x, inst.y, cfg)
@@ -248,18 +249,12 @@ def cmd_run_protocol(args) -> int:
                      str(stats.qubits_sent), str(stats.gate_count),
                      str(inst_seed + 7)])
 
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(PROTOCOL_CSV_COLUMNS)
-            writer.writerows(rows)
-
+    write_csv(args.out, PROTOCOL_CSV_COLUMNS, rows)
     rate = correct / args.instances
     summary = {
         "subcommand": "run-protocol", "mode": mode, "N": params.N,
         "eps": params.eps, "instances": args.instances, "copies": copies,
-        "threshold": threshold if threshold is not None else
-        0.5 + 3 * params.eps / 32,
+        "threshold": cfg.decision_threshold,
         "success_rate": rate,
         "qubits_sent_per_instance": total_qubits // args.instances,
         "gate_count_per_instance": total_gates // args.instances,
@@ -274,52 +269,6 @@ def cmd_run_protocol(args) -> int:
 # ---------------------------------------------------------------------------
 # fourier-audit
 
-def _subcube_violations(n: int, k: int) -> tuple[int, int]:
-    """Level-k weight vs bound over every subcube indicator on n variables
-    with at least ceil(k / (2 ln 2)) fixed coordinates (so the bound applies)."""
-    checked = violations = 0
-    codes = np.arange(1 << n)
-    for mask in range(1, 1 << n):
-        width = int(mask).bit_count()
-        alpha = 2.0 ** -width
-        if k > 2 * math.log(1 / alpha):
-            continue
-        for fixed in range(1 << width):
-            # Spread the `fixed` bits onto the set bits of `mask`.
-            want = 0
-            src = fixed
-            m = mask
-            while m:
-                low = m & -m
-                if src & 1:
-                    want |= low
-                src >>= 1
-                m ^= low
-            members = (codes & mask) == want
-            weight = level_weight(spectrum(indicator_table(n, members)), k)
-            checked += 1
-            if weight > level_k_bound(alpha, k) + 1e-12:
-                violations += 1
-    return violations, checked
-
-
-def _random_indicator_violations(n: int, k: int, count: int,
-                                 seed: int) -> tuple[int, int]:
-    gen = substream(seed, 0)
-    checked = violations = 0
-    while checked < count:
-        density = gen.uniform(0.02, 0.35)
-        members = gen.uniform(size=1 << n) < density
-        alpha = members.mean()
-        if alpha <= 0 or k > 2 * math.log(1 / alpha):
-            continue
-        weight = level_weight(spectrum(indicator_table(n, members)), k)
-        checked += 1
-        if weight > level_k_bound(alpha, k) + 1e-12:
-            violations += 1
-    return violations, checked
-
-
 def cmd_fourier_audit(args) -> int:
     params = _params(args)
     length = params.input_length
@@ -327,16 +276,13 @@ def cmd_fourier_audit(args) -> int:
         raise UsageError(
             f"dense Fourier audit needs input length 2N <= {DENSE_CAP}, "
             f"got {length}")
-    records = []
-    t0 = time.time()
+    records, record = recorder("fourier-audit", N=params.N, eps=params.eps,
+                               seed=args.seed)
 
     triv = l2_audit(trivial_partition(length))
-    records.append(ResultRecord(
-        experiment="fourier-audit:trivial", subcommand="fourier-audit",
-        metric="l2_mass[trivial]", estimate=triv.l2_mass,
-        bound=f"<= {triv.bound}", passed=triv.passed, N=params.N,
-        eps=params.eps, seed=args.seed, samples=args.partitions,
-        wall_time=time.time() - t0))
+    record("trivial", "l2_mass[trivial]", triv.l2_mass,
+           bound=f"<= {triv.bound}", passed=triv.passed,
+           samples=args.partitions)
 
     worst = 0.0
     failures = 0
@@ -346,33 +292,19 @@ def cmd_fourier_audit(args) -> int:
                                                    args.seed + idx))
         worst = max(worst, audit.l2_mass)
         failures += not audit.passed
-    records.append(ResultRecord(
-        experiment="fourier-audit:random", subcommand="fourier-audit",
-        metric=f"l2_violations[{args.partitions} partitions c<={args.max_cost}]",
-        estimate=failures, standard_error="exact",
-        bound=f"max mass {worst:.4f} vs 120 c^2", passed=failures == 0,
-        N=params.N, eps=params.eps, seed=args.seed, samples=args.partitions,
-        wall_time=time.time() - t0))
+    record("random",
+           f"l2_violations[{args.partitions} partitions c<={args.max_cost}]",
+           failures, bound=f"max mass {worst:.4f} vs 120 c^2",
+           passed=failures == 0, samples=args.partitions)
 
-    v, c = _subcube_violations(min(length, 8), 2)
-    records.append(ResultRecord(
-        experiment="fourier-audit:levelk-subcubes", subcommand="fourier-audit",
-        metric=f"level2_violations[{c} subcube indicators]", estimate=v,
-        standard_error="exact", bound="weight <= alpha^2 (e ln 1/alpha)^2",
-        passed=v == 0, N=params.N, eps=params.eps, seed=args.seed,
-        wall_time=time.time() - t0))
-
-    v, c = _random_indicator_violations(10, 2, 1000, args.seed)
-    records.append(ResultRecord(
-        experiment="fourier-audit:levelk-random", subcommand="fourier-audit",
-        metric=f"level2_violations[{c} random indicators n=10]", estimate=v,
-        standard_error="exact", bound="weight <= alpha^2 (e ln 1/alpha)^2",
-        passed=v == 0, N=params.N, eps=params.eps, seed=args.seed,
-        wall_time=time.time() - t0))
-
-    write_records(args.out, records)
-    print_records(records)
-    return _exit_code(records)
+    level_k = "weight <= alpha^2 (e ln 1/alpha)^2"
+    v, c = subcube_violations(min(length, 8), 2)
+    record("levelk-subcubes", f"level2_violations[{c} subcube indicators]", v,
+           bound=level_k, passed=v == 0)
+    v, c = random_indicator_violations(10, 2, 1000, args.seed)
+    record("levelk-random", f"level2_violations[{c} random indicators n=10]",
+           v, bound=level_k, passed=v == 0)
+    return finish(args, records)
 
 
 # ---------------------------------------------------------------------------
@@ -381,30 +313,22 @@ def cmd_fourier_audit(args) -> int:
 def cmd_advantage(args) -> int:
     if args.samples < 10_000:
         raise UsageError("--samples must be at least 10000")
-    records = []
-    t0 = time.time()
-    for n_val in args.n:
+    records, record = recorder("advantage", seed=args.seed,
+                               samples=args.samples)
+    for n_val in args.n or [16, 64, 256]:
         params = ForrParams(n_val, eps_override=args.eps_override)
         triv = advantage(trivial_partition(params.input_length), params,
                          args.samples, args.seed)
-        records.append(ResultRecord(
-            experiment=f"advantage:trivial:N={n_val}", subcommand="advantage",
-            metric="advantage[trivial]", estimate=triv.estimate,
-            standard_error=triv.standard_error, bound="exactly 0",
-            passed=triv.estimate == 0.0, N=n_val, eps=params.eps,
-            seed=args.seed, samples=args.samples, wall_time=time.time() - t0))
+        record(f"trivial:N={n_val}", "advantage[trivial]", triv.estimate,
+               standard_error=triv.standard_error, bound="exactly 0",
+               passed=triv.estimate == 0.0, N=n_val, eps=params.eps)
         probe = advantage(forrelation_probe_partition(params), params,
                           args.samples, args.seed + 1)
-        records.append(ResultRecord(
-            experiment=f"advantage:probe:N={n_val}", subcommand="advantage",
-            metric="advantage[probe]", estimate=probe.estimate,
-            standard_error=probe.standard_error,
-            bound=f"~ eps/sqrt(N) = {params.eps / math.sqrt(n_val):.2e}",
-            passed=None, N=n_val, eps=params.eps, seed=args.seed,
-            samples=args.samples, wall_time=time.time() - t0))
-    write_records(args.out, records)
-    print_records(records)
-    return _exit_code(records)
+        record(f"probe:N={n_val}", "advantage[probe]", probe.estimate,
+               standard_error=probe.standard_error,
+               bound=f"~ eps/sqrt(N) = {params.eps / math.sqrt(n_val):.2e}",
+               N=n_val, eps=params.eps)
+    return finish(args, records)
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +361,8 @@ def cmd_sample_dist(args) -> int:
     else:  # lifted
         x, y = sample_lifted(params, args.seed, samples=args.samples)
         values = forr((x * y).astype(np.float64))
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "forr"])
-            for i, v in enumerate(values):
-                writer.writerow([str(i), repr(float(v))])
+    write_csv(args.out, ["index", "forr"],
+              ([str(i), repr(float(v))] for i, v in enumerate(values)))
     mean = float(values.mean())
     se = float(values.std() / math.sqrt(args.samples))
     print(json.dumps({"subcommand": "sample-dist", "dist": args.dist,
@@ -474,6 +394,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="forrlab",
@@ -484,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, samples_default=None):
         p.add_argument("--n", type=_power_of_two, default=64,
                        help="problem half-length N (power of two)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_nonnegative_int, default=0)
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--eps-override", type=float, default=None,
                        help="override the derived coupling for exploration")
@@ -521,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("advantage", help="distinguishing advantage of "
                                          "built-in probe partitions")
     p.add_argument("--n", type=_power_of_two, action="append", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--eps-override", type=float, default=None)
     p.add_argument("--samples", type=int, default=100_000)
@@ -531,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", default="planted_yes",
                    choices=[m.value for m in InstanceMode])
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_positive_int, default=10)
     p.set_defaults(func=cmd_gen_instances)
 
     p = sub.add_parser("sample-dist", help="sample a distribution and record "
@@ -547,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", None) is None and args.subcommand == "advantage":
-        args.n = [16, 64, 256]
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:

@@ -28,12 +28,12 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from ._bits import is_power_of_two
-from ._rng import chunk_sizes, substream
+from ._rng import Estimate, chunk_sizes, mc_mean, substream
 from .boolean_fourier import SignVector, fwht
 from .errors import SamplingFailureError
 
@@ -50,7 +50,6 @@ __all__ = [
     "sample_forrelation",
     "sample_lifted",
     "gaussian_moment",
-    "MomentEstimate",
     "Label",
     "InstanceMode",
     "LiftedInstance",
@@ -167,11 +166,11 @@ def uniform_sign_rows(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nd
     return (1 - 2 * gen.integers(0, 2, size=shape, dtype=np.int8)).astype(np.int8)
 
 
-def _chunked(params: ForrParams, seed: int, samples: int | None, draw):
+def _chunked(seed: int, samples: int | None, draw):
     """Run ``draw(gen, k)`` over fixed-size chunks with per-chunk substreams.
 
     Chunk i always uses substream(seed, i), so the result is a pure function
-    of (params, seed, samples) no matter how chunks are scheduled.
+    of (seed, samples) no matter how chunks are scheduled.
     """
     if samples is None:
         return draw(substream(seed, 0), 1)[0]
@@ -190,8 +189,7 @@ def sample_gaussian(params: ForrParams, seed: int,
     second half of every row is exactly the normalized Hadamard image of the
     first half.
     """
-    return _chunked(params, seed, samples,
-                    lambda gen, k: gaussian_rows(gen, params, k))
+    return _chunked(seed, samples, lambda gen, k: gaussian_rows(gen, params, k))
 
 
 def sample_forrelation(params: ForrParams, seed: int,
@@ -201,9 +199,8 @@ def sample_forrelation(params: ForrParams, seed: int,
     Each coordinate of a truncated Gaussian draw is rounded to +-1
     independently with conditional mean equal to the truncated value.
     """
-    def draw(gen, k):
-        return round_rows(gen, gaussian_rows(gen, params, k))
-    return _chunked(params, seed, samples, draw)
+    return _chunked(seed, samples,
+                    lambda gen, k: forrelation_rows(gen, params, k))
 
 
 def sample_lifted(params: ForrParams, seed: int,
@@ -212,22 +209,17 @@ def sample_lifted(params: ForrParams, seed: int,
     forrelation-distributed z.  Marginally each of x, y is uniform, and
     x . y recovers z."""
     def draw(gen, k):
-        z = round_rows(gen, gaussian_rows(gen, params, k))
+        z = forrelation_rows(gen, params, k)
         x = uniform_sign_rows(gen, z.shape)
         return np.stack([x, x * z], axis=1)
-    out = _chunked(params, seed, samples, draw)
+    out = _chunked(seed, samples, draw)
     if samples is None:
         return out[0], out[1]
     return out[:, 0, :], out[:, 1, :]
 
 
-class MomentEstimate(NamedTuple):
-    estimate: float
-    standard_error: float
-
-
 def gaussian_moment(params: ForrParams, s_set: Iterable[int], t_set: Iterable[int],
-                    samples: int, seed: int) -> MomentEstimate:
+                    samples: int, seed: int) -> Estimate:
     """Monte Carlo estimate of E[prod_{i in S} x_i prod_{j in T} y_j] under
     the coupled Gaussian, with a normal-approximation standard error.
 
@@ -243,16 +235,11 @@ def gaussian_moment(params: ForrParams, s_set: Iterable[int], t_set: Iterable[in
             f"moment estimation needs at least {MIN_MOMENT_SAMPLES} samples, "
             f"got {samples}")
     cols = np.concatenate([s_idx, t_idx])
-    total = 0.0
-    total_sq = 0.0
-    for i, k in enumerate(chunk_sizes(samples)):
-        rows = gaussian_rows(substream(seed, i), params, k)
-        vals = rows[:, cols].prod(axis=1) if cols.size else np.ones(k)
-        total += float(vals.sum())
-        total_sq += float(np.square(vals).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return MomentEstimate(mean, math.sqrt(var / samples))
+
+    def draw(gen, k):
+        rows = gaussian_rows(gen, params, k)
+        return rows[:, cols].prod(axis=1) if cols.size else np.ones(k)
+    return mc_mean(draw, samples, seed)
 
 
 class Label(str, enum.Enum):
@@ -362,18 +349,17 @@ def generate_instance(params: ForrParams, mode: InstanceMode, seed: int,
         y = uniform_sign_rows(gen, (2 * params.N,))
         return _instance_from_pair(params, x, y)
 
+    want = Label.YES if mode is InstanceMode.PROMISE_YES else Label.NO
     for _ in range(max_attempts):
         if mode is InstanceMode.PROMISE_YES:
-            z = round_rows(gen, gaussian_rows(gen, params, 1))[0]
+            z = forrelation_rows(gen, params, 1)[0]
             x = uniform_sign_rows(gen, (2 * params.N,))
             y = x * z
         else:  # PROMISE_NO
             x = uniform_sign_rows(gen, (2 * params.N,))
             y = uniform_sign_rows(gen, (2 * params.N,))
         inst = _instance_from_pair(params, x, y)
-        if mode is InstanceMode.PROMISE_YES and inst.label is Label.YES:
-            return inst
-        if mode is InstanceMode.PROMISE_NO and inst.label is Label.NO:
+        if inst.label is want:
             return inst
     raise SamplingFailureError(
         f"rejection sampling for mode {mode.value} did not accept", max_attempts)

@@ -32,7 +32,7 @@ from ._bits import (
     f2_inner_sign,
     signs_to_codes,
 )
-from ._rng import chunk_sizes, first_uniforms, substream
+from ._rng import Estimate, chunk_sizes, first_uniforms, mc_mean, substream
 from .boolean_fourier import (
     FunctionTable,
     SignVector,
@@ -84,6 +84,7 @@ __all__ = [
 
 DENSE_CAP = 16  # max input length (2N) for dense point-set cells
 MIN_ADVANTAGE_SAMPLES = 10_000
+PREDICATE_CHECK_PAIRS = 4096  # input pairs drawn to validate predicate cells
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +267,7 @@ class RectanglePartition:
     """A deterministic protocol of cost c as a partition of the input
     square into at most 2^c rectangles."""
 
-    def __init__(self, n: int, cost: int, cells: Sequence[Cell], *,
-                 validate: bool = True, sample_seed: int = 0,
-                 sample_points: int = 4096):
+    def __init__(self, n: int, cost: int, cells: Sequence[Cell]):
         if n < 1:
             raise ValueError(f"input length must be positive, got {n}")
         if cost < 0:
@@ -287,11 +286,14 @@ class RectanglePartition:
                     if mask.dtype != np.bool_ or mask.shape != (1 << n,):
                         raise ValueError(
                             "dense cells need boolean masks of length 2^n")
-        if validate:
-            if self.dense:
-                self._validate_dense()
-            else:
-                self._validate_sampled(sample_seed, sample_points)
+            self._validate_dense()
+        else:
+            # Predicate cells are checked on a fixed sample of input pairs;
+            # evaluate_rows raises unless each is covered exactly once.
+            gen = substream(0, 0)
+            self.evaluate_rows(
+                uniform_sign_rows(gen, (PREDICATE_CHECK_PAIRS, n)),
+                uniform_sign_rows(gen, (PREDICATE_CHECK_PAIRS, n)))
 
     def _validate_dense(self):
         # Pairwise-disjoint rectangles plus full total measure is exactly
@@ -305,18 +307,6 @@ class RectanglePartition:
         if total != 1 << (2 * self.n):
             raise PartitionError(
                 f"cells cover {total} of {1 << (2 * self.n)} input pairs")
-
-    def _validate_sampled(self, seed: int, points: int):
-        gen = substream(seed, 0)
-        xs = uniform_sign_rows(gen, (points, self.n))
-        ys = uniform_sign_rows(gen, (points, self.n))
-        counts = np.zeros(points, dtype=np.int64)
-        for cell in self.cells:
-            counts += (self._member(cell.alice, xs) &
-                       self._member(cell.bob, ys)).astype(np.int64)
-        if not np.all(counts == 1):
-            raise PartitionError(
-                "sampled input pairs are not covered by exactly one cell")
 
     def _member(self, side: PointSet, rows: np.ndarray) -> np.ndarray:
         if isinstance(side, np.ndarray):
@@ -420,13 +410,8 @@ def l2_audit(p: RectanglePartition) -> L2Audit:
     return L2Audit(mass, bound, mass <= bound, effective)
 
 
-class AdvantageEstimate(NamedTuple):
-    estimate: float
-    standard_error: float
-
-
 def advantage(p: RectanglePartition, params: ForrParams, samples: int,
-              seed: int) -> AdvantageEstimate:
+              seed: int) -> Estimate:
     """Monte Carlo estimate of E_lifted[C] - E_uniform[C].
 
     Paired with common random numbers: each sample shares the mask x across
@@ -439,20 +424,14 @@ def advantage(p: RectanglePartition, params: ForrParams, samples: int,
     if p.n != params.input_length:
         raise ValueError(
             f"partition is over length {p.n}, params give {params.input_length}")
-    total = 0.0
-    total_sq = 0.0
-    for i, k in enumerate(chunk_sizes(samples)):
-        gen = substream(seed, i)
+
+    def draw(gen, k):
         z_lift = forrelation_rows(gen, params, k)
         x = uniform_sign_rows(gen, (k, p.n))
         y_unif = uniform_sign_rows(gen, (k, p.n))
-        diff = (p.evaluate_rows(x, x * z_lift).astype(np.float64) -
+        return (p.evaluate_rows(x, x * z_lift).astype(np.float64) -
                 p.evaluate_rows(x, y_unif).astype(np.float64))
-        total += float(diff.sum())
-        total_sq += float(np.square(diff).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return AdvantageEstimate(mean, math.sqrt(var / samples))
+    return mc_mean(draw, samples, seed)
 
 
 def random_protocol_partition(n: int, cost: int, seed: int) -> RectanglePartition:
@@ -470,15 +449,13 @@ def random_protocol_partition(n: int, cost: int, seed: int) -> RectanglePartitio
             cells.append(Cell(amask, bmask, int(1 - 2 * gen.integers(2))))
             return
         msg = gen.integers(0, 2, size=points, dtype=np.uint8).astype(bool)
-        if gen.integers(2) == 0:
-            halves = (amask & msg, amask & ~msg)
-            for part in halves:
-                if part.any():
+        alice_speaks = gen.integers(2) == 0
+        side = amask if alice_speaks else bmask
+        for part in (side & msg, side & ~msg):
+            if part.any():
+                if alice_speaks:
                     grow(part, bmask, depth + 1)
-        else:
-            halves = (bmask & msg, bmask & ~msg)
-            for part in halves:
-                if part.any():
+                else:
                     grow(amask, part, depth + 1)
 
     full = np.ones(points, dtype=bool)

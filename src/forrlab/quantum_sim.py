@@ -20,6 +20,7 @@ operation that consumes randomness, always from a caller-provided generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -312,9 +313,6 @@ def controlled_h_gates(control: int, target: int) -> list:
             Hadamard(target), RPi8(target)]
 
 
-_ch_checked = False
-
-
 def verify_controlled_h_decomposition(tol: float = 1e-10) -> float:
     """Max deviation of the five-gate sequence from diag(I, H) up to global
     phase, reconstructed column by column on two qubits."""
@@ -336,6 +334,10 @@ def verify_controlled_h_decomposition(tol: float = 1e-10) -> float:
             "controlled-H gate sequence does not reproduce diag(I, H) up to "
             f"global phase (deviation {deviation:.3e}); refusing to proceed")
     return deviation
+
+
+# The five-gate sequence is checked on its first use in a process.
+_verify_controlled_h_once = functools.cache(verify_controlled_h_decomposition)
 
 
 def controlled_h(state: StateVector, control: int, target: int,
@@ -361,22 +363,15 @@ def controlled_h(state: StateVector, control: int, target: int,
         view[:, 0, :] = np.where(on, (a0 + a1) * _INV_SQRT2, a0)
         view[:, 1, :] = np.where(on, (a0 - a1) * _INV_SQRT2, a1)
         return state
-    global _ch_checked
-    if not _ch_checked:
-        verify_controlled_h_decomposition()
-        _ch_checked = True
+    _verify_controlled_h_once()
     for g in controlled_h_gates(control, target):
         apply_gate(state, g)
     return state
 
 
-def _block_list(block: Sequence[int]) -> list[int]:
-    return list(block)
-
-
 def e_operator_gates(block_a: Sequence[int], block_b: Sequence[int]) -> list:
     """CNOT cascade from block_a bit j to block_b bit j."""
-    a, b = _block_list(block_a), _block_list(block_b)
+    a, b = list(block_a), list(block_b)
     if len(a) != len(b):
         raise ValueError(f"blocks must have equal length, got {len(a)} and {len(b)}")
     if set(a) & set(b):

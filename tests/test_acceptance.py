@@ -19,7 +19,10 @@ from forrlab.boolean_fourier import (
     multilinear_eval,
     spectrum,
 )
-from forrlab.cli import _random_indicator_violations, _subcube_violations
+from forrlab.boolean_fourier import (
+    random_indicator_violations as _random_indicator_violations,
+    subcube_violations as _subcube_violations,
+)
 from forrlab.forrelation_dist import (
     ForrParams,
     InstanceMode,

@@ -38,6 +38,7 @@ class TestUsageErrors:
         ("run-protocol", "--instances"),
         ("fourier-audit", "--partitions"),
         ("fourier-audit", "--max-cost"),
+        ("gen-instances", "--count"),
     ])
     def test_nonpositive_counts_rejected(self, subcommand, flag, value, capsys):
         with pytest.raises(SystemExit) as err:
@@ -45,6 +46,17 @@ class TestUsageErrors:
         assert err.value.code == EXIT_USAGE
         err_text = capsys.readouterr().err
         assert f"argument {flag}: must be positive" in err_text
+        assert "Traceback" not in err_text
+
+    @pytest.mark.parametrize("subcommand", [
+        "verify-moments", "run-protocol", "fourier-audit", "advantage",
+        "gen-instances", "sample-dist"])
+    def test_negative_seed_rejected(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as err:
+            run([subcommand, "--seed", "-1"])
+        assert err.value.code == EXIT_USAGE
+        err_text = capsys.readouterr().err
+        assert "argument --seed: must be nonnegative, got -1" in err_text
         assert "Traceback" not in err_text
 
     def test_paper_mode_requires_slow_or_copies(self, capsys):
@@ -199,3 +211,19 @@ class TestInstanceAndSampleEmitters:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2000
         assert set(rows[0]) == {"index", "forr"}
+
+
+@pytest.mark.parametrize("args", [
+    ["fourier-audit", "--partitions", "5", "--seed", "2"],
+    ["advantage", "--n", "16", "--samples", "10000", "--seed", "3"],
+    ["gen-instances", "--n", "16", "--mode", "promise_yes", "--count", "3",
+     "--seed", "4"],
+    ["sample-dist", "--n", "16", "--dist", "lifted", "--samples", "500",
+     "--seed", "5"],
+], ids=lambda args: args[0])
+def test_byte_identical_reruns(args, tmp_path, capsys):
+    a = tmp_path / "a.out"
+    b = tmp_path / "b.out"
+    assert run(args + ["--out", str(a)]) == EXIT_PASS
+    assert run(args + ["--out", str(b)]) == EXIT_PASS
+    assert a.read_bytes() and a.read_bytes() == b.read_bytes()

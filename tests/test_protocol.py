@@ -315,6 +315,11 @@ class TestPartitions:
         first = lambda rows: rows[:, 0] == 1
         with pytest.raises(PartitionError):
             RectanglePartition(n, 1, [Cell(first, first, 1)])
+        # Overlap: every pair with x_0 = 1 lies in both cells.
+        everything = lambda rows: np.ones(rows.shape[0], dtype=bool)
+        with pytest.raises(PartitionError, match="covered by 2 cells"):
+            RectanglePartition(n, 1, [Cell(first, everything, 1),
+                                      Cell(everything, everything, -1)])
 
     def test_random_partitions_are_valid_and_bounded(self):
         for seed in range(20):
