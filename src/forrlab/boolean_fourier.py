@@ -16,6 +16,7 @@ mutated in place.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,8 @@ __all__ = [
     "subcube_violations",
     "random_indicator_violations",
 ]
+
+AUDIT_BLOCK = 16  # tables per fwht call in the level-k audits and protocol_H
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,22 +135,26 @@ def fwht(values: np.ndarray) -> np.ndarray:
     multiplies by the length.  Leading axes are treated as a batch.  The
     butterfly stages run in a fixed order with elementwise numpy ops only,
     so results are bit-for-bit reproducible regardless of BLAS threading.
+    Internally the transform axis is moved to the front, so each stage works
+    on contiguous (pairs, 2, half, batch) blocks; every element still sees
+    the same adds in the same order, so the output is bit-for-bit the same
+    as a row-by-row transform, and it comes back C-contiguous.
     """
     values = np.asarray(values, dtype=np.float64)
     size = values.shape[-1]
     if not is_power_of_two(size):
         raise ValueError(f"fwht length must be a power of two, got {size}")
-    out = values.copy()
-    shape = values.shape[:-1]
+    out = values.reshape(-1, size).T.copy()
+    batch = out.shape[1]
     half = 1
     while half < size:
-        view = out.reshape(shape + (size // (2 * half), 2, half))
-        top = view[..., 0, :] + view[..., 1, :]
-        bot = view[..., 0, :] - view[..., 1, :]
-        view[..., 0, :] = top
-        view[..., 1, :] = bot
+        view = out.reshape(size // (2 * half), 2, half, batch)
+        top = view[:, 0] + view[:, 1]
+        bot = view[:, 0] - view[:, 1]
+        view[:, 0] = top
+        view[:, 1] = bot
         half *= 2
-    return out
+    return np.ascontiguousarray(out.T).reshape(values.shape)
 
 
 def spectrum(f: FunctionTable) -> FourierSpectrum:
@@ -242,24 +249,33 @@ def level_k_bound(alpha: float, k: int) -> float:
     return alpha * alpha * (2 * math.e * log_inv / k) ** k
 
 
+def _level_weights(members: np.ndarray, k: int) -> np.ndarray:
+    """Level-k weight of each row's 0/1 indicator, from one transform of
+    the (rows, 2^n) block; row r equals
+    ``level_weight(spectrum(indicator_table(n, members[r])), k)``."""
+    size = members.shape[-1]
+    coeffs = fwht(members.astype(np.float64)) / size
+    return np.square(coeffs[:, _level_masks(size.bit_length() - 1, k)]).sum(axis=1)
+
+
 def subcube_violations(n: int, k: int) -> tuple[int, int]:
     """(violations, checked) of the level-k bound over every subcube
     indicator on n variables with at least ceil(k / (2 ln 2)) fixed
-    coordinates (so the bound applies)."""
+    coordinates (so the bound applies).  The subcubes of each fixed-coordinate
+    mask are transformed in blocks of at most AUDIT_BLOCK tables."""
     checked = violations = 0
     codes = np.arange(1 << n)
     for mask in range(1, 1 << n):
         alpha = 2.0 ** -mask.bit_count()
         if k > 2 * math.log(1 / alpha):
             continue
-        for want in range(1 << n):
-            if want & ~mask:
-                continue
-            members = (codes & mask) == want
-            weight = level_weight(spectrum(indicator_table(n, members)), k)
-            checked += 1
-            if weight > level_k_bound(alpha, k) + 1e-12:
-                violations += 1
+        bound = level_k_bound(alpha, k) + 1e-12
+        wants = codes[(codes & ~mask) == 0]
+        for start in range(0, len(wants), AUDIT_BLOCK):
+            block = wants[start:start + AUDIT_BLOCK]
+            weights = _level_weights((codes & mask) == block[:, None], k)
+            checked += len(block)
+            violations += int(np.count_nonzero(weights > bound))
     return violations, checked
 
 
@@ -267,17 +283,24 @@ def random_indicator_violations(n: int, k: int, count: int,
                                 seed: int) -> tuple[int, int]:
     """(violations, checked) of the level-k bound over ``count`` random
     indicators on n variables, each of density drawn from [0.02, 0.35);
-    draws too sparse for the bound to apply are skipped."""
+    draws too sparse for the bound to apply are skipped.  Accepted
+    indicators are transformed in blocks of at most AUDIT_BLOCK tables."""
     gen = substream(seed, 0)
+
+    def accepted():
+        while True:
+            density = gen.uniform(0.02, 0.35)
+            members = gen.uniform(size=1 << n) < density
+            alpha = members.mean()
+            if alpha > 0 and k <= 2 * math.log(1 / alpha):
+                yield members, alpha
+
+    draws = accepted()
     checked = violations = 0
     while checked < count:
-        density = gen.uniform(0.02, 0.35)
-        members = gen.uniform(size=1 << n) < density
-        alpha = members.mean()
-        if alpha <= 0 or k > 2 * math.log(1 / alpha):
-            continue
-        weight = level_weight(spectrum(indicator_table(n, members)), k)
-        checked += 1
-        if weight > level_k_bound(alpha, k) + 1e-12:
-            violations += 1
+        block = list(itertools.islice(draws, min(AUDIT_BLOCK, count - checked)))
+        weights = _level_weights(np.array([m for m, _ in block]), k)
+        bounds = np.array([level_k_bound(a, k) + 1e-12 for _, a in block])
+        checked += len(block)
+        violations += int(np.count_nonzero(weights > bounds))
     return violations, checked

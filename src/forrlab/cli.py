@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -401,6 +402,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _out_path(text: str) -> str:
+    folder = os.path.dirname(text)
+    if folder and not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"directory {folder!r} does not exist")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="forrlab",
@@ -412,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_power_of_two, default=64,
                        help="problem half-length N (power of two)")
         p.add_argument("--seed", type=_nonnegative_int, default=0)
-        p.add_argument("--out", default=None, help="output file path")
+        p.add_argument("--out", type=_out_path, default=None,
+                       help="output file path (its directory must exist)")
         p.add_argument("--eps-override", type=float, default=None,
                        help="override the derived coupling for exploration")
         if samples_default is not None:
@@ -449,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "built-in probe partitions")
     p.add_argument("--n", type=_power_of_two, action="append", default=None)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.add_argument("--eps-override", type=float, default=None)
     p.add_argument("--samples", type=int, default=100_000)
     p.set_defaults(func=cmd_advantage)

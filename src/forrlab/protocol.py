@@ -34,10 +34,10 @@ from ._bits import (
 )
 from ._rng import Estimate, chunk_sizes, first_uniforms, mc_mean, substream
 from .boolean_fourier import (
+    AUDIT_BLOCK,
     FunctionTable,
     SignVector,
-    convolve,
-    indicator_table,
+    fwht,
     level_mass,
     spectrum,
 )
@@ -373,15 +373,21 @@ def eval_partition(p: RectanglePartition, x, y) -> int:
 
 def protocol_H(p: RectanglePartition) -> FunctionTable:
     """The averaged protocol H(z) = E_x[ C(x, x . z) ] as a dense table,
-    built exactly as sum of output-weighted indicator convolutions."""
+    built exactly as sum of output-weighted indicator convolutions.  The
+    cells' convolutions are computed in blocks of at most AUDIT_BLOCK, one
+    transform for the stacked Alice and Bob indicators and one inverse."""
     if not p.dense or p.n > DENSE_CAP:
         raise ResourceLimitError(
             f"dense protocol table needs dense cells and n <= {DENSE_CAP}")
-    acc = np.zeros(1 << p.n)
-    for cell in p.cells:
-        lifted = convolve(indicator_table(p.n, cell.alice),
-                          indicator_table(p.n, cell.bob))
-        acc += cell.output * lifted.values
+    size = 1 << p.n
+    acc = np.zeros(size)
+    for start in range(0, len(p.cells), AUDIT_BLOCK):
+        cells = p.cells[start:start + AUDIT_BLOCK]
+        alice, bob = fwht(np.array([[c.alice for c in cells],
+                                    [c.bob for c in cells]], dtype=np.float64))
+        lifted = fwht(alice * bob) / (size * size)
+        for cell, row in zip(cells, lifted):
+            acc += cell.output * row
     return FunctionTable(p.n, acc)
 
 

@@ -6,14 +6,19 @@ products.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forrlab._bits import popcount
+from forrlab._rng import substream
 from forrlab.boolean_fourier import (
+    AUDIT_BLOCK,
     FunctionTable,
+    _level_weights,
     SignVector,
     character_table,
     convolve,
@@ -24,7 +29,9 @@ from forrlab.boolean_fourier import (
     level_mass,
     level_weight,
     multilinear_eval,
+    random_indicator_violations,
     spectrum,
+    subcube_violations,
 )
 
 
@@ -86,6 +93,105 @@ class TestFwht:
         v = rng.normal(size=8)
         assert np.allclose(fwht(a * u + b * v), a * fwht(u) + b * fwht(v),
                            atol=1e-8)
+
+
+def fwht_row_major(values: np.ndarray) -> np.ndarray:
+    """The butterfly run in place along the last axis, one table at a time
+    in memory order: the reference the transform-axis-first fwht must match
+    bit for bit."""
+    out = np.asarray(values, dtype=np.float64).copy()
+    size = out.shape[-1]
+    half = 1
+    while half < size:
+        view = out.reshape(out.shape[:-1] + (size // (2 * half), 2, half))
+        top = view[..., 0, :] + view[..., 1, :]
+        bot = view[..., 0, :] - view[..., 1, :]
+        view[..., 0, :] = top
+        view[..., 1, :] = bot
+        half *= 2
+    return out
+
+
+FAST_PATH_SHAPES = [(8,), (1, 16), (3, 16), (2, 3, 32), (17, 256)]
+
+
+class TestFwhtFastPath:
+    @pytest.mark.parametrize("shape", FAST_PATH_SHAPES)
+    def test_matches_row_major_butterfly(self, shape):
+        values = np.random.default_rng(len(shape)).normal(size=shape)
+        out = fwht(values)
+        assert np.array_equal(out, fwht_row_major(values))
+        assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", FAST_PATH_SHAPES)
+    def test_matches_definition(self, shape):
+        # Small integers keep every sum exact, so the O(4^n) definition
+        # must agree bit for bit.
+        values = np.random.default_rng(5).integers(-9, 10, size=shape)
+        size = shape[-1]
+        codes = np.arange(size)
+        signs = 1 - 2 * (popcount(codes[:, None] & codes[None, :]) & 1)
+        assert np.array_equal(fwht(values), values @ signs)
+
+    def test_input_untouched(self):
+        values = np.random.default_rng(6).normal(size=(4, 16))
+        kept = values.copy()
+        fwht(values)
+        assert np.array_equal(values, kept)
+
+
+def subcube_violations_per_table(n: int, k: int) -> tuple[int, int]:
+    """Reference: one indicator table, one transform, per subcube."""
+    checked = violations = 0
+    codes = np.arange(1 << n)
+    for mask in range(1, 1 << n):
+        alpha = 2.0 ** -mask.bit_count()
+        if k > 2 * math.log(1 / alpha):
+            continue
+        for want in codes[(codes & ~mask) == 0]:
+            members = (codes & mask) == want
+            weight = level_weight(spectrum(indicator_table(n, members)), k)
+            checked += 1
+            violations += weight > level_k_bound(alpha, k) + 1e-12
+    return violations, checked
+
+
+def random_indicator_violations_per_table(n, k, count, seed):
+    """Reference: the same draws as random_indicator_violations, each table
+    transformed and compared on its own."""
+    gen = substream(seed, 0)
+    checked = violations = 0
+    while checked < count:
+        density = gen.uniform(0.02, 0.35)
+        members = gen.uniform(size=1 << n) < density
+        alpha = members.mean()
+        if alpha <= 0 or k > 2 * math.log(1 / alpha):
+            continue
+        weight = level_weight(spectrum(indicator_table(n, members)), k)
+        checked += 1
+        violations += weight > level_k_bound(alpha, k) + 1e-12
+    return violations, checked
+
+
+class TestBatchedLevelWeights:
+    @pytest.mark.parametrize("n, k", [(4, 1), (6, 2), (8, 2), (10, 3)])
+    def test_rows_match_level_weight(self, n, k):
+        members = np.random.default_rng(n).uniform(size=(AUDIT_BLOCK + 3,
+                                                         1 << n)) < 0.2
+        weights = _level_weights(members, k)
+        for row, weight in zip(members, weights):
+            assert weight == level_weight(spectrum(indicator_table(n, row)), k)
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 2), (6, 3)])
+    def test_subcubes_match_per_table(self, n, k):
+        assert subcube_violations(n, k) == subcube_violations_per_table(n, k)
+
+    @pytest.mark.parametrize("count", [1, AUDIT_BLOCK - 1, AUDIT_BLOCK,
+                                       AUDIT_BLOCK + 1, 2 * AUDIT_BLOCK + 1])
+    def test_ragged_random_blocks_match_per_table(self, count):
+        for seed in (0, 7):
+            assert (random_indicator_violations(10, 2, count, seed) ==
+                    random_indicator_violations_per_table(10, 2, count, seed))
 
 
 class TestSpectrum:

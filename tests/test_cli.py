@@ -59,6 +59,21 @@ class TestUsageErrors:
         assert "argument --seed: must be nonnegative, got -1" in err_text
         assert "Traceback" not in err_text
 
+    @pytest.mark.parametrize("subcommand", [
+        "verify-moments", "run-protocol", "fourier-audit", "advantage",
+        "gen-instances", "sample-dist"])
+    def test_out_in_missing_directory_rejected(self, subcommand, tmp_path,
+                                               capsys):
+        missing = tmp_path / "missing"
+        with pytest.raises(SystemExit) as err:
+            run([subcommand, "--out", str(missing / "out.csv")])
+        assert err.value.code == EXIT_USAGE
+        err_text = capsys.readouterr().err
+        assert (f"argument --out: directory '{missing}' does not exist"
+                in err_text)
+        assert "Traceback" not in err_text
+        assert not missing.exists()
+
     def test_paper_mode_requires_slow_or_copies(self, capsys):
         code = run(["run-protocol", "--n", "16", "--mode", "promise_yes",
                     "--instances", "1"])

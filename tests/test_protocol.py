@@ -16,6 +16,7 @@ from forrlab._bits import codes_to_signs
 from forrlab._rng import substream
 from forrlab.boolean_fourier import (
     SignVector,
+    convolve,
     indicator_table,
     level_mass,
     spectrum,
@@ -364,9 +365,20 @@ class TestProtocolH:
             H = protocol_H(random_protocol_partition(8, 4, seed=seed))
             assert np.max(np.abs(H.values)) <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("cost", [1, 2, 3, 4, 5, 6])
+    def test_matches_per_cell_convolve_sum(self, cost):
+        # Costs 5 and 6 give more cells than one transform block holds.
+        for seed in range(3):
+            p = random_protocol_partition(8, cost, seed)
+            want = np.zeros(1 << 8)
+            for cell in p.cells:
+                want += cell.output * convolve(
+                    indicator_table(8, cell.alice),
+                    indicator_table(8, cell.bob)).values
+            assert np.array_equal(protocol_H(p).values, want)
+
     def test_per_cell_fourier_factorization(self):
         p = random_protocol_partition(8, 3, seed=6)
-        from forrlab.boolean_fourier import convolve
         for cell in p.cells:
             fa = indicator_table(8, cell.alice)
             fb = indicator_table(8, cell.bob)
