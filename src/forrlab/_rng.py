@@ -6,11 +6,21 @@ coordination: the key carries the experiment seed and the top counter word
 carries the index.  Substreams never collide as long as a single stream
 draws fewer than 2^192 blocks, and results are independent of how work is
 scheduled across threads or chunks.
+
+Monte Carlo estimates are built from fixed-size chunks: chunk i of an
+experiment draws from substream(seed, i).  ``mc_means`` runs independent
+chunks at the same time on a thread pool sized to the usable cores (numpy
+releases the interpreter lock in its array loops) and adds the per-chunk sums
+in chunk order on the calling thread.  Within a chunk, draws may be taken in
+row blocks of about ``BLOCK_BYTES`` to bound memory; uniforms are consumed
+row by row, so a block sees the same stream values as an unblocked draw.  No
+result depends on the pool size or on the row blocking.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -19,6 +29,14 @@ import numpy as np
 # experiment uses substream(seed, i), so estimates do not depend on how many
 # chunks run, or where.
 CHUNK = 1 << 15
+
+# Float64 bytes per row block when a chunk is drawn piecewise (about 1 MiB),
+# which bounds a chunk's temporaries whatever its length.
+BLOCK_BYTES = 1 << 20
+
+# Threads that run Monte Carlo chunks: the cores this process may use.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = np.uint64((1 << 32) - 1)
@@ -94,6 +112,14 @@ def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
     return [chunk] * full + ([rest] if rest else [])
 
 
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices covering ``rows`` rows of ``width`` float64 values,
+    each about ``BLOCK_BYTES`` (at least one row)."""
+    step = max(1, BLOCK_BYTES // (8 * max(width, 1)))
+    return [slice(start, min(start + step, rows))
+            for start in range(0, rows, step)]
+
+
 class Estimate(NamedTuple):
     """A Monte Carlo mean with its normal-approximation standard error."""
 
@@ -101,21 +127,50 @@ class Estimate(NamedTuple):
     standard_error: float
 
 
-def mc_mean(draw: Callable[[np.random.Generator, int], np.ndarray],
-            samples: int, seed: int) -> Estimate:
-    """Mean and standard error of ``samples`` values, where chunk i of the
-    fixed chunking contributes ``draw(substream(seed, i), k)``, k values.
+def mc_means(jobs: list[tuple[Callable[[np.random.Generator, int], np.ndarray],
+                              int]],
+             samples: int) -> list[Estimate]:
+    """Mean and standard error of ``samples`` values for each (draw, seed)
+    job, where chunk i of the fixed chunking contributes
+    ``draw(substream(seed, i), k)``, k values.
 
-    Sums accumulate chunk by chunk in chunk order, so the estimate is a pure
-    function of (draw, samples, seed).
+    Every (job, chunk) pair runs on one pool of ``WORKERS`` threads, so a draw
+    must not share mutable state between calls.  Each chunk returns its sum
+    and sum of squares, and the calling thread adds them per job in chunk
+    order, so every estimate is a pure function of (draw, samples, seed).
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    total = total_sq = 0.0
-    for i, k in enumerate(chunk_sizes(samples)):
-        vals = draw(substream(seed, i), k)
-        total += float(vals.sum())
-        total_sq += float(np.square(vals).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return Estimate(mean, math.sqrt(var / samples))
+    # Imported here: concurrent.futures loads logging, which would otherwise
+    # add to the import time of every forrlab process.
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = chunk_sizes(samples)
+
+    def run(task):
+        draw, seed, i = task
+        vals = draw(substream(seed, i), sizes[i])
+        return float(vals.sum()), float(np.square(vals).sum())
+
+    tasks = [(draw, seed, i) for draw, seed in jobs for i in range(len(sizes))]
+    pool = ThreadPoolExecutor(max(1, min(WORKERS, len(tasks))))
+    try:
+        sums = list(pool.map(run, tasks))
+    finally:  # on an error or an interrupt, drop the chunks not yet started
+        pool.shutdown(cancel_futures=True)
+    out = []
+    for j in range(len(jobs)):
+        total = total_sq = 0.0
+        for s, sq in sums[j * len(sizes):(j + 1) * len(sizes)]:
+            total += s
+            total_sq += sq
+        mean = total / samples
+        var = max(total_sq / samples - mean * mean, 0.0)
+        out.append(Estimate(mean, math.sqrt(var / samples)))
+    return out
+
+
+def mc_mean(draw: Callable[[np.random.Generator, int], np.ndarray],
+            samples: int, seed: int) -> Estimate:
+    """``mc_means`` for one job: the estimate of ``draw`` at ``seed``."""
+    return mc_means([(draw, seed)], samples)[0]

@@ -22,17 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import f2_inner_sign
-from ._rng import Estimate, mc_mean, substream
+from ._rng import mc_means, row_blocks, substream
 from .boolean_fourier import random_indicator_violations, subcube_violations
 from .errors import ForrlabError, ResourceLimitError
 from .forrelation_dist import (
     ForrParams,
     InstanceMode,
     Label,
+    check_moment_samples,
     forr,
     forrelation_rows,
-    gaussian_moment,
     generate_instance,
+    moment_draw,
     sample_forrelation,
     sample_gaussian,
     sample_lifted,
@@ -142,25 +143,28 @@ def _params(args) -> ForrParams:
 
 def cmd_verify_moments(args) -> int:
     params = _params(args)
+    check_moment_samples(args.samples)
     gen = substream(args.seed, 0)
     records, add = recorder(
         "verify-moments", N=params.N, eps=params.eps, seed=args.seed,
         samples=args.samples,
         flags="low_power" if args.samples < LOW_POWER_SAMPLES else "")
+    # Every check is collected first; one mc_means call estimates them all.
+    jobs, checks = [], []
 
-    def record(metric, est: Estimate, bound, passed):
-        add(metric, metric, est.estimate, standard_error=est.standard_error,
-            bound=bound, passed=passed)
+    def check(metric, draw, seed, bound, ok):
+        jobs.append((draw, seed))
+        checks.append((metric, bound, ok))
 
     # Pair moments: value eps N^{-1/2} (-1)^{<i,j>} for 20 random pairs.
     for k in range(20):
         i = int(gen.integers(params.N))
         j = int(gen.integers(params.N))
-        est = gaussian_moment(params, [i], [j], args.samples, args.seed + 1 + k)
         want = params.eps * f2_inner_sign(i, j) / math.sqrt(params.N)
-        ok = abs(est.estimate - want) <= 5 * est.standard_error
-        record(f"pair_moment[i={i},j={j}]", est, f"|est - {want:.3e}| <= 5 se",
-               ok)
+        check(f"pair_moment[i={i},j={j}]", moment_draw(params, [i], [j]),
+              args.seed + 1 + k, f"|est - {want:.3e}| <= 5 se",
+              lambda est, want=want:
+                  abs(est.estimate - want) <= 5 * est.standard_error)
 
     # Unequal-size moments vanish.
     for k in range(20):
@@ -168,30 +172,35 @@ def cmd_verify_moments(args) -> int:
         t_size = int((s_size + 1 + gen.integers(3)) % 4)
         s_set = list(map(int, gen.choice(params.N, size=s_size, replace=False)))
         t_set = list(map(int, gen.choice(params.N, size=t_size, replace=False)))
-        est = gaussian_moment(params, s_set, t_set, args.samples,
-                              args.seed + 100 + k)
-        ok = abs(est.estimate) <= 5 * est.standard_error
-        record(f"unequal_moment[|S|={s_size},|T|={t_size}]", est,
-               "|est| <= 5 se", ok)
+        check(f"unequal_moment[|S|={s_size},|T|={t_size}]",
+              moment_draw(params, s_set, t_set), args.seed + 100 + k,
+              "|est| <= 5 se",
+              lambda est: abs(est.estimate) <= 5 * est.standard_error)
 
     # Magnitude cap |moment| <= eps^|S| for equal sizes up to 3.
     for k, size in enumerate((1, 1, 2, 2, 3, 3)):
         s_set = list(map(int, gen.choice(params.N, size=size, replace=False)))
         t_set = list(map(int, gen.choice(params.N, size=size, replace=False)))
-        est = gaussian_moment(params, s_set, t_set, args.samples,
-                              args.seed + 200 + k)
         cap = params.eps ** size
-        ok = abs(est.estimate) <= cap + 5 * est.standard_error
-        record(f"moment_cap[|S|=|T|={size}]", est, f"|est| <= {cap:.3e} + 5 se",
-               ok)
+        check(f"moment_cap[|S|=|T|={size}]", moment_draw(params, s_set, t_set),
+              args.seed + 200 + k, f"|est| <= {cap:.3e} + 5 se",
+              lambda est, cap=cap:
+                  abs(est.estimate) <= cap + 5 * est.standard_error)
 
     # Mean forrelation of the sign distribution is at least eps/2.
     def draw(gen, k):
-        return forr(forrelation_rows(gen, params, k).astype(np.float64))
-    est = mc_mean(draw, args.samples, args.seed + 300)
-    ok = est.estimate >= params.eps / 2 - 3 * est.standard_error
-    record("mean_forrelation", est,
-           f"est >= eps/2 = {params.eps / 2:.3e} - 3 se", ok)
+        signs = forrelation_rows(gen, params, k)
+        out = np.empty(k)
+        for block in row_blocks(k, params.input_length):
+            out[block] = forr(signs[block].astype(np.float64))
+        return out
+    check("mean_forrelation", draw, args.seed + 300,
+          f"est >= eps/2 = {params.eps / 2:.3e} - 3 se",
+          lambda est: est.estimate >= params.eps / 2 - 3 * est.standard_error)
+
+    for (metric, bound, ok), est in zip(checks, mc_means(jobs, args.samples)):
+        add(metric, metric, est.estimate, standard_error=est.standard_error,
+            bound=bound, passed=ok(est))
     return finish(args, records)
 
 
@@ -402,6 +411,14 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number in [0, 1], got {text}")
+    return value
+
+
 def _out_path(text: str) -> str:
     folder = os.path.dirname(text)
     if folder and not os.path.isdir(folder):
@@ -441,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "planted_yes", "uniform_no"])
     p.add_argument("--instances", type=_positive_int, default=100)
     p.add_argument("--copies", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_probability, default=None)
     p.add_argument("--slow", action="store_true",
                    help="accept the promise-gap copy count (huge)")
     p.set_defaults(func=cmd_run_protocol)

@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from ._bits import is_power_of_two
-from ._rng import Estimate, chunk_sizes, mc_mean, substream
+from ._rng import Estimate, chunk_sizes, mc_mean, row_blocks, substream
 from .boolean_fourier import SignVector, fwht
 from .errors import SamplingFailureError
 
@@ -49,6 +49,8 @@ __all__ = [
     "sample_gaussian",
     "sample_forrelation",
     "sample_lifted",
+    "moment_draw",
+    "check_moment_samples",
     "gaussian_moment",
     "Label",
     "InstanceMode",
@@ -149,10 +151,18 @@ def gaussian_rows(gen: np.random.Generator, params: ForrParams, k: int) -> np.nd
 
 def round_rows(gen: np.random.Generator, rows: np.ndarray) -> np.ndarray:
     """Round truncated rows to signs, independently per coordinate, with
-    conditional mean equal to the truncated value."""
-    probs = (1.0 + truncate(rows)) / 2.0
-    u = gen.uniform(size=rows.shape)
-    return np.where(u < probs, 1, -1).astype(np.int8)
+    conditional mean equal to the truncated value.
+
+    Rounds in row blocks; the uniforms are consumed in row order, so the
+    result equals one unblocked draw of ``gen.uniform(size=rows.shape)``.
+    """
+    rows = np.asarray(rows)
+    out = np.empty(rows.shape, dtype=np.int8)
+    for block in row_blocks(len(rows), math.prod(rows.shape[1:])):
+        probs = (1.0 + truncate(rows[block])) / 2.0
+        u = gen.uniform(size=probs.shape)
+        out[block] = np.where(u < probs, 1, -1)
+    return out
 
 
 def forrelation_rows(gen: np.random.Generator, params: ForrParams,
@@ -218,6 +228,40 @@ def sample_lifted(params: ForrParams, seed: int,
     return out[:, 0, :], out[:, 1, :]
 
 
+def moment_draw(params: ForrParams, s_set: Iterable[int],
+                t_set: Iterable[int]):
+    """The draw ``(gen, k) -> products`` whose mean is the moment
+    E[prod_{i in S} x_i prod_{j in T} y_j], for ``mc_means``.
+
+    S indexes the first half, T the second half, both 0-based in [0, N).
+    Rows are drawn in row blocks into one (k,) result, so memory stays near
+    one block; the values equal ``gaussian_rows(gen, params, k)[:, cols]
+    .prod(axis=1)`` for cols = S followed by N + T.
+    """
+    s_idx = np.fromiter(s_set, dtype=np.int64)
+    t_idx = np.fromiter(t_set, dtype=np.int64) + params.N
+    for name, idx, hi in (("S", s_idx, params.N), ("T", t_idx - params.N, params.N)):
+        if idx.size and (idx.min() < 0 or idx.max() >= hi):
+            raise ValueError(f"{name} indices must lie in [0, {hi})")
+    cols = np.concatenate([s_idx, t_idx])
+
+    def draw(gen, k):
+        out = np.empty(k)
+        for block in row_blocks(k, params.input_length):
+            rows = gaussian_rows(gen, params, block.stop - block.start)
+            out[block] = rows[:, cols].prod(axis=1)
+        return out
+    return draw
+
+
+def check_moment_samples(samples: int) -> None:
+    """Reject sample counts below ``MIN_MOMENT_SAMPLES``."""
+    if samples < MIN_MOMENT_SAMPLES:
+        raise ValueError(
+            f"moment estimation needs at least {MIN_MOMENT_SAMPLES} samples, "
+            f"got {samples}")
+
+
 def gaussian_moment(params: ForrParams, s_set: Iterable[int], t_set: Iterable[int],
                     samples: int, seed: int) -> Estimate:
     """Monte Carlo estimate of E[prod_{i in S} x_i prod_{j in T} y_j] under
@@ -225,20 +269,8 @@ def gaussian_moment(params: ForrParams, s_set: Iterable[int], t_set: Iterable[in
 
     S indexes the first half, T the second half, both 0-based in [0, N).
     """
-    s_idx = np.fromiter(s_set, dtype=np.int64)
-    t_idx = np.fromiter(t_set, dtype=np.int64) + params.N
-    for name, idx, hi in (("S", s_idx, params.N), ("T", t_idx - params.N, params.N)):
-        if idx.size and (idx.min() < 0 or idx.max() >= hi):
-            raise ValueError(f"{name} indices must lie in [0, {hi})")
-    if samples < MIN_MOMENT_SAMPLES:
-        raise ValueError(
-            f"moment estimation needs at least {MIN_MOMENT_SAMPLES} samples, "
-            f"got {samples}")
-    cols = np.concatenate([s_idx, t_idx])
-
-    def draw(gen, k):
-        rows = gaussian_rows(gen, params, k)
-        return rows[:, cols].prod(axis=1) if cols.size else np.ones(k)
+    draw = moment_draw(params, s_set, t_set)
+    check_moment_samples(samples)
     return mc_mean(draw, samples, seed)
 
 

@@ -106,6 +106,9 @@ class QuantumProtocolConfig:
     def __post_init__(self):
         if self.copies < 1:
             raise ValueError(f"copies must be positive, got {self.copies}")
+        if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(
+                f"threshold must be a finite number in [0, 1], got {self.threshold}")
 
     @property
     def decision_threshold(self) -> float:

@@ -74,6 +74,17 @@ class TestUsageErrors:
         assert "Traceback" not in err_text
         assert not missing.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+    def test_threshold_outside_unit_interval_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["run-protocol", "--n", "16", "--instances", "1",
+                 "--threshold", value])
+        assert err.value.code == EXIT_USAGE
+        err_text = capsys.readouterr().err
+        assert ("argument --threshold: must be a finite number in [0, 1], "
+                f"got {value}") in err_text
+        assert "Traceback" not in err_text
+
     def test_paper_mode_requires_slow_or_copies(self, capsys):
         code = run(["run-protocol", "--n", "16", "--mode", "promise_yes",
                     "--instances", "1"])

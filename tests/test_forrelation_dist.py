@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forrlab._rng import substream
+from forrlab._rng import BLOCK_BYTES, substream
 from forrlab.boolean_fourier import (
     FourierSpectrum,
     fwht,
@@ -32,6 +32,7 @@ from forrlab.forrelation_dist import (
     gaussian_moment,
     gaussian_rows,
     generate_instance,
+    moment_draw,
     planted_instance,
     round_rows,
     sample_forrelation,
@@ -280,6 +281,37 @@ class TestMoments:
             gaussian_moment(p, [0], [0], 5000, seed=0)
         with pytest.raises(ValueError):
             gaussian_moment(p, [16], [0], 10_000, seed=0)
+
+
+class TestRowBlocking:
+    """Drawing a chunk in row blocks must not change a single value."""
+
+    params = ForrParams(16)
+    block = BLOCK_BYTES // (8 * 32)  # rows of 2N = 32 float64 per block
+    sizes = [1, block - 1, block, block + 1, 3 * block - 5]
+
+    @pytest.mark.parametrize("k", sizes)
+    @pytest.mark.parametrize("s_set, t_set", [([3], [5]), ([0, 7], [2]),
+                                              ([], [])])
+    def test_moment_draw_equals_unblocked_products(self, k, s_set, t_set):
+        cols = np.array(s_set + [self.params.N + j for j in t_set], dtype=int)
+        got = moment_draw(self.params, s_set, t_set)(substream(40, k), k)
+        want = gaussian_rows(substream(40, k), self.params, k)[:, cols].prod(
+            axis=1)
+        assert got.shape == (k,)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", sizes)
+    def test_round_rows_equals_unblocked_reference(self, k):
+        rows = gaussian_rows(substream(41, k), self.params, k) * 20.0
+        gen, ref_gen = substream(42, k), substream(42, k)
+        want = np.where(ref_gen.uniform(size=rows.shape) <
+                        (1.0 + truncate(rows)) / 2.0, 1, -1).astype(np.int8)
+        got = round_rows(gen, rows)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
+        # Both generators stand at the same place in the stream afterwards.
+        assert gen.uniform() == ref_gen.uniform()
 
 
 class TestInstances:

@@ -116,6 +116,12 @@ class TestQuantumProtocol:
             L = int(math.log2(2 * N))
             assert size == 8 * L + 2
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.1, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            QuantumProtocolConfig(ForrParams(16), copies=10,
+                                  threshold=threshold)
+
     def test_default_threshold_from_params(self):
         params = ForrParams(64)
         cfg = QuantumProtocolConfig(params, copies=10)

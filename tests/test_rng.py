@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from forrlab._rng import CHUNK, chunk_sizes, first_uniforms, mc_mean, substream
+from forrlab import _rng
+from forrlab._rng import (
+    CHUNK,
+    chunk_sizes,
+    first_uniforms,
+    mc_mean,
+    mc_means,
+    row_blocks,
+    substream,
+)
 
 
 @pytest.mark.parametrize("seed", [0, 13, 2**41 + 5, 2**64 + 3, -1])
@@ -62,3 +71,49 @@ def test_mc_mean_matches_hand_written_accumulator():
 def test_mc_mean_rejects_empty():
     with pytest.raises(ValueError):
         mc_mean(lambda gen, k: np.ones(k), 0, 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_mc_means_matches_serial_accumulator_at_any_pool_size(workers,
+                                                               monkeypatch):
+    # Three jobs of two full chunks and a ragged third, with the pool at 1, 2
+    # and 3 threads: every field must equal a serial per-chunk loop exactly.
+    monkeypatch.setattr(_rng, "WORKERS", workers)
+    samples = 2 * CHUNK + 17
+    jobs = [(lambda gen, k: gen.standard_normal(k) ** 3 + 0.25, 11),
+            (lambda gen, k: gen.uniform(size=k), 12),
+            (lambda gen, k: np.exp(gen.standard_normal(k)), 2**64 + 3)]
+
+    want = []
+    for draw, seed in jobs:
+        total = total_sq = 0.0
+        for i, k in enumerate(chunk_sizes(samples)):
+            vals = draw(substream(seed, i), k)
+            total += float(vals.sum())
+            total_sq += float(np.square(vals).sum())
+        mean = total / samples
+        se = math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+        want.append((mean, se))
+
+    got = mc_means(jobs, samples)
+    assert [(e.estimate, e.standard_error) for e in got] == want
+    assert mc_means([], samples) == []
+
+
+def test_mc_means_raises_a_draw_error():
+    def broken(gen, k):
+        raise RuntimeError("draw failed")
+    with pytest.raises(RuntimeError, match="draw failed"):
+        mc_means([(lambda gen, k: np.ones(k), 0), (broken, 1)], CHUNK + 1)
+
+
+def test_row_blocks_cover_rows_in_order():
+    width = 32
+    step = _rng.BLOCK_BYTES // (8 * width)
+    for rows in (0, 1, step - 1, step, step + 1, 3 * step - 5):
+        blocks = row_blocks(rows, width)
+        assert [i for b in blocks for i in range(rows)[b]] == list(range(rows))
+        assert all(b.stop - b.start <= step for b in blocks)
+    assert len(row_blocks(step + 1, width)) == 2
+    # Rows wider than a block still advance one row at a time.
+    assert row_blocks(2, _rng.BLOCK_BYTES) == [slice(0, 1), slice(1, 2)]
