@@ -4,6 +4,10 @@ One encoding is used everywhere: bit value 0 <-> sign +1, bit value 1 <-> sign -
 A point of {-1,1}^n is addressed by the integer whose i-th bit encodes
 coordinate i (0-based), so index arithmetic lines up with the FWHT butterfly
 and with basis-state indices of the simulator.
+
+The one wire format is the instance format: a sign vector packed into
+little-endian bits (bit 1 <-> sign -1) and base64-encoded, as
+``LiftedInstance.to_json`` writes it for ``gen-instances``.
 """
 
 from __future__ import annotations
@@ -41,43 +45,18 @@ def codes_to_signs(codes: np.ndarray, n: int) -> np.ndarray:
     return bits_to_signs(bits)
 
 
-def pack_signs(signs: np.ndarray) -> bytes:
-    """Pack a sign vector into little-endian bit rows (bit 1 <-> sign -1)."""
-    return np.packbits(signs_to_bits(signs), bitorder="little").tobytes()
-
-
-def unpack_signs(data: bytes, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_signs`; returns an int8 array of length ``n``."""
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
-                         count=n, bitorder="little")
-    return bits_to_signs(bits)
-
-
 def signs_to_base64(signs: np.ndarray) -> str:
-    return base64.b64encode(pack_signs(signs)).decode("ascii")
+    """Pack a sign vector into little-endian bits (bit 1 <-> sign -1), then
+    base64: the wire form of instance inputs."""
+    packed = np.packbits(signs_to_bits(signs), bitorder="little")
+    return base64.b64encode(packed.tobytes()).decode("ascii")
 
 
 def base64_to_signs(text: str, n: int) -> np.ndarray:
-    return unpack_signs(base64.b64decode(text), n)
-
-
-def pack_bools(mask: np.ndarray) -> bytes:
-    """Pack a boolean membership mask, little-endian."""
-    return np.packbits(np.asarray(mask, dtype=np.uint8), bitorder="little").tobytes()
-
-
-def unpack_bools(data: bytes, n: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
+    """Inverse of :func:`signs_to_base64`; an int8 array of length ``n``."""
+    bits = np.unpackbits(np.frombuffer(base64.b64decode(text), dtype=np.uint8),
                          count=n, bitorder="little")
-    return bits.astype(bool)
-
-
-def bools_to_base64(mask: np.ndarray) -> str:
-    return base64.b64encode(pack_bools(mask)).decode("ascii")
-
-
-def base64_to_bools(text: str, n: int) -> np.ndarray:
-    return unpack_bools(base64.b64decode(text), n)
+    return bits_to_signs(bits)
 
 
 def popcount(values: np.ndarray) -> np.ndarray:

@@ -48,15 +48,17 @@ __all__ = [
     "random_indicator_violations",
 ]
 
-AUDIT_BLOCK = 16  # tables per fwht call in the level-k audits and protocol_H
+AUDIT_BLOCK = 16  # tables per fwht call in the level-k audits and protocol_spectrum
 
 
 @dataclass(frozen=True, eq=False)
 class SignVector:
     """A point of {-1,1}^n; doubles as an oracle input string.
 
-    The canonical in-memory form is an int8 array of +-1; the packed
-    little-endian bit form (bit 1 <-> sign -1) is used on the wire.
+    The canonical in-memory form is an int8 array of +-1.  ``to_base64``
+    and ``from_base64`` give the instance wire format that
+    ``gen-instances`` writes: little-endian packed bits (bit 1 <-> sign -1),
+    base64-encoded.
     """
 
     signs: np.ndarray

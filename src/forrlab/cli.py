@@ -321,8 +321,6 @@ def cmd_fourier_audit(args) -> int:
 # advantage
 
 def cmd_advantage(args) -> int:
-    if args.samples < 10_000:
-        raise UsageError("--samples must be at least 10000")
     records, record = recorder("advantage", seed=args.seed,
                                samples=args.samples)
     for n_val in args.n or [16, 64, 256]:

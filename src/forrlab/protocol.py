@@ -19,27 +19,22 @@ distinguish the lifted distribution from uniform; the audit checks the
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._bits import (
-    base64_to_bools,
-    bools_to_base64,
-    f2_inner_sign,
-    signs_to_codes,
-)
+from ._bits import f2_inner_sign, signs_to_codes
 from ._rng import Estimate, chunk_sizes, first_uniforms, mc_mean, substream
 from .boolean_fourier import (
     AUDIT_BLOCK,
+    FourierSpectrum,
     FunctionTable,
     SignVector,
     fwht,
+    inverse_spectrum,
     level_mass,
-    spectrum,
 )
 from .errors import PartitionError, ResourceLimitError
 from .forrelation_dist import (
@@ -72,6 +67,7 @@ __all__ = [
     "Cell",
     "RectanglePartition",
     "eval_partition",
+    "protocol_spectrum",
     "protocol_H",
     "L2Audit",
     "l2_audit",
@@ -337,26 +333,6 @@ class RectanglePartition:
                 f"an input pair is covered by {bad} cells instead of 1")
         return out.astype(np.int8)
 
-    def to_json(self) -> str:
-        if not self.dense:
-            raise ValueError("only dense partitions serialize to JSON")
-        return json.dumps({
-            "n": self.n,
-            "cost": self.cost,
-            "cells": [{"A": bools_to_base64(c.alice),
-                       "B": bools_to_base64(c.bob),
-                       "out": c.output} for c in self.cells],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "RectanglePartition":
-        obj = json.loads(text)
-        size = 1 << obj["n"]
-        cells = [Cell(base64_to_bools(c["A"], size),
-                      base64_to_bools(c["B"], size),
-                      c["out"]) for c in obj["cells"]]
-        return cls(obj["n"], obj["cost"], cells)
-
 
 def trivial_partition(n: int, output: int = 1) -> RectanglePartition:
     """The cost-0 protocol that always answers ``output``."""
@@ -374,11 +350,13 @@ def eval_partition(p: RectanglePartition, x, y) -> int:
     return int(p.evaluate_rows(xs[None, :], ys[None, :])[0])
 
 
-def protocol_H(p: RectanglePartition) -> FunctionTable:
-    """The averaged protocol H(z) = E_x[ C(x, x . z) ] as a dense table,
-    built exactly as sum of output-weighted indicator convolutions.  The
-    cells' convolutions are computed in blocks of at most AUDIT_BLOCK, one
-    transform for the stacked Alice and Bob indicators and one inverse."""
+def protocol_spectrum(p: RectanglePartition) -> FourierSpectrum:
+    """Spectrum of the averaged protocol H(z) = E_x[ C(x, x . z) ], built
+    straight from the cells as sum_c out_c A_c(S) B_c(S) / 4^n, with A_c
+    and B_c the unnormalized transforms of the cell's indicators.  One
+    fwht covers the stacked Alice and Bob indicators of up to AUDIT_BLOCK
+    cells.  Every term is an integer until the final division by a power
+    of two, so the coefficients are exact."""
     if not p.dense or p.n > DENSE_CAP:
         raise ResourceLimitError(
             f"dense protocol table needs dense cells and n <= {DENSE_CAP}")
@@ -388,10 +366,15 @@ def protocol_H(p: RectanglePartition) -> FunctionTable:
         cells = p.cells[start:start + AUDIT_BLOCK]
         alice, bob = fwht(np.array([[c.alice for c in cells],
                                     [c.bob for c in cells]], dtype=np.float64))
-        lifted = fwht(alice * bob) / (size * size)
-        for cell, row in zip(cells, lifted):
-            acc += cell.output * row
-    return FunctionTable(p.n, acc)
+        outputs = np.array([c.output for c in cells], dtype=np.float64)
+        acc += outputs @ (alice * bob)
+    return FourierSpectrum(p.n, acc / (size * size))
+
+
+def protocol_H(p: RectanglePartition) -> FunctionTable:
+    """The averaged protocol H(z) = E_x[ C(x, x . z) ] as a dense table,
+    the inverse transform of :func:`protocol_spectrum`."""
+    return inverse_spectrum(protocol_spectrum(p))
 
 
 class L2Audit(NamedTuple):
@@ -411,7 +394,7 @@ def l2_audit(p: RectanglePartition) -> L2Audit:
     mass is unchanged and the refinement shows up only in the reported
     effective cost c + 4.
     """
-    mass = level_mass(spectrum(protocol_H(p)), 2)
+    mass = level_mass(protocol_spectrum(p), 2)
     heavy = any(cell.alice.mean() > 1.0 / math.e or
                 cell.bob.mean() > 1.0 / math.e for cell in p.cells)
     effective = p.cost + 4 if heavy else p.cost

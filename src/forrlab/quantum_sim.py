@@ -27,7 +27,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._bits import base64_to_signs, signs_to_base64
 from .boolean_fourier import SignVector
 from .errors import ResourceLimitError
 
@@ -53,8 +52,6 @@ __all__ = [
     "swap_test_shots",
     "bell_pairs",
     "bell_prep_gates",
-    "circuit_to_json",
-    "circuit_from_json",
     "verify_controlled_h_decomposition",
 ]
 
@@ -143,16 +140,11 @@ class Oracle:
 
     signs: SignVector
     start: int
-    width: int = -1  # derived from len(signs) when left at the sentinel
 
-    def __post_init__(self):
-        needed = max(1, (self.signs.n - 1).bit_length())
-        if self.width == -1:
-            object.__setattr__(self, "width", needed)
-        elif self.width != needed:
-            raise ValueError(
-                f"oracle block width must be ceil(log2({self.signs.n})) = "
-                f"{needed}, got {self.width}")
+    @property
+    def width(self) -> int:
+        """Block width ceil(log2(len(signs))), at least one qubit."""
+        return max(1, (self.signs.n - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -434,49 +426,3 @@ def bell_pairs(m: int, *, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     for g in bell_prep_gates(m):
         apply_gate(state, g)
     return state
-
-
-# ---------------------------------------------------------------------------
-# Circuit serialization
-
-def _gate_to_obj(gate: Gate) -> dict:
-    if isinstance(gate, Hadamard):
-        return {"kind": "H", "q": gate.q}
-    if isinstance(gate, CNot):
-        return {"kind": "CNOT", "c": gate.control, "t": gate.target}
-    if isinstance(gate, RPi8):
-        return {"kind": "R_PI8", "q": gate.q}
-    if isinstance(gate, Oracle):
-        return {"kind": "ORACLE", "block": [gate.start, gate.width],
-                "n": gate.signs.n, "signs": signs_to_base64(gate.signs.signs)}
-    if isinstance(gate, Measure):
-        return {"kind": "MEASURE", "q": gate.q}
-    raise TypeError(f"unknown gate {gate!r}")
-
-
-def _gate_from_obj(obj: dict) -> Gate:
-    kind = obj["kind"]
-    if kind == "H":
-        return Hadamard(obj["q"])
-    if kind == "CNOT":
-        return CNot(obj["c"], obj["t"])
-    if kind == "R_PI8":
-        return RPi8(obj["q"])
-    if kind == "ORACLE":
-        signs = SignVector(base64_to_signs(obj["signs"], obj["n"]))
-        return Oracle(signs, obj["block"][0], obj["block"][1])
-    if kind == "MEASURE":
-        return Measure(obj["q"])
-    raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def circuit_to_json(circuit: Circuit) -> str:
-    import json
-    return json.dumps({"m": circuit.m,
-                       "gates": [_gate_to_obj(g) for g in circuit.gates]})
-
-
-def circuit_from_json(text: str) -> Circuit:
-    import json
-    obj = json.loads(text)
-    return Circuit(obj["m"], [_gate_from_obj(g) for g in obj["gates"]])

@@ -15,6 +15,7 @@ from scipy import stats
 from forrlab._bits import codes_to_signs
 from forrlab._rng import substream
 from forrlab.boolean_fourier import (
+    FunctionTable,
     SignVector,
     convolve,
     indicator_table,
@@ -42,6 +43,7 @@ from forrlab.protocol import (
     l2_audit,
     majority_amplify,
     protocol_H,
+    protocol_spectrum,
     random_protocol_partition,
     referee_gates,
     run_quantum_protocol,
@@ -334,15 +336,6 @@ class TestPartitions:
             p = random_protocol_partition(8, cost, seed)
             assert len(p.cells) <= 1 << cost
 
-    def test_json_roundtrip(self):
-        p = random_protocol_partition(6, 3, seed=4)
-        back = RectanglePartition.from_json(p.to_json())
-        assert back.n == p.n and back.cost == p.cost
-        for a, b in zip(back.cells, p.cells):
-            assert np.array_equal(a.alice, b.alice)
-            assert np.array_equal(a.bob, b.bob)
-            assert a.output == b.output
-
 
 class TestProtocolH:
     def test_trivial_partition_gives_constant(self):
@@ -382,6 +375,20 @@ class TestProtocolH:
                     indicator_table(8, cell.alice),
                     indicator_table(8, cell.bob)).values
             assert np.array_equal(protocol_H(p).values, want)
+
+    @pytest.mark.parametrize("n, cost", [(8, c) for c in range(1, 7)] +
+                             [(16, 2), (16, 4)])
+    def test_spectrum_matches_per_cell_convolve_sum(self, n, cost):
+        # Costs 5 and 6 at n = 8 cross a transform block boundary.
+        for seed in range(3):
+            p = random_protocol_partition(n, cost, seed)
+            want = np.zeros(1 << n)
+            for cell in p.cells:
+                want += cell.output * convolve(
+                    indicator_table(n, cell.alice),
+                    indicator_table(n, cell.bob)).values
+            assert np.array_equal(protocol_spectrum(p).coeffs,
+                                  spectrum(FunctionTable(n, want)).coeffs)
 
     def test_per_cell_fourier_factorization(self):
         p = random_protocol_partition(8, 3, seed=6)
