@@ -1,11 +1,13 @@
 """Counter-based random streams.
 
-All randomness flows through Philox, a counter-based generator, so any
-consumer can be handed a substream addressed by (seed, index) without
-coordination: the key carries the experiment seed and the top counter word
-carries the index.  Substreams never collide as long as a single stream
-draws fewer than 2^192 blocks, and results are independent of how work is
-scheduled across threads or chunks.
+All randomness flows through Philox, a counter-based generator, and one
+primitive addresses it: ``substream(seed, index)``, whose key carries the
+seed and whose top counter words carry the index.  A run's child seeds come
+from ``derive(seed, purpose, index)``, which keeps the run seed in key word
+0 and puts a fixed purpose tag and the index in key word 1, so streams of
+distinct (seed, purpose, index) triples never share a key.  Substreams never
+collide as long as a single stream draws fewer than 2^192 blocks, and
+results are independent of how work is scheduled across threads or chunks.
 
 Monte Carlo estimates are built from fixed-size chunks: chunk i of an
 experiment draws from substream(seed, i).  ``mc_means`` runs independent
@@ -39,15 +41,11 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 _MASK64 = (1 << 64) - 1
-_MASK32 = np.uint64((1 << 32) - 1)
-_SHIFT32 = np.uint64(32)
 
-# Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11).
-_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = np.uint64(0xCA5A826395121157)
-_PHILOX_W0 = 0x9E3779B97F4A7C15
-_PHILOX_W1 = 0xBB67AE8584CAA73B
-_PHILOX_ROUNDS = 10
+# derive()'s tag per kind of stream, never 0 (key word 1 of any seed < 2^64).
+PURPOSES = {"instance": 1, "copies": 2, "pick": 3, "moment": 4,
+            "partition": 5, "indicators": 6, "advantage": 7, "sample": 8}
+_INDEX_BITS = 56  # the tag takes the top byte of key word 1
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -60,48 +58,16 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * b, built from
-    32-bit halves so every partial product fits in uint64."""
-    a_lo, a_hi = a & _MASK32, a >> _SHIFT32
-    b_lo, b_hi = b & _MASK32, b >> _SHIFT32
-    ll = a_lo * b_lo
-    lh = a_lo * b_hi
-    cross = (ll >> _SHIFT32) + (lh & _MASK32) + a_hi * b_lo
-    hi = a_hi * b_hi + (lh >> _SHIFT32) + (cross >> _SHIFT32)
-    return hi, a * b
-
-
-def first_uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """``substream(seed, t).uniform()`` for t = start .. start+count-1, bit
-    for bit.
-
-    A fresh numpy Philox bumps counter word 0 before its first block, so
-    the first uniform of substream (seed, t) is word 0 of the Philox4x64-10
-    block of counter (1, 0, t, 0) under the seed's key, scaled as numpy
-    scales a double: top 53 bits times 2^-53.  All counters run through the
-    ten rounds at once, so callers bound memory (about 100 bytes per
-    counter) by drawing in blocks of ``CHUNK``.
-    """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    if start < 0 or start + count > _MASK64 + 1:
-        raise ValueError(f"indices {start}..{start + count} leave [0, 2^64)")
-    k0, k1 = seed & _MASK64, (seed >> 64) & _MASK64
-    c0 = np.ones(count, dtype=np.uint64)
-    c1 = np.zeros(count, dtype=np.uint64)
-    c2 = np.arange(start, start + count, dtype=np.uint64)
-    c3 = np.zeros(count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for r in range(_PHILOX_ROUNDS):
-            if r:
-                k0 = (k0 + _PHILOX_W0) & _MASK64
-                k1 = (k1 + _PHILOX_W1) & _MASK64
-            hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-            c0, c1, c2, c3 = (hi1 ^ c1 ^ np.uint64(k0), lo1,
-                              hi0 ^ c3 ^ np.uint64(k1), lo0)
-    return (c0 >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+def derive(seed: int, purpose: str, index: int) -> int:
+    """Seed of stream ``index`` of kind ``purpose`` in a run at ``seed``:
+    the seed in key word 0, the purpose tag and the index in key word 1, so
+    at least 2^120 and never a seed below 2^64."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    if not 0 <= index < 1 << _INDEX_BITS:
+        raise ValueError(
+            f"stream index must lie in [0, 2^{_INDEX_BITS}), got {index}")
+    return seed | (PURPOSES[purpose] << _INDEX_BITS | index) << 64
 
 
 def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:

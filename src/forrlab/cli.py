@@ -1,11 +1,11 @@
 """Seeded experiment runner.
 
-Every subcommand draws all randomness from an explicit --seed, emits
-machine-readable records (CSV with a header for tables, JSON on stdout for
-single-object summaries), and exits 0 on pass, 1 on an audit failure, 2 on
-a usage error.  Identical (config, seed) produces byte-identical output
-files; wall-clock timings are reported on the console only so files stay
-reproducible.
+Every subcommand draws each random stream from derive(--seed, purpose,
+index), emits machine-readable records (CSV with a header for tables, JSON
+on stdout for single-object summaries), and exits 0 on pass, 1 on an audit
+failure, 2 on a usage error.  Identical (config, seed) produces
+byte-identical output files; wall-clock timings are reported on the console
+only so files stay reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import f2_inner_sign
-from ._rng import mc_means, row_blocks, substream
+from ._rng import derive, mc_means, row_blocks, substream
 from .boolean_fourier import random_indicator_violations, subcube_violations
 from .errors import ForrlabError, ResourceLimitError
 from .forrelation_dist import (
@@ -144,7 +144,7 @@ def _params(args) -> ForrParams:
 def cmd_verify_moments(args) -> int:
     params = _params(args)
     check_moment_samples(args.samples)
-    gen = substream(args.seed, 0)
+    gen = substream(derive(args.seed, "pick", 0), 0)
     records, add = recorder(
         "verify-moments", N=params.N, eps=params.eps, seed=args.seed,
         samples=args.samples,
@@ -152,38 +152,37 @@ def cmd_verify_moments(args) -> int:
     # Every check is collected first; one mc_means call estimates them all.
     jobs, checks = [], []
 
-    def check(metric, draw, seed, bound, ok):
-        jobs.append((draw, seed))
+    def check(metric, draw, bound, ok):
+        jobs.append((draw, derive(args.seed, "moment", len(jobs))))
         checks.append((metric, bound, ok))
 
     # Pair moments: value eps N^{-1/2} (-1)^{<i,j>} for 20 random pairs.
-    for k in range(20):
+    for _ in range(20):
         i = int(gen.integers(params.N))
         j = int(gen.integers(params.N))
         want = params.eps * f2_inner_sign(i, j) / math.sqrt(params.N)
         check(f"pair_moment[i={i},j={j}]", moment_draw(params, [i], [j]),
-              args.seed + 1 + k, f"|est - {want:.3e}| <= 5 se",
+              f"|est - {want:.3e}| <= 5 se",
               lambda est, want=want:
                   abs(est.estimate - want) <= 5 * est.standard_error)
 
     # Unequal-size moments vanish.
-    for k in range(20):
+    for _ in range(20):
         s_size = int(gen.integers(0, 4))
         t_size = int((s_size + 1 + gen.integers(3)) % 4)
         s_set = list(map(int, gen.choice(params.N, size=s_size, replace=False)))
         t_set = list(map(int, gen.choice(params.N, size=t_size, replace=False)))
         check(f"unequal_moment[|S|={s_size},|T|={t_size}]",
-              moment_draw(params, s_set, t_set), args.seed + 100 + k,
-              "|est| <= 5 se",
+              moment_draw(params, s_set, t_set), "|est| <= 5 se",
               lambda est: abs(est.estimate) <= 5 * est.standard_error)
 
     # Magnitude cap |moment| <= eps^|S| for equal sizes up to 3.
-    for k, size in enumerate((1, 1, 2, 2, 3, 3)):
+    for size in (1, 1, 2, 2, 3, 3):
         s_set = list(map(int, gen.choice(params.N, size=size, replace=False)))
         t_set = list(map(int, gen.choice(params.N, size=size, replace=False)))
         cap = params.eps ** size
         check(f"moment_cap[|S|=|T|={size}]", moment_draw(params, s_set, t_set),
-              args.seed + 200 + k, f"|est| <= {cap:.3e} + 5 se",
+              f"|est| <= {cap:.3e} + 5 se",
               lambda est, cap=cap:
                   abs(est.estimate) <= cap + 5 * est.standard_error)
 
@@ -194,7 +193,7 @@ def cmd_verify_moments(args) -> int:
         for block in row_blocks(k, params.input_length):
             out[block] = forr(signs[block].astype(np.float64))
         return out
-    check("mean_forrelation", draw, args.seed + 300,
+    check("mean_forrelation", draw,
           f"est >= eps/2 = {params.eps / 2:.3e} - 3 se",
           lambda est: est.estimate >= params.eps / 2 - 3 * est.standard_error)
 
@@ -239,16 +238,16 @@ def cmd_run_protocol(args) -> int:
     total_gates = 0
     t0 = time.time()
     for idx in range(args.instances):
-        inst_seed = args.seed + 1000 * idx
         if mode == "amplified":  # alternate planted YES and uniform NO
             inst_mode = (InstanceMode.PLANTED_YES, InstanceMode.UNIFORM_NO)[idx % 2]
         else:
             inst_mode = InstanceMode(mode)
         want = Label.YES if inst_mode in (
             InstanceMode.PROMISE_YES, InstanceMode.PLANTED_YES) else Label.NO
-        inst = generate_instance(params, inst_mode, inst_seed)
+        inst = generate_instance(params, inst_mode,
+                                 derive(args.seed, "instance", idx))
         cfg = QuantumProtocolConfig(params, copies=copies, threshold=threshold,
-                                    seed=inst_seed + 7)
+                                    seed=derive(args.seed, "copies", idx))
         stats = run_quantum_protocol(inst.x, inst.y, cfg)
         correct += stats.decision is want
         total_qubits += stats.qubits_sent
@@ -257,7 +256,7 @@ def cmd_run_protocol(args) -> int:
                      repr(inst.forr_value), str(copies),
                      repr(stats.ones_fraction), stats.decision.value,
                      str(stats.qubits_sent), str(stats.gate_count),
-                     str(inst_seed + 7)])
+                     str(cfg.seed)])
 
     write_csv(args.out, PROTOCOL_CSV_COLUMNS, rows)
     rate = correct / args.instances
@@ -298,8 +297,8 @@ def cmd_fourier_audit(args) -> int:
     failures = 0
     for idx in range(args.partitions):
         cost = 1 + idx % args.max_cost
-        audit = l2_audit(random_protocol_partition(length, cost,
-                                                   args.seed + idx))
+        audit = l2_audit(random_protocol_partition(
+            length, cost, derive(args.seed, "partition", idx)))
         worst = max(worst, audit.l2_mass)
         failures += not audit.passed
     record("random",
@@ -311,7 +310,8 @@ def cmd_fourier_audit(args) -> int:
     v, c = subcube_violations(min(length, 8), 2)
     record("levelk-subcubes", f"level2_violations[{c} subcube indicators]", v,
            bound=level_k, passed=v == 0)
-    v, c = random_indicator_violations(10, 2, 1000, args.seed)
+    v, c = random_indicator_violations(10, 2, 1000,
+                                       derive(args.seed, "indicators", 0))
     record("levelk-random", f"level2_violations[{c} random indicators n=10]",
            v, bound=level_k, passed=v == 0)
     return finish(args, records)
@@ -326,12 +326,12 @@ def cmd_advantage(args) -> int:
     for n_val in args.n or [16, 64, 256]:
         params = ForrParams(n_val, eps_override=args.eps_override)
         triv = advantage(trivial_partition(params.input_length), params,
-                         args.samples, args.seed)
+                         args.samples, derive(args.seed, "advantage", 0))
         record(f"trivial:N={n_val}", "advantage[trivial]", triv.estimate,
                standard_error=triv.standard_error, bound="exactly 0",
                passed=triv.estimate == 0.0, N=n_val, eps=params.eps)
         probe = advantage(forrelation_probe_partition(params), params,
-                          args.samples, args.seed + 1)
+                          args.samples, derive(args.seed, "advantage", 1))
         record(f"probe:N={n_val}", "advantage[probe]", probe.estimate,
                standard_error=probe.standard_error,
                bound=f"~ eps/sqrt(N) = {params.eps / math.sqrt(n_val):.2e}",
@@ -347,7 +347,7 @@ def cmd_gen_instances(args) -> int:
     lines = []
     for idx in range(args.count):
         inst = generate_instance(params, InstanceMode(args.mode),
-                                 args.seed + 1000 * idx)
+                                 derive(args.seed, "instance", idx))
         lines.append(inst.to_json())
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -360,14 +360,15 @@ def cmd_gen_instances(args) -> int:
 
 def cmd_sample_dist(args) -> int:
     params = _params(args)
+    seed = derive(args.seed, "sample", 0)
     if args.dist == "gaussian":
-        rows = sample_gaussian(params, args.seed, samples=args.samples)
+        rows = sample_gaussian(params, seed, samples=args.samples)
         values = forr(rows)
     elif args.dist == "signs":
-        rows = sample_forrelation(params, args.seed, samples=args.samples)
+        rows = sample_forrelation(params, seed, samples=args.samples)
         values = forr(rows.astype(np.float64))
     else:  # lifted
-        x, y = sample_lifted(params, args.seed, samples=args.samples)
+        x, y = sample_lifted(params, seed, samples=args.samples)
         values = forr((x * y).astype(np.float64))
     write_csv(args.out, ["index", "forr"],
               ([str(i), repr(float(v))] for i, v in enumerate(values)))
@@ -402,10 +403,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
+def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if value >> 64:
+        raise argparse.ArgumentTypeError(f"must be below 2^64, got {value}")
     return value
 
 
@@ -434,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, samples_default=None):
         p.add_argument("--n", type=_power_of_two, default=64,
                        help="problem half-length N (power of two)")
-        p.add_argument("--seed", type=_nonnegative_int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", type=_out_path, default=None,
                        help="output file path (its directory must exist)")
         p.add_argument("--eps-override", type=float, default=None,
@@ -472,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("advantage", help="distinguishing advantage of "
                                          "built-in probe partitions")
     p.add_argument("--n", type=_power_of_two, action="append", default=None)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=_out_path, default=None)
     p.add_argument("--eps-override", type=float, default=None)
     p.add_argument("--samples", type=int, default=100_000)

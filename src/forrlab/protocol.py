@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from ._bits import f2_inner_sign, signs_to_codes
-from ._rng import Estimate, chunk_sizes, first_uniforms, mc_mean, substream
+from ._rng import Estimate, chunk_sizes, mc_mean, substream
 from .boolean_fourier import (
     AUDIT_BLOCK,
     FourierSpectrum,
@@ -168,12 +168,12 @@ def run_quantum_protocol(x: SignVector | np.ndarray, y: SignVector | np.ndarray,
     gates, which act on Alice's qubits alone, see the 2N amplitudes
     x_i y_i / sqrt(2N).  The circuit up to the swap-test measurement is
     deterministic, so the accept probability is computed once; copy t then
-    accepts when the first uniform of substream (seed, t) falls below it,
-    exactly as a fresh simulation of that copy would.  The draws are
-    vectorized in blocks of ``CHUNK`` copies, which keeps memory near one
-    byte per copy.  Bits are i.i.d. with
-    P[1] = 1/2 + forr(x . y)/2.  Cost accounting is taken from the full
-    single-copy circuit.
+    accepts when uniform t of substream (seed, 0) falls below it, exactly as
+    simulating the copies in order on that stream would.  The uniforms are
+    drawn in blocks of ``CHUNK`` copies, so memory stays near one byte per
+    copy and a shorter run's bits are a prefix of a longer run's.  Bits are
+    i.i.d. with P[1] = 1/2 + forr(x . y)/2.  Cost accounting is taken from
+    the full single-copy circuit.
     """
     x = x if isinstance(x, SignVector) else SignVector(x)
     y = y if isinstance(y, SignVector) else SignVector(y)
@@ -187,10 +187,11 @@ def run_quantum_protocol(x: SignVector | np.ndarray, y: SignVector | np.ndarray,
     for gate in referee_gates(half):
         apply_gate(state, gate)
     p_one = swap_test_probability(state, half - 1)
+    gen = substream(cfg.seed, 0)
     bits = np.empty(cfg.copies, dtype=np.uint8)
     start = 0
     for k in chunk_sizes(cfg.copies):
-        bits[start:start + k] = first_uniforms(cfg.seed, k, start) < p_one
+        bits[start:start + k] = gen.uniform(size=k) < p_one
         start += k
 
     ones_fraction = float(bits.mean())

@@ -59,6 +59,19 @@ class TestUsageErrors:
         assert "argument --seed: must be nonnegative, got -1" in err_text
         assert "Traceback" not in err_text
 
+    @pytest.mark.parametrize("seed", [2**64, 2**128 + 1])
+    @pytest.mark.parametrize("subcommand", [
+        "verify-moments", "run-protocol", "fourier-audit", "advantage",
+        "gen-instances", "sample-dist"])
+    def test_seed_at_or_above_two_to_64_rejected(self, subcommand, seed,
+                                                 capsys):
+        with pytest.raises(SystemExit) as err:
+            run([subcommand, "--seed", str(seed)])
+        assert err.value.code == EXIT_USAGE
+        err_text = capsys.readouterr().err
+        assert f"argument --seed: must be below 2^64, got {seed}" in err_text
+        assert "Traceback" not in err_text
+
     @pytest.mark.parametrize("subcommand", [
         "verify-moments", "run-protocol", "fourier-audit", "advantage",
         "gen-instances", "sample-dist"])
@@ -132,6 +145,31 @@ class TestRunProtocol:
         assert code == EXIT_PASS
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["success_rate"] >= 0.95
+
+    def test_streams_do_not_alias_across_seeds(self, tmp_path):
+        # Instance 1 at seed 0 and instance 0 at seed 1000 must come from
+        # unrelated streams.
+        def rows(seed, instances, mode="amplified"):
+            out = tmp_path / f"{mode}-{seed}-{instances}.csv"
+            assert run(["run-protocol", "--n", "16", "--mode", mode,
+                        "--instances", str(instances), "--copies", "50",
+                        "--seed", str(seed), "--out", str(out)]) == EXIT_PASS
+            with open(out) as fh:
+                return list(csv.DictReader(fh))
+
+        first, second = rows(0, 2)[1], rows(1000, 1)[0]
+        assert first["forr"] != second["forr"]
+        assert first["seed"] != second["seed"]
+
+        # gen-instances line idx is run-protocol row idx at the same seed.
+        out = tmp_path / "inst.jsonl"
+        assert run(["gen-instances", "--n", "16", "--mode", "planted_yes",
+                    "--count", "3", "--seed", "4", "--out",
+                    str(out)]) == EXIT_PASS
+        emitted = [LiftedInstance.from_json(line).forr_value
+                   for line in out.read_text().splitlines()]
+        assert emitted == [float(r["forr"])
+                           for r in rows(4, 3, mode="planted_yes")]
 
     def test_threshold_flag_recorded(self, capsys):
         code = run(["run-protocol", "--n", "16", "--instances", "2",

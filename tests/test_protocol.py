@@ -131,16 +131,17 @@ class TestQuantumProtocol:
 
     def test_bits_match_full_per_copy_simulation(self):
         # The runner samples each copy's measurement from the shared
-        # pre-measurement state; a from-scratch simulation of every copy
-        # with the same substream must produce the identical bits.
+        # pre-measurement state; a from-scratch simulation of the copies in
+        # order, each measuring with the next uniform of the one copy
+        # stream, must produce the identical bits.
         params = ForrParams(8)
         x, y = random_instance(8, 77)
         cfg = QuantumProtocolConfig(params, copies=50, seed=13)
         fast = run_quantum_protocol(x, y, cfg)
         circ = build_copy_circuit(x, y)
+        rng = substream(cfg.seed, 0)
         for t in range(cfg.copies):
             state = StateVector.zero(circ.m)
-            rng = substream(cfg.seed, t)
             for gate in circ.gates[:-1]:
                 apply_gate(state, gate)
             sign = apply_gate(state, circ.gates[-1], rng)
@@ -168,8 +169,8 @@ class TestQuantumProtocol:
             full_p = swap_test_probability(state, half - 1)
             cfg = QuantumProtocolConfig(ForrParams(N), copies=500, seed=21)
             out = run_quantum_protocol(x, y, cfg)
-            want_bits = [full_p > substream(cfg.seed, t).uniform()
-                         for t in range(cfg.copies)]
+            rng = substream(cfg.seed, 0)
+            want_bits = [full_p > rng.uniform() for _ in range(cfg.copies)]
             assert out.per_copy_bits.tolist() == want_bits
 
     def test_deterministic_per_copy_bits(self):

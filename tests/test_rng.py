@@ -1,49 +1,78 @@
-"""Tests for the counter-based streams: the vectorized Philox block function
-must reproduce numpy's Philox generator bit for bit."""
+"""Tests for the counter-based streams: stream addressing, the protocol's
+copy stream, and the chunked Monte Carlo estimator."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forrlab import _rng
 from forrlab._rng import (
     CHUNK,
+    PURPOSES,
     chunk_sizes,
-    first_uniforms,
+    derive,
     mc_mean,
     mc_means,
     row_blocks,
     substream,
 )
+from forrlab.forrelation_dist import ForrParams, forr, uniform_sign_rows
+from forrlab.protocol import QuantumProtocolConfig, run_quantum_protocol
 
 
-@pytest.mark.parametrize("seed", [0, 13, 2**41 + 5, 2**64 + 3, -1])
-def test_first_uniforms_match_substreams(seed):
-    # 2^64 + 3 puts a nonzero word in the second key word; -1 checks masking.
-    n = 2000
-    want = np.array([substream(seed, t).uniform() for t in range(n)])
-    got = first_uniforms(seed, n)
-    assert got.dtype == np.float64
-    assert np.array_equal(got, want)
+def test_protocol_copies_read_one_stream_in_order():
+    # Copy t's bit is uniform t of substream(seed, 0), drawn in CHUNK blocks:
+    # a run over a block boundary must start with a shorter run's bits and
+    # equal one unblocked draw.
+    params = ForrParams(8)
+    gen = substream(3, 0)
+    x = uniform_sign_rows(gen, (params.input_length,))
+    y = uniform_sign_rows(gen, (params.input_length,))
+    p_one = 0.5 + forr((x * y).astype(np.float64)) / 2
+    runs = [run_quantum_protocol(
+                x, y, QuantumProtocolConfig(params, copies=copies,
+                                            seed=2**64 + 5)).per_copy_bits
+            for copies in (CHUNK + 37, CHUNK - 3)]
+    want = substream(2**64 + 5, 0).uniform(size=CHUNK + 37) < p_one
+    assert np.array_equal(runs[0], want)
+    assert np.array_equal(runs[0][:CHUNK - 3], runs[1])
 
 
-def test_first_uniforms_empty():
-    out = first_uniforms(7, 0)
-    assert out.shape == (0,)
+TRIPLE_PARTS = (st.integers(0, 2**64 - 1), st.sampled_from(sorted(PURPOSES)),
+                st.integers(0, 2**56 - 1))
+PART_BITS = (64, None, 56)
 
 
-def test_first_uniforms_blocks_match_one_call():
-    # Blocks of CHUNK-sized draws, split across a block boundary, must equal
-    # one unblocked call at every index.
-    seed, n = 2**41 + 5, CHUNK + 37
-    whole = first_uniforms(seed, n)
-    parts = [first_uniforms(seed, k, start)
-             for start, k in [(0, CHUNK - 3), (CHUNK - 3, 40)]]
-    assert np.array_equal(np.concatenate(parts), whole)
-    assert first_uniforms(seed, 1, CHUNK)[0] == substream(seed, CHUNK).uniform()
-    with pytest.raises(ValueError):
-        first_uniforms(seed, 1, -1)
+@given(st.tuples(*TRIPLE_PARTS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_derive_gives_distinct_triples_distinct_seeds(a, data):
+    # b keeps, redraws or flips one bit of each part of a, so triples one
+    # bit apart are tried as well as distant ones.
+    b = []
+    for v, part, bits in zip(a, TRIPLE_PARTS, PART_BITS):
+        options = [st.just(v), part]
+        if bits:
+            options.append(st.integers(0, bits - 1).map(
+                lambda k, v=v: v ^ (1 << k)))
+        b.append(data.draw(st.one_of(options)))
+    b = tuple(b)
+    assert (derive(*a) == derive(*b)) == (a == b)
+    assert derive(*a) >= 2**120  # never a library seed below 2^64
+
+
+@given(st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)),
+       st.one_of(st.integers(max_value=-1), st.integers(min_value=2**56)))
+@settings(max_examples=100, deadline=None)
+def test_derive_rejects_out_of_range(bad_seed, bad_index):
+    with pytest.raises(ValueError, match="seed"):
+        derive(bad_seed, "instance", 0)
+    with pytest.raises(ValueError, match="index"):
+        derive(0, "instance", bad_index)
+    with pytest.raises(KeyError):
+        derive(0, "nonsense", 0)
 
 
 def test_mc_mean_matches_hand_written_accumulator():
