@@ -26,6 +26,7 @@ from .boolean_fourier import (
 )
 from .errors import (
     ForrlabError,
+    InvariantError,
     PartitionError,
     ResourceLimitError,
     SamplingFailureError,

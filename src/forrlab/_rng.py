@@ -70,12 +70,12 @@ def derive(seed: int, purpose: str, index: int) -> int:
     return seed | (PURPOSES[purpose] << _INDEX_BITS | index) << 64
 
 
-def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
-    """Split ``total`` draws into fixed-size chunks (last one ragged)."""
+def chunk_sizes(total: int) -> list[int]:
+    """Split ``total`` draws into ``CHUNK``-size chunks (last one ragged)."""
     if total < 0:
         raise ValueError(f"total must be nonnegative, got {total}")
-    full, rest = divmod(total, chunk)
-    return [chunk] * full + ([rest] if rest else [])
+    full, rest = divmod(total, CHUNK)
+    return [CHUNK] * full + ([rest] if rest else [])
 
 
 def row_blocks(rows: int, width: int) -> list[slice]:

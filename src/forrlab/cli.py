@@ -180,11 +180,11 @@ def cmd_verify_moments(args) -> int:
     for size in (1, 1, 2, 2, 3, 3):
         s_set = list(map(int, gen.choice(params.N, size=size, replace=False)))
         t_set = list(map(int, gen.choice(params.N, size=size, replace=False)))
-        cap = params.eps ** size
+        limit = params.eps ** size
         check(f"moment_cap[|S|=|T|={size}]", moment_draw(params, s_set, t_set),
-              f"|est| <= {cap:.3e} + 5 se",
-              lambda est, cap=cap:
-                  abs(est.estimate) <= cap + 5 * est.standard_error)
+              f"|est| <= {limit:.3e} + 5 se",
+              lambda est, limit=limit:
+                  abs(est.estimate) <= limit + 5 * est.standard_error)
 
     # Mean forrelation of the sign distribution is at least eps/2.
     def draw(gen, k):

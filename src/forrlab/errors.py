@@ -20,3 +20,7 @@ class ResourceLimitError(ForrlabError):
 class PartitionError(ForrlabError):
     """Rectangle cells do not partition the input square, or a point is
     covered by zero / more than one cell."""
+
+
+class InvariantError(ForrlabError):
+    """An internal self-check failed, so the run's results cannot be trusted."""

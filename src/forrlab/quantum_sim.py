@@ -16,6 +16,10 @@ Conventions, fixed here once and used everywhere:
 Unitary kernels mutate the amplitude array in place; a StateVector is owned
 by one logical thread while it is being mutated.  Measurement is the only
 operation that consumes randomness, always from a caller-provided generator.
+
+A state holds at most MAX_STATE_BYTES (1 GiB, 26 qubits) of amplitudes.  The
+five-gate controlled-H is checked against diag(I, H) once per process; a
+failed check or a measurement on a denormalized state raises InvariantError.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .boolean_fourier import SignVector
-from .errors import ResourceLimitError
+from .errors import InvariantError, ResourceLimitError
 
 __all__ = [
-    "DEFAULT_QUBIT_CAP",
+    "MAX_STATE_BYTES",
     "StateVector",
     "Hadamard",
     "CNot",
@@ -55,7 +59,7 @@ __all__ = [
     "verify_controlled_h_decomposition",
 ]
 
-DEFAULT_QUBIT_CAP = 26
+MAX_STATE_BYTES = 1 << 30
 
 _COS8 = math.cos(math.pi / 8)
 _SIN8 = math.sin(math.pi / 8)
@@ -67,11 +71,12 @@ class StateVector:
 
     __slots__ = ("m", "amps")
 
-    def __init__(self, m: int, amps: np.ndarray, *, cap: int = DEFAULT_QUBIT_CAP):
+    def __init__(self, m: int, amps: np.ndarray):
         if m < 1:
             raise ValueError(f"qubit count must be positive, got {m}")
-        if m > cap:
-            raise ResourceLimitError(f"{m} qubits exceeds the cap of {cap}")
+        if 16 << m > MAX_STATE_BYTES:  # complex128 amplitudes
+            raise ResourceLimitError(f"{m} qubits need {16 << m} bytes of "
+                                     f"amplitudes, over {MAX_STATE_BYTES}")
         amps = np.asarray(amps, dtype=np.complex128)
         if amps.shape != (1 << m,):
             raise ValueError(
@@ -80,26 +85,23 @@ class StateVector:
         self.amps = amps
 
     @classmethod
-    def zero(cls, m: int, *, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
+    def zero(cls, m: int) -> "StateVector":
         """The all-zero basis state (every register at the +1 label)."""
-        amps = np.zeros(1 << m, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(m, amps, cap=cap)
+        state = cls(m, np.zeros(1 << m, dtype=np.complex128))
+        state.amps[0] = 1.0
+        return state
 
     @classmethod
-    def from_amplitudes(cls, amps: np.ndarray, *,
-                        cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
-        amps = np.asarray(amps, dtype=np.complex128)
-        m = int(amps.shape[0]).bit_length() - 1
-        if amps.ndim != 1 or (1 << m) != amps.shape[0]:
-            raise ValueError("amplitude vector length must be a power of two")
-        state = cls(m, amps.copy(), cap=cap)
+    def from_amplitudes(cls, amps: np.ndarray) -> "StateVector":
+        """A copy of ``amps`` as a state; its norm must be 1."""
+        amps = np.array(amps, dtype=np.complex128)
+        state = cls(amps.size.bit_length() - 1, amps)
         if abs(state.norm() - 1.0) > 1e-9:
             raise ValueError(f"state is not normalized: |amps| = {state.norm()}")
         return state
 
     def copy(self) -> "StateVector":
-        return StateVector(self.m, self.amps.copy(), cap=self.m)
+        return StateVector(self.m, self.amps.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -223,7 +225,7 @@ def _bit_probabilities(amps: np.ndarray, q: int) -> tuple[float, float]:
     p0 = float(sq[:, 0, :].sum())
     p1 = float(sq[:, 1, :].sum())
     if abs(p0 + p1 - 1.0) > 1e-6:
-        raise ValueError(
+        raise InvariantError(
             f"measurement on a denormalized state: total probability {p0 + p1}")
     return p0, p1
 
@@ -274,15 +276,11 @@ def apply_gate(state: StateVector, gate: Gate,
     raise TypeError(f"unknown gate {gate!r}")
 
 
-def simulate(circuit: Circuit, rng: np.random.Generator | None = None,
-             state: StateVector | None = None,
-             cap: int = DEFAULT_QUBIT_CAP) -> tuple[StateVector, list[int], int]:
-    """Run a circuit from the all-zero state (or ``state``) and return
-    (final state, measurement outcomes in order, operator count)."""
-    if state is None:
-        state = StateVector.zero(circuit.m, cap=cap)
-    elif state.m != circuit.m:
-        raise ValueError(f"state has {state.m} qubits, circuit needs {circuit.m}")
+def simulate(circuit: Circuit, rng: np.random.Generator | None = None
+             ) -> tuple[StateVector, list[int], int]:
+    """Run a circuit from the all-zero state and return (final state,
+    measurement outcomes in order, operator count)."""
+    state = StateVector.zero(circuit.m)
     outcomes = []
     for gate in circuit.gates:
         out = apply_gate(state, gate, rng)
@@ -296,11 +294,8 @@ def not_gates(q: int) -> list:
     return [Hadamard(q), RPi8(q), RPi8(q)]
 
 
-def controlled_h_gates(control: int, target: int) -> list:
-    """Controlled Hadamard as the native five-gate sequence on the target:
-    H, R_pi/8, CNOT, H, R_pi/8."""
-    if control == target:
-        raise ValueError("controlled-H control and target must differ")
+def _controlled_h_sequence(control: int, target: int) -> list:
+    """The five-gate sequence on the target: H, R_pi/8, CNOT, H, R_pi/8."""
     return [Hadamard(target), RPi8(target), CNot(control, target),
             Hadamard(target), RPi8(target)]
 
@@ -308,54 +303,41 @@ def controlled_h_gates(control: int, target: int) -> list:
 def verify_controlled_h_decomposition(tol: float = 1e-10) -> float:
     """Max deviation of the five-gate sequence from diag(I, H) up to global
     phase, reconstructed column by column on two qubits."""
-    gates = controlled_h_gates(control=1, target=0)
-    built = np.zeros((4, 4), dtype=np.complex128)
-    for col in range(4):
-        amps = np.zeros(4, dtype=np.complex128)
-        amps[col] = 1.0
+    gates = _controlled_h_sequence(control=1, target=0)
+    images = np.eye(4, dtype=np.complex128)
+    for row in images:  # row c becomes the image of basis state c
         for g in gates:
-            apply_gate(StateVector(2, amps), g)
-        built[:, col] = amps
+            apply_gate(StateVector(2, row), g)
+    built = images.T
     want = np.eye(4, dtype=np.complex128)
     want[2:, 2:] = np.array([[1, 1], [1, -1]]) * _INV_SQRT2
     k = np.unravel_index(np.abs(built).argmax(), built.shape)
     phase = want[k] / built[k]
     deviation = float(np.abs(built * phase - want).max())
     if deviation > tol:
-        raise AssertionError(
+        raise InvariantError(
             "controlled-H gate sequence does not reproduce diag(I, H) up to "
             f"global phase (deviation {deviation:.3e}); refusing to proceed")
     return deviation
 
 
-# The five-gate sequence is checked on its first use in a process.
+# Checked once per process, before the first sequence is handed out.
 _verify_controlled_h_once = functools.cache(verify_controlled_h_decomposition)
 
 
-def controlled_h(state: StateVector, control: int, target: int,
-                 use_direct: bool = False) -> StateVector:
-    """Apply H to ``target`` when ``control`` carries the -1 label (bit 1),
-    identity otherwise.
+def controlled_h_gates(control: int, target: int) -> list:
+    """Controlled Hadamard as the native five-gate sequence on the target:
+    H, R_pi/8, CNOT, H, R_pi/8.  The first call in a process checks the
+    sequence and raises ``InvariantError`` if it is wrong."""
+    _verify_controlled_h_once()
+    return _controlled_h_sequence(control, target)
 
-    The default path runs the native five-gate sequence, validated once per
-    process against the directly constructed block matrix; ``use_direct``
-    applies the block matrix itself.
-    """
+
+def controlled_h(state: StateVector, control: int, target: int) -> StateVector:
+    """Apply H to ``target`` when ``control`` carries the -1 label (bit 1),
+    identity otherwise, by the checked five-gate sequence."""
     state._check_qubit(control)
     state._check_qubit(target)
-    if control == target:
-        raise ValueError("controlled-H control and target must differ")
-    if use_direct:
-        # Mix the target pair only where the control bit is 1.
-        view = _pair_view(state.amps, target)
-        idx = np.arange(state.amps.shape[0]).reshape(-1, 2, 1 << target)
-        on = ((idx[:, 0, :] >> control) & 1) == 1
-        a0 = view[:, 0, :].copy()
-        a1 = view[:, 1, :].copy()
-        view[:, 0, :] = np.where(on, (a0 + a1) * _INV_SQRT2, a0)
-        view[:, 1, :] = np.where(on, (a0 - a1) * _INV_SQRT2, a1)
-        return state
-    _verify_controlled_h_once()
     for g in controlled_h_gates(control, target):
         apply_gate(state, g)
     return state
@@ -417,12 +399,10 @@ def bell_prep_gates(m: int) -> list:
     return gates
 
 
-def bell_pairs(m: int, *, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def bell_pairs(m: int) -> StateVector:
     """m shared Bell pairs as one 2m-qubit state; amplitude 2^{-m/2} on
     every doubled index a + 2^m a, zero elsewhere."""
-    if 2 * m > cap:
-        raise ResourceLimitError(f"{2 * m} qubits exceeds the cap of {cap}")
-    state = StateVector.zero(2 * m, cap=cap)
+    state = StateVector.zero(2 * m)
     for g in bell_prep_gates(m):
         apply_gate(state, g)
     return state

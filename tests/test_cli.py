@@ -201,6 +201,31 @@ class TestExitOne:
         assert code == 1
         assert "forced" in capsys.readouterr().err
 
+    def test_failed_controlled_h_check_exits_one(self, monkeypatch, capsys):
+        from forrlab import quantum_sim
+        sequence = quantum_sim._controlled_h_sequence
+        monkeypatch.setattr(quantum_sim, "_controlled_h_sequence",
+                            lambda control, target: sequence(control, target)[:-1])
+        quantum_sim._verify_controlled_h_once.cache_clear()
+        code = run(["run-protocol", "--n", "16", "--instances", "1",
+                    "--copies", "10"])
+        assert code == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error: controlled-H gate sequence")
+
+
+class TestFeasibility:
+    def test_state_over_byte_cap_exits_two(self, monkeypatch, capsys):
+        from forrlab import quantum_sim
+        monkeypatch.setattr(quantum_sim, "MAX_STATE_BYTES", 16 << 6)
+        code = run(["run-protocol", "--n", "64", "--instances", "1",
+                    "--copies", "10"])
+        assert code == EXIT_USAGE
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("feasibility error: 7 qubits need")
+
 
 class TestVerifyMoments:
     def test_small_run_passes_and_flags_low_power(self, tmp_path):

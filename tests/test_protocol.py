@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from forrlab import quantum_sim
 from forrlab._bits import codes_to_signs
 from forrlab._rng import substream
 from forrlab.boolean_fourier import (
@@ -22,7 +23,7 @@ from forrlab.boolean_fourier import (
     level_mass,
     spectrum,
 )
-from forrlab.errors import PartitionError, ResourceLimitError
+from forrlab.errors import InvariantError, PartitionError, ResourceLimitError
 from forrlab.forrelation_dist import (
     ForrParams,
     InstanceMode,
@@ -191,6 +192,22 @@ class TestQuantumProtocol:
     def test_copies_validated(self):
         with pytest.raises(ValueError):
             QuantumProtocolConfig(ForrParams(16), copies=0)
+
+    def test_run_checks_controlled_h_once(self):
+        x, y = random_instance(8, 11)
+        quantum_sim._verify_controlled_h_once.cache_clear()
+        run_quantum_protocol(x, y, QuantumProtocolConfig(ForrParams(8), copies=10))
+        assert quantum_sim._verify_controlled_h_once.cache_info().misses == 1
+
+    def test_broken_controlled_h_stops_the_run(self, monkeypatch):
+        sequence = quantum_sim._controlled_h_sequence
+        monkeypatch.setattr(quantum_sim, "_controlled_h_sequence",
+                            lambda control, target: sequence(control, target)[:-1])
+        quantum_sim._verify_controlled_h_once.cache_clear()
+        x, y = random_instance(8, 12)
+        with pytest.raises(InvariantError):
+            run_quantum_protocol(
+                x, y, QuantumProtocolConfig(ForrParams(8), copies=10))
 
 
 class TestDefaultCopies:

@@ -2,7 +2,8 @@
 
 Guards deletions against stale exports: a name left in a module's
 ``__all__`` or in the package's re-exports after its definition is gone
-fails here by name, not as an import error elsewhere.
+fails here by name, not as an import error elsewhere.  The same holds for
+every function the benchmark tracer (``bench/tracing.py``) rebinds.
 """
 
 import ast
@@ -43,3 +44,21 @@ def test_package_imports_resolve():
         assert name in getattr(module, "__all__", [name]), (
             f"forrlab re-exports {name}, which forrlab.{sub} does not export")
         assert getattr(forrlab, name) is getattr(module, name)
+
+
+def traced_layers() -> dict:
+    """The ``LAYERS`` table of the benchmark's tracer, read from its source."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+
+
+def test_traced_layers_resolve():
+    layers = traced_layers()
+    assert layers
+    missing = [f"{module}.{name}" for module, names in layers.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []

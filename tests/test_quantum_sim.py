@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from forrlab import quantum_sim
 from forrlab._rng import substream
 from forrlab.boolean_fourier import SignVector
-from forrlab.errors import ResourceLimitError
+from forrlab.errors import InvariantError, ResourceLimitError
 from forrlab.quantum_sim import (
     Circuit,
     CNot,
@@ -186,7 +187,7 @@ class TestMeasure:
     def test_denormalized_state_rejected(self):
         sv = StateVector.zero(1)
         sv.amps *= 2.0
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             apply_gate(sv, Measure(0), substream(9, 0))
 
 
@@ -210,12 +211,27 @@ class TestControlledH:
         assert np.allclose(sv.amps, [0, 0, 1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_direct_agrees_with_sequence(self):
+        # Block matrix |0><0| (x) I (x) I (x) I + |1><1| (x) I (x) H (x) I,
+        # kron factors from qubit 3 down to qubit 0 (little-endian indices).
+        eye, h = np.eye(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        off, on = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        block = (np.kron(np.kron(off, eye), np.kron(eye, eye))
+                 + np.kron(np.kron(on, eye), np.kron(h, eye)))
         for seed in range(5):
             a = random_state(4, 20 + seed)
-            b = StateVector(4, a.amps.copy())
+            want = block @ a.amps
             controlled_h(a, control=3, target=1)
-            controlled_h(b, control=3, target=1, use_direct=True)
-            assert np.max(np.abs(a.amps - b.amps)) <= 1e-10
+            assert np.max(np.abs(a.amps - want)) <= 1e-10
+
+    def test_broken_sequence_fails_the_check(self, monkeypatch):
+        sequence = quantum_sim._controlled_h_sequence
+        monkeypatch.setattr(quantum_sim, "_controlled_h_sequence",
+                            lambda control, target: sequence(control, target)[:-1])
+        quantum_sim._verify_controlled_h_once.cache_clear()
+        with pytest.raises(InvariantError):
+            controlled_h_gates(1, 0)
+        with pytest.raises(InvariantError):
+            controlled_h(StateVector.zero(2), 1, 0)
 
     def test_rejects_equal_wires(self):
         with pytest.raises(ValueError):
@@ -338,11 +354,13 @@ class TestBellPairs:
         se = math.sqrt(shots * (1 / 8) * (7 / 8))
         assert np.max(np.abs(counts - expected)) <= 3.5 * se
 
-    def test_cap_enforced(self):
-        with pytest.raises(ResourceLimitError):
-            bell_pairs(5, cap=8)
-        with pytest.raises(ResourceLimitError):
+    def test_cap_enforced(self, monkeypatch):
+        with pytest.raises(ResourceLimitError, match="bytes"):
             StateVector.zero(27)
+        monkeypatch.setattr(quantum_sim, "MAX_STATE_BYTES", 16 << 6)
+        assert bell_pairs(3).m == 6
+        with pytest.raises(ResourceLimitError):
+            bell_pairs(4)
 
 
 class TestCircuit:
