@@ -19,6 +19,7 @@ from .boolean_fourier import (
     SignVector,
     convolve,
     fwht,
+    fwht_columns,
     inverse_spectrum,
     level_mass,
     multilinear_eval,

@@ -35,6 +35,7 @@ __all__ = [
     "FunctionTable",
     "FourierSpectrum",
     "fwht",
+    "fwht_columns",
     "spectrum",
     "inverse_spectrum",
     "convolve",
@@ -157,6 +158,35 @@ def fwht(values: np.ndarray) -> np.ndarray:
         view[:, 1] = bot
         half *= 2
     return np.ascontiguousarray(out.T).reshape(values.shape)
+
+
+def fwht_columns(values: np.ndarray, cols) -> np.ndarray:
+    """Columns ``cols`` of the transform, in that order: bit for bit
+    ``fwht(values)[..., cols]``, without computing the other columns.
+
+    Column t pairs the entries on the lowest index bit and keeps lo + hi or
+    lo - hi by the matching bit of t, halving the length, until one entry
+    is left: size - 1 adds per column instead of size log2(size) for the
+    whole transform.  Every add takes the operands of the matching
+    :func:`fwht` butterfly in the same order, so the bits agree.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    size = values.shape[-1]
+    if not is_power_of_two(size):
+        raise ValueError(f"fwht length must be a power of two, got {size}")
+    cols = np.asarray(cols, dtype=np.int64).reshape(-1)
+    if cols.size and (cols.min() < 0 or cols.max() >= size):
+        raise ValueError(f"fwht columns must lie in [0, {size})")
+    out = np.empty(values.shape[:-1] + (cols.size,))
+    for j, col in enumerate(cols.tolist()):
+        acc = values
+        while acc.shape[-1] > 1:
+            pairs = acc.reshape(acc.shape[:-1] + (-1, 2))
+            combine = np.subtract if col & 1 else np.add
+            acc = combine(pairs[..., 0], pairs[..., 1])
+            col >>= 1
+        out[..., j] = acc[..., 0]
+    return out
 
 
 def spectrum(f: FunctionTable) -> FourierSpectrum:

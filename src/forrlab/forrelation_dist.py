@@ -34,7 +34,7 @@ import numpy as np
 
 from ._bits import is_power_of_two
 from ._rng import Estimate, chunk_sizes, mc_mean, row_blocks, substream
-from .boolean_fourier import SignVector, fwht
+from .boolean_fourier import SignVector, fwht, fwht_columns
 from .errors import SamplingFailureError
 
 __all__ = [
@@ -124,18 +124,47 @@ def truncate(v: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(v, dtype=np.float64), -1.0, 1.0)
 
 
+def _box_muller(u: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """Standard normals from (k, n) uniforms ``u`` (n even), columns ``cols``
+    only, in that order (all n when None).
+
+    Pair p has radius r = sqrt(-2 log(1 - u[:, p])) and angle
+    a = 2 pi u[:, n/2 + p]; column c < n/2 is r cos(a) of pair c and column
+    c >= n/2 is r sin(a) of pair c - n/2.  1 - u stays in (0, 1], keeping
+    the log finite.  log1p, cos and sin only ever see contiguous arrays,
+    since numpy's vector and scalar loops for them may differ in the last
+    bit; so a column has the same bits whichever columns are asked for.
+    Callers draw u with ``gen.random``: it gives the doubles that
+    ``gen.uniform()`` gives (0 + 1 * u) without uniform's scaling pass.
+    """
+    half = u.shape[1] // 2
+    if cols is None:
+        out = np.empty(u.shape)
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, :half]))
+        angle = 2.0 * np.pi * u[:, half:]
+        np.multiply(radius, np.cos(angle), out=out[:, :half])
+        np.multiply(radius, np.sin(angle), out=out[:, half:])
+        return out
+    pairs = cols % half
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, pairs]))
+    angle = 2.0 * np.pi * u[:, half + pairs]
+    sine = cols >= half
+    trig = np.empty(angle.shape)
+    trig[:, ~sine] = np.cos(angle[:, ~sine])
+    trig[:, sine] = np.sin(angle[:, sine])
+    return radius * trig
+
+
 def standard_normal_rows(gen: np.random.Generator, k: int, n: int) -> np.ndarray:
     """(k, n) standard normals by Box-Muller on counter-based uniforms
     (n must be even).
 
     Each row consumes its own n uniforms in order, so row contents do not
-    depend on the batch size.  1 - u stays in (0, 1], keeping the log finite.
+    depend on the batch size.  Column c < n/2 is the cosine normal of pair
+    c and column c >= n/2 the sine normal of pair c - n/2 (see
+    ``_box_muller``, which ``moment_draw`` shares).
     """
-    u = gen.uniform(size=(k, n))
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, : n // 2]))
-    angle = 2.0 * np.pi * u[:, n // 2:]
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)],
-                          axis=1)
+    return _box_muller(gen.random(size=(k, n)))
 
 
 def gaussian_rows(gen: np.random.Generator, params: ForrParams, k: int) -> np.ndarray:
@@ -234,22 +263,35 @@ def moment_draw(params: ForrParams, s_set: Iterable[int],
     E[prod_{i in S} x_i prod_{j in T} y_j], for ``mc_means``.
 
     S indexes the first half, T the second half, both 0-based in [0, N).
-    Rows are drawn in row blocks into one (k,) result, so memory stays near
-    one block; the values equal ``gaussian_rows(gen, params, k)[:, cols]
-    .prod(axis=1)`` for cols = S followed by N + T.
+    The values equal ``gaussian_rows(gen, params, k)[:, cols].prod(axis=1)``
+    for cols = S followed by N + T, bit for bit, but only what the product
+    reads is computed.  Each row block draws the same (rows, N) uniforms as
+    ``gaussian_rows``; with T empty only the S normals are made, and
+    otherwise all N scaled normals and only the T columns of their
+    transform (``fwht_columns``).  Blocks are about 1 MiB of full rows, so
+    memory stays near one block.
     """
     s_idx = np.fromiter(s_set, dtype=np.int64)
-    t_idx = np.fromiter(t_set, dtype=np.int64) + params.N
-    for name, idx, hi in (("S", s_idx, params.N), ("T", t_idx - params.N, params.N)):
-        if idx.size and (idx.min() < 0 or idx.max() >= hi):
-            raise ValueError(f"{name} indices must lie in [0, {hi})")
-    cols = np.concatenate([s_idx, t_idx])
+    t_idx = np.fromiter(t_set, dtype=np.int64)
+    for name, idx in (("S", s_idx), ("T", t_idx)):
+        if idx.size and (idx.min() < 0 or idx.max() >= params.N):
+            raise ValueError(f"{name} indices must lie in [0, {params.N})")
+    scale = math.sqrt(params.eps)
+    root_n = math.sqrt(params.N)
 
     def draw(gen, k):
         out = np.empty(k)
         for block in row_blocks(k, params.input_length):
-            rows = gaussian_rows(gen, params, block.stop - block.start)
-            out[block] = rows[:, cols].prod(axis=1)
+            u = gen.random(size=(block.stop - block.start, params.N))
+            if t_idx.size:
+                first = _box_muller(u)
+                np.multiply(first, scale, out=first)
+                factors = np.concatenate(
+                    [first[:, s_idx], fwht_columns(first, t_idx) / root_n],
+                    axis=1)
+            else:
+                factors = scale * _box_muller(u, s_idx)
+            out[block] = factors.prod(axis=1)
         return out
     return draw
 

@@ -66,17 +66,23 @@ _SIN8 = math.sin(math.pi / 8)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def _check_qubits(m: int) -> None:
+    """Reject a qubit count below 1 or one whose complex128 amplitudes need
+    more than MAX_STATE_BYTES; callers check before they allocate."""
+    if m < 1:
+        raise ValueError(f"qubit count must be positive, got {m}")
+    if 16 << m > MAX_STATE_BYTES:
+        raise ResourceLimitError(f"{m} qubits need {16 << m} bytes of "
+                                 f"amplitudes, over {MAX_STATE_BYTES}")
+
+
 class StateVector:
     """Normalized complex amplitude vector over m qubits."""
 
     __slots__ = ("m", "amps")
 
     def __init__(self, m: int, amps: np.ndarray):
-        if m < 1:
-            raise ValueError(f"qubit count must be positive, got {m}")
-        if 16 << m > MAX_STATE_BYTES:  # complex128 amplitudes
-            raise ResourceLimitError(f"{m} qubits need {16 << m} bytes of "
-                                     f"amplitudes, over {MAX_STATE_BYTES}")
+        _check_qubits(m)
         amps = np.asarray(amps, dtype=np.complex128)
         if amps.shape != (1 << m,):
             raise ValueError(
@@ -87,6 +93,7 @@ class StateVector:
     @classmethod
     def zero(cls, m: int) -> "StateVector":
         """The all-zero basis state (every register at the +1 label)."""
+        _check_qubits(m)
         state = cls(m, np.zeros(1 << m, dtype=np.complex128))
         state.amps[0] = 1.0
         return state

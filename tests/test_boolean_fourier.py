@@ -23,6 +23,7 @@ from forrlab.boolean_fourier import (
     character_table,
     convolve,
     fwht,
+    fwht_columns,
     indicator_table,
     inverse_spectrum,
     level_k_bound,
@@ -138,6 +139,29 @@ class TestFwhtFastPath:
         kept = values.copy()
         fwht(values)
         assert np.array_equal(values, kept)
+
+
+class TestFwhtColumns:
+    """fwht_columns must give the full transform's columns bit for bit."""
+
+    @pytest.mark.parametrize("size", [4, 8, 16, 64, 256, 1024])
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+    def test_equals_full_transform_columns(self, size, batch):
+        values = np.random.default_rng(size + len(batch)).normal(
+            size=batch + (size,))
+        full = fwht(values)
+        every = list(range(size))
+        for cols in ([size // 2 + 1], every, every[::-1]):
+            got = fwht_columns(values, cols)
+            assert got.shape == batch + (len(cols),)
+            assert np.array_equal(got, full[..., cols])
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="power of two"):
+            fwht_columns(np.ones(6), [0])
+        for cols in ([8], [-1]):
+            with pytest.raises(ValueError, match="columns"):
+                fwht_columns(np.ones(8), cols)
 
 
 def subcube_violations_per_table(n: int, k: int) -> tuple[int, int]:

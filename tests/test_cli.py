@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from forrlab import _rng
 from forrlab.cli import EXIT_PASS, EXIT_USAGE, main
 from forrlab.forrelation_dist import LiftedInstance
 
@@ -248,6 +249,17 @@ class TestVerifyMoments:
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_output_independent_of_thread_count(self, tmp_path, monkeypatch):
+        args = ["verify-moments", "--n", "16", "--samples", "10000",
+                "--seed", "0"]
+        outputs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(_rng, "WORKERS", workers)
+            out = tmp_path / f"workers{workers}.csv"
+            assert run(args + ["--out", str(out)]) == EXIT_PASS
+            outputs.append(out.read_bytes())
+        assert outputs[0] and outputs[0] == outputs[1]
+
 
 class TestFourierAudit:
     def test_default_run_passes(self, tmp_path):
@@ -274,6 +286,31 @@ class TestAdvantage:
         assert len(rows) == 4  # trivial + probe per size
         trivial = [r for r in rows if r["metric"] == "advantage[trivial]"]
         assert all(r["estimate"] == "0.0" for r in trivial)
+
+    def test_probe_rows_carry_a_verdict(self, tmp_path):
+        out = tmp_path / "adv.csv"
+        code = run(["advantage", "--n", "16", "--n", "64", "--samples",
+                    "20000", "--seed", "9", "--out", str(out)])
+        assert code == EXIT_PASS
+        with open(out) as fh:
+            probes = [r for r in csv.DictReader(fh)
+                      if r["metric"] == "advantage[probe]"]
+        assert len(probes) == 2
+        assert all(r["passed"] == "True" for r in probes)
+        assert all(r["bound"].startswith("|est - eps/sqrt(N)| <= 5 se")
+                   for r in probes)
+
+    def test_probe_under_override_has_no_verdict(self, tmp_path):
+        # At eps = 1 truncation halves the probe's advantage (about 0.12
+        # against eps/sqrt(N) = 0.25 at N=16), so the gate does not apply.
+        out = tmp_path / "adv.csv"
+        code = run(["advantage", "--n", "16", "--samples", "10000",
+                    "--eps-override", "1", "--out", str(out)])
+        assert code == EXIT_PASS
+        with open(out) as fh:
+            probe, = [r for r in csv.DictReader(fh)
+                      if r["metric"] == "advantage[probe]"]
+        assert probe["passed"] == ""
 
 
 class TestInstanceAndSampleEmitters:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forrlab._rng import BLOCK_BYTES, substream
+from forrlab._rng import BLOCK_BYTES, CHUNK, mc_mean, substream
 from forrlab.boolean_fourier import (
     FourierSpectrum,
     fwht,
@@ -38,6 +38,7 @@ from forrlab.forrelation_dist import (
     sample_forrelation,
     sample_gaussian,
     sample_lifted,
+    standard_normal_rows,
     truncate,
     uniform_sign_rows,
 )
@@ -312,6 +313,58 @@ class TestRowBlocking:
         assert np.array_equal(got, want)
         # Both generators stand at the same place in the stream afterwards.
         assert gen.uniform() == ref_gen.uniform()
+
+
+def moment_reference(params: ForrParams, s_set, t_set):
+    """The moment draw from full coupled-Gaussian rows."""
+    cols = np.array(list(s_set) + [params.N + j for j in t_set], dtype=int)
+    return lambda gen, k: gaussian_rows(gen, params, k)[:, cols].prod(axis=1)
+
+
+def moment_sets(N: int) -> dict[str, tuple[list[int], list[int]]]:
+    return {
+        # S only: a sine column (second half of the normals) then a cosine one.
+        "t_empty": ([N // 2 + 1, 0], []),
+        "s_empty": ([], [1, N - 1]),
+        "three_by_three": ([N - 1, 0, N // 2], [2, N // 2 + 1, 1]),
+    }
+
+
+class TestMomentFastPath:
+    """moment_draw computes only the columns its product reads; every value
+    must still equal the product over full gaussian_rows."""
+
+    @pytest.mark.parametrize("case", ["t_empty", "s_empty", "three_by_three"])
+    @pytest.mark.parametrize("N", [4, 16, 64])
+    def test_equals_full_rows(self, N, case):
+        params = ForrParams(N)
+        s_set, t_set = moment_sets(N)[case]
+        block = BLOCK_BYTES // (8 * params.input_length)
+        for k in (1, block - 1, block + 1, 3 * block - 5):
+            got = moment_draw(params, s_set, t_set)(substream(43, k), k)
+            want = moment_reference(params, s_set, t_set)(substream(43, k), k)
+            assert got.shape == (k,)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_standard_normal_rows_equals_reference(self, n):
+        # Box-Muller written out on gen.uniform draws: cosines, then sines.
+        u = substream(45, n).uniform(size=(257, n))
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, :n // 2]))
+        angle = 2.0 * np.pi * u[:, n // 2:]
+        want = np.concatenate([radius * np.cos(angle),
+                               radius * np.sin(angle)], axis=1)
+        got = standard_normal_rows(substream(45, n), 257, n)
+        assert np.array_equal(got, want)
+
+    def test_gaussian_moment_equals_reference_estimate(self):
+        params = ForrParams(16)
+        s_set, t_set = moment_sets(16)["three_by_three"]
+        samples = 2 * CHUNK + 17
+        got = gaussian_moment(params, s_set, t_set, samples, 44)
+        want = mc_mean(moment_reference(params, s_set, t_set), samples, 44)
+        assert got.estimate == want.estimate
+        assert got.standard_error == want.standard_error
 
 
 class TestInstances:

@@ -362,6 +362,13 @@ class TestBellPairs:
         with pytest.raises(ResourceLimitError):
             bell_pairs(4)
 
+    def test_cap_checked_before_allocation(self):
+        # 16 TiB each: an allocation would fail as numpy's MemoryError.
+        with pytest.raises(ResourceLimitError, match="bytes"):
+            StateVector.zero(40)
+        with pytest.raises(ResourceLimitError, match="bytes"):
+            bell_pairs(20)
+
 
 class TestCircuit:
     def test_norm_drift_over_many_gates(self):
