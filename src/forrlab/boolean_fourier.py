@@ -16,7 +16,7 @@ mutated in place.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +36,7 @@ __all__ = [
     "FourierSpectrum",
     "fwht",
     "fwht_columns",
+    "level_transform",
     "spectrum",
     "inverse_spectrum",
     "convolve",
@@ -49,7 +50,7 @@ __all__ = [
     "random_indicator_violations",
 ]
 
-AUDIT_BLOCK = 16  # tables per fwht call in the level-k audits and protocol_spectrum
+AUDIT_BLOCK = 16  # tables per transform in the level-k audits and the protocol audit
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,6 +220,39 @@ def _level_masks(n: int, k: int) -> np.ndarray:
     return popcount(np.arange(1 << n)) == k
 
 
+@functools.cache
+def _level_characters(n: int, k: int) -> np.ndarray:
+    """The (2^n, C(n, k)) float64 matrix of +-1 characters chi_S(x), one
+    column per size-k subset S in ascending mask order.  Cached: about
+    60 MiB at (16, 2), and read-only since every caller shares it."""
+    codes = np.arange(1 << n, dtype=np.uint32)
+    subsets = codes[np.bitwise_count(codes) == k]
+    odd = np.bitwise_count(codes[:, None] & subsets) & 1
+    characters = np.where(odd, -1.0, 1.0)
+    characters.flags.writeable = False
+    return characters
+
+
+def level_transform(values: np.ndarray, k: int) -> np.ndarray:
+    """The level-k columns of the unnormalized transform along the last
+    axis, in ascending subset-mask order: ``fwht(values)[..., level-k
+    masks]``, as one matrix product with the cached +-1 characters.
+
+    Exact only for integer-valued input (0/1 indicators, +-1 signs): every
+    partial sum is then an integer below 2^53, so any summation order gives
+    the same bits as :func:`fwht`.  Other floats may differ from it in the
+    last bits; use :func:`fwht` or :func:`fwht_columns` for them.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    size = values.shape[-1]
+    if not is_power_of_two(size):
+        raise ValueError(f"fwht length must be a power of two, got {size}")
+    n = size.bit_length() - 1
+    if not 0 <= k <= n:
+        raise ValueError(f"level k must satisfy 0 <= k <= {n}, got {k}")
+    return values @ _level_characters(n, k)
+
+
 def level_mass(s: FourierSpectrum, k: int) -> float:
     """Level-k Fourier mass: sum of |f_hat(S)| over subsets of size k."""
     return float(np.abs(s.coeffs[_level_masks(s.n, k)]).sum())
@@ -282,12 +316,11 @@ def level_k_bound(alpha: float, k: int) -> float:
 
 
 def _level_weights(members: np.ndarray, k: int) -> np.ndarray:
-    """Level-k weight of each row's 0/1 indicator, from one transform of
-    the (rows, 2^n) block; row r equals
+    """Level-k weight of each row's 0/1 indicator, from one level-k
+    transform of the (rows, 2^n) block; row r equals
     ``level_weight(spectrum(indicator_table(n, members[r])), k)``."""
     size = members.shape[-1]
-    coeffs = fwht(members.astype(np.float64)) / size
-    return np.square(coeffs[:, _level_masks(size.bit_length() - 1, k)]).sum(axis=1)
+    return np.square(level_transform(members, k) / size).sum(axis=1)
 
 
 def subcube_violations(n: int, k: int) -> tuple[int, int]:
@@ -311,28 +344,40 @@ def subcube_violations(n: int, k: int) -> tuple[int, int]:
     return violations, checked
 
 
+def _random_indicators(n: int, k: int, count: int, seed: int):
+    """Yield (members, alphas) blocks holding ``count`` accepted random
+    indicators on n variables in all, drawn from substream (seed, 0).
+
+    Candidate i takes 2^n + 1 consecutive uniforms: the first sets its
+    density 0.02 + 0.33 u (the value ``gen.uniform(0.02, 0.35)`` returns),
+    the rest are compared against it.  Candidates are drawn AUDIT_BLOCK at a
+    time; one whose mean alpha is 0 or too large for the level-k bound is
+    skipped.  Rows drawn past the last one needed are never used."""
+    gen = substream(seed, 0)
+    left = count
+    while left > 0:
+        draws = gen.random((AUDIT_BLOCK, (1 << n) + 1))
+        density = 0.02 + (0.35 - 0.02) * draws[:, :1]
+        members = draws[:, 1:] < density
+        alphas = members.mean(axis=1)
+        keep = [r for r, alpha in enumerate(alphas)
+                if alpha > 0 and k <= 2 * math.log(1 / alpha)][:left]
+        left -= len(keep)
+        if keep:
+            yield members[keep], alphas[keep]
+
+
 def random_indicator_violations(n: int, k: int, count: int,
                                 seed: int) -> tuple[int, int]:
     """(violations, checked) of the level-k bound over ``count`` random
     indicators on n variables, each of density drawn from [0.02, 0.35);
-    draws too sparse for the bound to apply are skipped.  Accepted
-    indicators are transformed in blocks of at most AUDIT_BLOCK tables."""
-    gen = substream(seed, 0)
-
-    def accepted():
-        while True:
-            density = gen.uniform(0.02, 0.35)
-            members = gen.uniform(size=1 << n) < density
-            alpha = members.mean()
-            if alpha > 0 and k <= 2 * math.log(1 / alpha):
-                yield members, alpha
-
-    draws = accepted()
+    empty draws and draws too dense for the bound to apply are skipped.
+    Accepted indicators are transformed in blocks of at most AUDIT_BLOCK
+    tables."""
     checked = violations = 0
-    while checked < count:
-        block = list(itertools.islice(draws, min(AUDIT_BLOCK, count - checked)))
-        weights = _level_weights(np.array([m for m, _ in block]), k)
-        bounds = np.array([level_k_bound(a, k) + 1e-12 for _, a in block])
-        checked += len(block)
+    for members, alphas in _random_indicators(n, k, count, seed):
+        weights = _level_weights(members, k)
+        bounds = np.array([level_k_bound(a, k) + 1e-12 for a in alphas])
+        checked += len(alphas)
         violations += int(np.count_nonzero(weights > bounds))
     return violations, checked

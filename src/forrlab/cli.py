@@ -45,6 +45,8 @@ from .protocol import (
     default_copies,
     forrelation_probe_partition,
     l2_audit,
+    pair_parity_mass,
+    pair_parity_partition,
     random_protocol_partition,
     run_quantum_protocol,
     trivial_partition,
@@ -55,6 +57,8 @@ EXIT_AUDIT_FAILURE = 1
 EXIT_USAGE = 2
 
 LOW_POWER_SAMPLES = 100_000
+PAIR_PARITY_PAIRS = (1, 3)  # fourier-audit adversaries, 4 and 64 cells
+EXACT_TOL = 1e-12
 AMPLIFIED_THRESHOLD = 0.7  # midpoint of per-copy rates ~0.5 (uniform) and ~0.9 (planted)
 
 RESULT_COLUMNS = ["experiment", "subcommand", "N", "eps", "seed", "samples",
@@ -314,6 +318,15 @@ def cmd_fourier_audit(args) -> int:
                                        derive(args.seed, "indicators", 0))
     record("levelk-random", f"level2_violations[{c} random indicators n=10]",
            v, bound=level_k, passed=v == 0)
+
+    # Adversaries whose level-2 mass is known exactly: a wrong audit fails.
+    for m in PAIR_PARITY_PAIRS:
+        mass = l2_audit(pair_parity_partition(length, m)).l2_mass
+        want = pair_parity_mass(m)
+        record(f"adversary-pairs{m}",
+               f"l2_mass[pair parity m={m} c={2 * m}]", mass,
+               bound=f"== {want} +- {EXACT_TOL}",
+               passed=abs(mass - want) <= EXACT_TOL)
     return finish(args, records)
 
 

@@ -34,7 +34,7 @@ from .boolean_fourier import (
     SignVector,
     fwht,
     inverse_spectrum,
-    level_mass,
+    level_transform,
 )
 from .errors import PartitionError, ResourceLimitError
 from .forrelation_dist import (
@@ -74,6 +74,8 @@ __all__ = [
     "advantage",
     "majority_amplify",
     "random_protocol_partition",
+    "pair_parity_partition",
+    "pair_parity_mass",
     "trivial_partition",
     "forrelation_probe_partition",
 ]
@@ -297,13 +299,21 @@ class RectanglePartition:
 
     def _validate_dense(self):
         # Pairwise-disjoint rectangles plus full total measure is exactly
-        # the partition property; both are cheap even at n = 16.
-        total = 0
-        for i, ci in enumerate(self.cells):
-            total += int(ci.alice.sum()) * int(ci.bob.sum())
-            for cj in self.cells[i + 1:]:
-                if (ci.alice & cj.alice).any() and (ci.bob & cj.bob).any():
-                    raise PartitionError("cells overlap on the input square")
+        # the partition property.  Two cells overlap when both their Alice
+        # sides and their Bob sides meet, which Gram products of the stacked
+        # indicators test for AUDIT_BLOCK cells against all at a time.  Only
+        # the sign of each count matters, so float32 sums of 0/1 suffice.
+        alice = np.array([c.alice for c in self.cells], dtype=np.float32)
+        bob = np.array([c.bob for c in self.cells], dtype=np.float32)
+        for start in range(0, len(self.cells), AUDIT_BLOCK):
+            rows = slice(start, start + AUDIT_BLOCK)
+            overlap = (alice[rows] @ alice.T > 0) & (bob[rows] @ bob.T > 0)
+            block = np.arange(overlap.shape[0])
+            overlap[block, start + block] = False
+            if overlap.any():
+                raise PartitionError("cells overlap on the input square")
+        total = int(np.count_nonzero(alice, axis=1) @
+                    np.count_nonzero(bob, axis=1))
         if total != 1 << (2 * self.n):
             raise PartitionError(
                 f"cells cover {total} of {1 << (2 * self.n)} input pairs")
@@ -351,25 +361,34 @@ def eval_partition(p: RectanglePartition, x, y) -> int:
     return int(p.evaluate_rows(xs[None, :], ys[None, :])[0])
 
 
-def protocol_spectrum(p: RectanglePartition) -> FourierSpectrum:
-    """Spectrum of the averaged protocol H(z) = E_x[ C(x, x . z) ], built
-    straight from the cells as sum_c out_c A_c(S) B_c(S) / 4^n, with A_c
-    and B_c the unnormalized transforms of the cell's indicators.  One
-    fwht covers the stacked Alice and Bob indicators of up to AUDIT_BLOCK
-    cells.  Every term is an integer until the final division by a power
-    of two, so the coefficients are exact."""
+def _cell_sum(p: RectanglePartition, transform) -> np.ndarray:
+    """sum_c out_c T(A_c) T(B_c) over the cells, with T the unnormalized
+    ``transform`` of the cell's Alice and Bob indicators.  One transform
+    call covers the stacked indicators of up to AUDIT_BLOCK cells, which
+    bounds memory at n = DENSE_CAP.  Every term is an integer below 2^53,
+    so the sum is exact."""
     if not p.dense or p.n > DENSE_CAP:
         raise ResourceLimitError(
             f"dense protocol table needs dense cells and n <= {DENSE_CAP}")
-    size = 1 << p.n
-    acc = np.zeros(size)
+    acc = 0.0
     for start in range(0, len(p.cells), AUDIT_BLOCK):
         cells = p.cells[start:start + AUDIT_BLOCK]
-        alice, bob = fwht(np.array([[c.alice for c in cells],
-                                    [c.bob for c in cells]], dtype=np.float64))
+        alice, bob = transform(np.array([[c.alice for c in cells],
+                                         [c.bob for c in cells]],
+                                        dtype=np.float64))
         outputs = np.array([c.output for c in cells], dtype=np.float64)
-        acc += outputs @ (alice * bob)
-    return FourierSpectrum(p.n, acc / (size * size))
+        acc = acc + outputs @ (alice * bob)
+    return acc
+
+
+def protocol_spectrum(p: RectanglePartition) -> FourierSpectrum:
+    """Spectrum of the averaged protocol H(z) = E_x[ C(x, x . z) ], built
+    straight from the cells as sum_c out_c A_c(S) B_c(S) / 4^n, with A_c
+    and B_c the unnormalized transforms of the cell's indicators.  The sum
+    is exact until the final division by a power of two, so the
+    coefficients are exact."""
+    size = 1 << p.n
+    return FourierSpectrum(p.n, _cell_sum(p, fwht) / (size * size))
 
 
 def protocol_H(p: RectanglePartition) -> FunctionTable:
@@ -394,8 +413,14 @@ def l2_audit(p: RectanglePartition) -> L2Audit:
     the split refines cells without changing H (indicators add up), so the
     mass is unchanged and the refinement shows up only in the reported
     effective cost c + 4.
+
+    Only the level-2 coefficients are computed, through the exact
+    :func:`level_transform` of the 0/1 cell indicators, so the mass equals
+    ``level_mass(protocol_spectrum(p), 2)`` bit for bit.
     """
-    mass = level_mass(protocol_spectrum(p), 2)
+    size = 1 << p.n
+    level2 = _cell_sum(p, lambda tables: level_transform(tables, 2))
+    mass = float(np.abs(level2 / (size * size)).sum())
     heavy = any(cell.alice.mean() > 1.0 / math.e or
                 cell.bob.mean() > 1.0 / math.e for cell in p.cells)
     effective = p.cost + 4 if heavy else p.cost
@@ -454,6 +479,38 @@ def random_protocol_partition(n: int, cost: int, seed: int) -> RectanglePartitio
     full = np.ones(points, dtype=bool)
     grow(full, full, 0)
     return RectanglePartition(n, cost, cells)
+
+
+def pair_parity_partition(n: int, m: int) -> RectanglePartition:
+    """Cost-2m adversary of known level-2 mass: for each of the m disjoint
+    coordinate pairs (2i, 2i + 1), Alice sends x_2i x_2i+1 and Bob sends
+    y_2i y_2i+1, and the leaf answers the majority of the m products
+    (m odd).  The averaged protocol is H(z) = Maj_m(z_0 z_1, z_2 z_3, ...),
+    whose level-2 mass is the level-1 mass of Maj_m,
+    m C(m - 1, (m - 1) / 2) / 2^(m - 1)."""
+    if m < 1 or m % 2 == 0:
+        raise ValueError(f"pair count must be odd and positive, got {m}")
+    if 2 * m > n:
+        raise ValueError(f"{m} disjoint pairs need input length >= {2 * m}, "
+                         f"got {n}")
+    if n > DENSE_CAP:
+        raise ResourceLimitError(f"pair-parity partitions need n <= {DENSE_CAP}")
+    codes = np.arange(1 << n)
+    # Bit i of pair_bits is 1 where pair i's product is -1.
+    pair_bits = sum((((codes >> (2 * i)) ^ (codes >> (2 * i + 1))) & 1) << i
+                    for i in range(m))
+    cells = []
+    for a in range(1 << m):
+        for b in range(1 << m):
+            minus = (a ^ b).bit_count()
+            cells.append(Cell(pair_bits == a, pair_bits == b,
+                              -1 if 2 * minus > m else 1))
+    return RectanglePartition(n, 2 * m, cells)
+
+
+def pair_parity_mass(m: int) -> float:
+    """Level-2 mass of :func:`pair_parity_partition` with m pairs."""
+    return m * math.comb(m - 1, (m - 1) // 2) / 2 ** (m - 1)
 
 
 def forrelation_probe_partition(params: ForrParams, i: int = 0,

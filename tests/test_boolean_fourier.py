@@ -18,7 +18,9 @@ from forrlab._rng import substream
 from forrlab.boolean_fourier import (
     AUDIT_BLOCK,
     FunctionTable,
+    _level_characters,
     _level_weights,
+    _random_indicators,
     SignVector,
     character_table,
     convolve,
@@ -28,6 +30,7 @@ from forrlab.boolean_fourier import (
     inverse_spectrum,
     level_k_bound,
     level_mass,
+    level_transform,
     level_weight,
     multilinear_eval,
     random_indicator_violations,
@@ -422,3 +425,71 @@ class TestSignVector:
         v = SignVector(signs.astype(np.int8))
         back = SignVector.from_base64(v.to_base64(), n)
         assert np.array_equal(back.signs, v.signs)
+
+
+class TestLevelTransform:
+    """The exact level-k path against the full butterfly, for the integer
+    inputs it serves."""
+
+    @pytest.fixture(autouse=True)
+    def _drop_cached_characters(self):
+        # The (16, 3) matrix alone is about 290 MiB.
+        yield
+        _level_characters.cache_clear()
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 10, 16])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_full_transform_columns(self, n, k):
+        if k > n:
+            with pytest.raises(ValueError, match="level k"):
+                level_transform(np.ones(1 << n), k)
+            return
+        mask = popcount(np.arange(1 << n)) == k
+        draws = np.random.default_rng(17 * n + k).uniform(size=(3, 1 << n))
+        indicators = (draws < 0.3).astype(np.float64)
+        signs = np.where(draws < 0.5, -1.0, 1.0)
+        for values in (indicators, signs, indicators[0], signs[1]):
+            got = level_transform(values, k)
+            assert got.shape == values.shape[:-1] + (math.comb(n, k),)
+            assert np.array_equal(got, fwht(values)[..., mask])
+
+    def test_characters_are_ascending_subset_columns(self):
+        n, k = 5, 2
+        masks = [m for m in range(1 << n) if bin(m).count("1") == k]
+        want = np.array([[chi_direct(m, x, n) for m in masks]
+                         for x in range(1 << n)])
+        assert np.array_equal(_level_characters(n, k), want)
+
+    def test_rejects_bad_length(self):
+        with pytest.raises(ValueError, match="power of two"):
+            level_transform(np.ones(6), 1)
+
+
+def scalar_random_indicators(n, k, count, seed):
+    """Reference: the accepted draws of the one-candidate-at-a-time loop."""
+    gen = substream(seed, 0)
+    members, alphas = [], []
+    while len(alphas) < count:
+        density = gen.uniform(0.02, 0.35)
+        row = gen.uniform(size=1 << n) < density
+        alpha = row.mean()
+        if alpha > 0 and k <= 2 * math.log(1 / alpha):
+            members.append(row)
+            alphas.append(alpha)
+    return np.array(members), np.array(alphas)
+
+
+class TestRandomIndicatorStream:
+    @pytest.mark.parametrize("count", [1, AUDIT_BLOCK - 1, AUDIT_BLOCK,
+                                       AUDIT_BLOCK + 1, 2 * AUDIT_BLOCK + 1])
+    @pytest.mark.parametrize("n, k", [(10, 2), (6, 3)])
+    def test_blocks_equal_scalar_draws(self, count, n, k):
+        for seed in (0, 7):
+            blocks = list(_random_indicators(n, k, count, seed))
+            assert all(0 < len(a) <= AUDIT_BLOCK for _, a in blocks)
+            members = np.concatenate([m for m, _ in blocks])
+            alphas = np.concatenate([a for _, a in blocks])
+            want_members, want_alphas = scalar_random_indicators(n, k, count,
+                                                                 seed)
+            assert np.array_equal(members, want_members)
+            assert np.array_equal(alphas, want_alphas)

@@ -275,6 +275,52 @@ class TestFourierAudit:
         assert all(row["passed"] == "True" for row in rows)
 
 
+    def test_existing_rows_pinned(self, tmp_path):
+        out = tmp_path / "audit.csv"
+        assert run(["fourier-audit", "--n", "4", "--partitions", "200",
+                    "--seed", "0", "--out", str(out)]) == EXIT_PASS
+        lines = out.read_bytes().split(b"\r\n")
+        rows = {line.split(b",", 1)[0]: line for line in lines[1:]}
+        for experiment, tail in PINNED_AUDIT_ROWS.items():
+            assert rows[experiment] == experiment + PINNED_AUDIT_PREFIX + tail
+
+    def test_adversary_rows_pass(self, tmp_path):
+        out = tmp_path / "audit.csv"
+        assert run(["fourier-audit", "--partitions", "5",
+                    "--out", str(out)]) == EXIT_PASS
+        with open(out) as fh:
+            rows = {row["experiment"]: row for row in csv.DictReader(fh)}
+        for m, mass in ((1, "1.0"), (3, "1.5")):
+            row = rows[f"fourier-audit:adversary-pairs{m}"]
+            assert row["estimate"] == mass and row["passed"] == "True"
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5])
+    def test_wrong_level_two_engine_exits_one(self, scale, monkeypatch):
+        from forrlab import protocol
+        exact = protocol.level_transform
+        monkeypatch.setattr(protocol, "level_transform",
+                            lambda values, k: scale * exact(values, k))
+        assert run(["fourier-audit", "--partitions", "5"]) == 1
+
+
+PINNED_AUDIT_PREFIX = b",fourier-audit,4,0.014426950408889633,0,"
+# The --n 4 --partitions 200 --seed 0 rows as the full-transform audit wrote
+# them; the level-2 fast path must leave them byte for byte.
+PINNED_AUDIT_ROWS = {
+    b"fourier-audit:trivial":
+        b"200,,,l2_mass[trivial],0.0,exact,<= 0.0,True,",
+    b"fourier-audit:random":
+        b"200,,,l2_violations[200 partitions c<=4],0,exact,"
+        b"max mass 0.0845 vs 120 c^2,True,",
+    b"fourier-audit:levelk-subcubes":
+        b",,,level2_violations[6544 subcube indicators],0,exact,"
+        b"weight <= alpha^2 (e ln 1/alpha)^2,True,",
+    b"fourier-audit:levelk-random":
+        b",,,level2_violations[1000 random indicators n=10],0,exact,"
+        b"weight <= alpha^2 (e ln 1/alpha)^2,True,",
+}
+
+
 class TestAdvantage:
     def test_table_over_sizes(self, tmp_path):
         out = tmp_path / "adv.csv"

@@ -16,6 +16,7 @@ from forrlab import quantum_sim
 from forrlab._bits import codes_to_signs
 from forrlab._rng import substream
 from forrlab.boolean_fourier import (
+    AUDIT_BLOCK,
     FunctionTable,
     SignVector,
     convolve,
@@ -43,6 +44,8 @@ from forrlab.protocol import (
     forrelation_probe_partition,
     l2_audit,
     majority_amplify,
+    pair_parity_mass,
+    pair_parity_partition,
     protocol_H,
     protocol_spectrum,
     random_protocol_partition,
@@ -481,3 +484,86 @@ class TestAdvantage:
         params = ForrParams(8)
         with pytest.raises(ValueError):
             advantage(trivial_partition(8, 1), params, 10_000, seed=6)
+
+
+class TestL2AuditFastPath:
+    @pytest.mark.parametrize("n, cost", [(8, c) for c in range(1, 7)] +
+                             [(16, 2), (16, 4)])
+    def test_mass_equals_full_spectrum_mass(self, n, cost):
+        # Costs 5 and 6 at n = 8 give more cells than one transform block.
+        for seed in range(3):
+            p = random_protocol_partition(n, cost, seed)
+            assert l2_audit(p).l2_mass == level_mass(protocol_spectrum(p), 2)
+
+    def test_mass_across_block_boundary(self):
+        p = random_protocol_partition(8, 7, seed=1)
+        assert len(p.cells) > 2 * AUDIT_BLOCK
+        assert l2_audit(p).l2_mass == level_mass(protocol_spectrum(p), 2)
+
+
+class TestDenseValidation:
+    FULL = np.ones(4, dtype=bool)
+    HALF = np.arange(4) < 2
+
+    def test_overlap_rejected_with_message(self):
+        with pytest.raises(PartitionError, match="overlap"):
+            RectanglePartition(2, 1, [Cell(self.FULL, self.HALF, 1),
+                                      Cell(self.HALF, self.FULL, -1)])
+
+    def test_missing_coverage_rejected_with_message(self):
+        with pytest.raises(PartitionError, match="cover 4 of 16 input pairs"):
+            RectanglePartition(2, 1, [Cell(self.HALF, self.HALF, 1)])
+
+    def test_overlap_reported_before_coverage(self):
+        # 16 + 8 pairs covered, and the cells share HALF x HALF.
+        with pytest.raises(PartitionError, match="overlap"):
+            RectanglePartition(2, 1, [Cell(self.FULL, self.FULL, 1),
+                                      Cell(self.FULL, self.HALF, -1)])
+
+    def test_overlap_on_one_side_only_accepted(self):
+        for alice_side in (True, False):
+            cells = [Cell(self.FULL, side, s) if alice_side
+                     else Cell(side, self.FULL, s)
+                     for side, s in ((self.HALF, 1), (~self.HALF, -1))]
+            assert len(RectanglePartition(2, 1, cells).cells) == 2
+
+    def test_overlap_found_in_a_later_block(self):
+        cells = random_protocol_partition(8, 6, seed=0).cells
+        assert len(cells) > AUDIT_BLOCK + 4
+        dup = cells[AUDIT_BLOCK + 4]
+        with pytest.raises(PartitionError, match="overlap"):
+            RectanglePartition(8, 7, cells + [Cell(dup.alice, dup.bob, 1)])
+
+    def test_cost_ten_partition_validates(self):
+        p = random_protocol_partition(8, 10, seed=2)
+        assert AUDIT_BLOCK < len(p.cells) <= 1 << 10
+        alice = np.array([c.alice for c in p.cells], dtype=np.float64)
+        bob = np.array([c.bob for c in p.cells], dtype=np.float64)
+        assert np.array_equal(alice.T @ bob, np.ones((1 << 8, 1 << 8)))
+
+
+class TestPairParityAdversary:
+    @pytest.mark.parametrize("n, m, want", [(8, 1, 1.0), (8, 3, 1.5),
+                                            (10, 5, 1.875)])
+    def test_level_two_mass_is_known(self, n, m, want):
+        p = pair_parity_partition(n, m)
+        assert p.cost == 2 * m and len(p.cells) == 1 << (2 * m)
+        assert pair_parity_mass(m) == want
+        mass = l2_audit(p).l2_mass
+        assert abs(mass - want) <= 1e-12
+        assert mass == level_mass(protocol_spectrum(p), 2)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_averaged_protocol_is_majority_of_pair_products(self, m):
+        n = 8
+        z = codes_to_signs(np.arange(1 << n), n).astype(np.int64)
+        votes = sum(z[:, 2 * i] * z[:, 2 * i + 1] for i in range(m))
+        assert np.array_equal(protocol_H(pair_parity_partition(n, m)).values,
+                              np.sign(votes).astype(np.float64))
+
+    def test_rejects_bad_pair_counts(self):
+        for n, m in ((8, 2), (8, 0), (4, 3)):
+            with pytest.raises(ValueError):
+                pair_parity_partition(n, m)
+        with pytest.raises(ResourceLimitError):
+            pair_parity_partition(18, 1)
