@@ -51,6 +51,7 @@ from .protocol import (
     run_quantum_protocol,
     trivial_partition,
 )
+from .quantum_sim import check_state_size
 
 EXIT_PASS = 0
 EXIT_AUDIT_FAILURE = 1
@@ -60,6 +61,7 @@ LOW_POWER_SAMPLES = 100_000
 PAIR_PARITY_PAIRS = (1, 3)  # fourier-audit adversaries, 4 and 64 cells
 EXACT_TOL = 1e-12
 AMPLIFIED_THRESHOLD = 0.7  # midpoint of per-copy rates ~0.5 (uniform) and ~0.9 (planted)
+Z_FLAG = 5.0  # run-protocol summary flags a copy fraction this many se off
 
 RESULT_COLUMNS = ["experiment", "subcommand", "N", "eps", "seed", "samples",
                   "copies", "mode", "metric", "estimate", "standard_error",
@@ -215,6 +217,16 @@ PROTOCOL_CSV_COLUMNS = ["instance_id", "N", "eps", "forr", "copies",
                         "gate_count", "seed"]
 
 
+def _copy_z(fraction: float, p: float, copies: int) -> float:
+    """|fraction - p| in standard errors of the mean of ``copies``
+    Bernoulli(p) bits; with a zero standard error, 0 on a match and
+    infinity otherwise."""
+    se = math.sqrt(max(p * (1.0 - p), 0.0) / copies)
+    if se == 0.0:
+        return 0.0 if fraction == p else math.inf
+    return abs(fraction - p) / se
+
+
 def cmd_run_protocol(args) -> int:
     params = _params(args)
     if args.copies is not None and args.copies < 1:
@@ -236,31 +248,48 @@ def cmd_run_protocol(args) -> int:
                 f"mode {mode} at the promise gap needs ~{need} copies; pass "
                 f"--slow to accept that or set --copies explicitly")
 
+    # One referee state per block; refuse an oversized one before any
+    # instance is drawn.
+    check_state_size(params.n + 1)
     rows = []
     correct = 0
     total_qubits = 0
     total_gates = 0
+    max_abs_z = 0.0
     t0 = time.time()
-    for idx in range(args.instances):
-        if mode == "amplified":  # alternate planted YES and uniform NO
-            inst_mode = (InstanceMode.PLANTED_YES, InstanceMode.UNIFORM_NO)[idx % 2]
-        else:
-            inst_mode = InstanceMode(mode)
-        want = Label.YES if inst_mode in (
-            InstanceMode.PROMISE_YES, InstanceMode.PLANTED_YES) else Label.NO
-        inst = generate_instance(params, inst_mode,
-                                 derive(args.seed, "instance", idx))
-        cfg = QuantumProtocolConfig(params, copies=copies, threshold=threshold,
-                                    seed=derive(args.seed, "copies", idx))
-        stats = run_quantum_protocol(inst.x, inst.y, cfg)
-        correct += stats.decision is want
-        total_qubits += stats.qubits_sent
-        total_gates += stats.gate_count
-        rows.append([str(idx), str(params.N), repr(params.eps),
-                     repr(inst.forr_value), str(copies),
-                     repr(stats.ones_fraction), stats.decision.value,
-                     str(stats.qubits_sent), str(stats.gate_count),
-                     str(cfg.seed)])
+    # A block's amplitudes (2N complex) and copy bits stay near BLOCK_BYTES.
+    for block in row_blocks(args.instances, 4 * params.N + copies // 8 + 1):
+        ids = range(block.start, block.stop)
+        insts, wants, cfgs = [], [], []
+        for idx in ids:
+            if mode == "amplified":  # alternate planted YES and uniform NO
+                inst_mode = (InstanceMode.PLANTED_YES,
+                             InstanceMode.UNIFORM_NO)[idx % 2]
+            else:
+                inst_mode = InstanceMode(mode)
+            wants.append(Label.YES if inst_mode in (
+                InstanceMode.PROMISE_YES, InstanceMode.PLANTED_YES) else Label.NO)
+            insts.append(generate_instance(params, inst_mode,
+                                           derive(args.seed, "instance", idx)))
+            cfgs.append(QuantumProtocolConfig(
+                params, copies=copies, threshold=threshold,
+                seed=derive(args.seed, "copies", idx)))
+        block_stats = run_quantum_protocol(
+            np.stack([inst.x.signs for inst in insts]),
+            np.stack([inst.y.signs for inst in insts]), cfgs)
+        for idx, inst, want, cfg, stats in zip(ids, insts, wants, cfgs,
+                                               block_stats):
+            correct += stats.decision is want
+            total_qubits += stats.qubits_sent
+            total_gates += stats.gate_count
+            max_abs_z = max(max_abs_z, _copy_z(stats.ones_fraction,
+                                               0.5 + inst.forr_value / 2,
+                                               copies))
+            rows.append([str(idx), str(params.N), repr(params.eps),
+                         repr(inst.forr_value), str(copies),
+                         repr(stats.ones_fraction), stats.decision.value,
+                         str(stats.qubits_sent), str(stats.gate_count),
+                         str(cfg.seed)])
 
     write_csv(args.out, PROTOCOL_CSV_COLUMNS, rows)
     rate = correct / args.instances
@@ -272,6 +301,8 @@ def cmd_run_protocol(args) -> int:
         "qubits_sent_per_instance": total_qubits // args.instances,
         "gate_count_per_instance": total_gates // args.instances,
         "seed": args.seed,
+        "max_abs_z": max_abs_z,
+        "z_flagged": max_abs_z > Z_FLAG,
     }
     print(json.dumps(summary))
     print(f"# success {correct}/{args.instances} in {time.time() - t0:.2f}s",
@@ -526,7 +557,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"feasibility error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ForrlabError as exc:

@@ -159,53 +159,86 @@ def build_copy_circuit(x: SignVector, y: SignVector) -> Circuit:
     return Circuit(2 * half, gates)
 
 
+def _sign_rows(v: SignVector | np.ndarray) -> np.ndarray:
+    """A SignVector, a sign row or a (k, 2N) stack of them as int8 rows."""
+    if isinstance(v, SignVector):
+        return v.signs[None, :]
+    rows = np.asarray(v, dtype=np.int8)
+    rows = rows[None, :] if rows.ndim == 1 else rows
+    if rows.ndim != 2 or not np.all(np.abs(rows) == 1):
+        raise ValueError("inputs must be +-1 rows of shape (2N,) or (k, 2N)")
+    return rows
+
+
 def run_quantum_protocol(x: SignVector | np.ndarray, y: SignVector | np.ndarray,
-                         cfg: QuantumProtocolConfig) -> ProtocolRunStats:
-    """Run the protocol on one instance.
+                         cfg: QuantumProtocolConfig | Sequence[QuantumProtocolConfig]
+                         ) -> ProtocolRunStats | list[ProtocolRunStats]:
+    """Run the protocol on one instance, or on a block of k instances.
+
+    One pair (SignVectors or length-2N rows) with one config returns one
+    ``ProtocolRunStats``; (k, 2N) stacks with a sequence of k configs, all
+    with the same ``params``, return k stats in order.  One pair is a block
+    of one.
 
     Only Alice's log2(2N)-qubit register is simulated.  After the Bell
     pairs, both oracles and the erase cascade, the full 2 log2(2N)-qubit
     state is exactly sum_i x_i y_i / sqrt(2N) |i>|0>: the erase CNOTs map
     Bob's copy of each index to 0, so his block is |0> and the referee's
     gates, which act on Alice's qubits alone, see the 2N amplitudes
-    x_i y_i / sqrt(2N).  The circuit up to the swap-test measurement is
-    deterministic, so the accept probability is computed once; copy t then
-    accepts when uniform t of substream (seed, 0) falls below it, exactly as
+    x_i y_i / sqrt(2N).  The block's k such registers form one batched
+    state that a single pass of ``referee_gates`` transforms; every kernel
+    acts on each row as it would on that row alone, so each instance's
+    accept probability has the bits of a one-instance run.  The circuit up
+    to the swap-test measurement is deterministic, so the accept
+    probability is computed once; copy t of an instance then accepts when
+    uniform t of substream (its seed, 0) falls below it, exactly as
     simulating the copies in order on that stream would.  The uniforms are
     drawn in blocks of ``CHUNK`` copies, so memory stays near one byte per
     copy and a shorter run's bits are a prefix of a longer run's.  Bits are
     i.i.d. with P[1] = 1/2 + forr(x . y)/2.  Cost accounting is taken from
-    the full single-copy circuit.
+    the full single-copy circuit, which depends only on N.
     """
-    x = x if isinstance(x, SignVector) else SignVector(x)
-    y = y if isinstance(y, SignVector) else SignVector(y)
-    if x.n != cfg.params.input_length:
-        raise ValueError(
-            f"inputs have length {x.n}, config expects {cfg.params.input_length}")
-    circuit = build_copy_circuit(x, y)
-    half = cfg.params.n + 1  # log2(2N)
+    single = isinstance(cfg, QuantumProtocolConfig)
+    cfgs = [cfg] if single else list(cfg)
+    xs, ys = _sign_rows(x), _sign_rows(y)
+    if xs.shape != ys.shape:
+        raise ValueError(f"input shapes differ: {xs.shape} vs {ys.shape}")
+    if len(cfgs) != xs.shape[0] or not cfgs:
+        raise ValueError(f"{xs.shape[0]} instances need as many configs, "
+                         f"got {len(cfgs)}")
+    params = cfgs[0].params
+    if any(c.params != params for c in cfgs):
+        raise ValueError("every config in a block must have the same params")
+    if xs.shape[1] != params.input_length:
+        raise ValueError(f"inputs have length {xs.shape[1]}, config expects "
+                         f"{params.input_length}")
+    circuit = build_copy_circuit(SignVector(xs[0]), SignVector(ys[0]))
+    half = params.n + 1  # log2(2N)
 
-    state = StateVector(half, x.signs * y.signs / math.sqrt(x.n))
+    state = StateVector(half, xs * ys / math.sqrt(params.input_length))
     for gate in referee_gates(half):
         apply_gate(state, gate)
-    p_one = swap_test_probability(state, half - 1)
-    gen = substream(cfg.seed, 0)
-    bits = np.empty(cfg.copies, dtype=np.uint8)
-    start = 0
-    for k in chunk_sizes(cfg.copies):
-        bits[start:start + k] = gen.uniform(size=k) < p_one
-        start += k
+    p_ones = swap_test_probability(state, half - 1)
 
-    ones_fraction = float(bits.mean())
-    decision = Label.YES if ones_fraction > cfg.decision_threshold else Label.NO
-    return ProtocolRunStats(
-        ones_fraction=ones_fraction,
-        per_copy_bits=bits,
-        decision=decision,
-        qubits_sent=cfg.copies * circuit.m,
-        oracle_calls=cfg.copies * 2,
-        gate_count=cfg.copies * circuit.size,
-    )
+    out = []
+    for c, p_one in zip(cfgs, p_ones):
+        gen = substream(c.seed, 0)
+        bits = np.empty(c.copies, dtype=np.uint8)
+        start = 0
+        for k in chunk_sizes(c.copies):
+            bits[start:start + k] = gen.uniform(size=k) < p_one
+            start += k
+        ones_fraction = float(bits.mean())
+        decision = Label.YES if ones_fraction > c.decision_threshold else Label.NO
+        out.append(ProtocolRunStats(
+            ones_fraction=ones_fraction,
+            per_copy_bits=bits,
+            decision=decision,
+            qubits_sent=c.copies * circuit.m,
+            oracle_calls=c.copies * 2,
+            gate_count=c.copies * circuit.size,
+        ))
+    return out[0] if single else out
 
 
 def default_copies(params: ForrParams, target_error: float) -> int:

@@ -17,9 +17,15 @@ Unitary kernels mutate the amplitude array in place; a StateVector is owned
 by one logical thread while it is being mutated.  Measurement is the only
 operation that consumes randomness, always from a caller-provided generator.
 
-A state holds at most MAX_STATE_BYTES (1 GiB, 26 qubits) of amplitudes.  The
-five-gate controlled-H is checked against diag(I, H) once per process; a
-failed check or a measurement on a denormalized state raises InvariantError.
+A StateVector may also hold a batch of k independent states as a (k, 2^m)
+array.  Every unitary kernel reshapes the flat buffer into blocks that
+divide 2^m, so rows never mix and each row gets the bits a one-state run
+would; measurement refuses a batch.
+
+A state or batch holds at most MAX_STATE_BYTES (1 GiB, 26 qubits for one
+state) of amplitudes.  The five-gate controlled-H is checked against
+diag(I, H) once per process; a failed check or a measurement on a
+denormalized state raises InvariantError.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .errors import InvariantError, ResourceLimitError
 
 __all__ = [
     "MAX_STATE_BYTES",
+    "check_state_size",
     "StateVector",
     "Hadamard",
     "CNot",
@@ -66,34 +73,43 @@ _SIN8 = math.sin(math.pi / 8)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _check_qubits(m: int) -> None:
-    """Reject a qubit count below 1 or one whose complex128 amplitudes need
-    more than MAX_STATE_BYTES; callers check before they allocate."""
+def check_state_size(m: int, rows: int = 1) -> None:
+    """Reject a qubit count below 1, or ``rows`` states of m qubits whose
+    complex128 amplitudes together need more than MAX_STATE_BYTES; callers
+    check before they allocate."""
     if m < 1:
         raise ValueError(f"qubit count must be positive, got {m}")
-    if 16 << m > MAX_STATE_BYTES:
-        raise ResourceLimitError(f"{m} qubits need {16 << m} bytes of "
+    need = rows * (16 << m)
+    if need > MAX_STATE_BYTES:
+        states = f"{rows} states of {m} qubits" if rows > 1 else f"{m} qubits"
+        raise ResourceLimitError(f"{states} need {need} bytes of "
                                  f"amplitudes, over {MAX_STATE_BYTES}")
 
 
 class StateVector:
-    """Normalized complex amplitude vector over m qubits."""
+    """Normalized complex amplitudes over m qubits: one state of shape
+    (2^m,), or a batch of k independent states of shape (k, 2^m).
+
+    The amplitudes are held C-contiguous, so the kernels' reshapes are views
+    and act in place.  The size of the whole batch is checked against
+    MAX_STATE_BYTES before the amplitudes are converted.
+    """
 
     __slots__ = ("m", "amps")
 
     def __init__(self, m: int, amps: np.ndarray):
-        _check_qubits(m)
-        amps = np.asarray(amps, dtype=np.complex128)
-        if amps.shape != (1 << m,):
-            raise ValueError(
-                f"amplitude vector for m={m} must have length {1 << m}")
+        shape = np.shape(amps)
+        check_state_size(m, shape[0] if len(shape) == 2 else 1)
+        if shape[-1:] != (1 << m,) or len(shape) > 2:
+            raise ValueError(f"amplitudes for m={m} must have shape "
+                             f"({1 << m},) or (k, {1 << m}), got {shape}")
         self.m = m
-        self.amps = amps
+        self.amps = np.ascontiguousarray(amps, dtype=np.complex128)
 
     @classmethod
     def zero(cls, m: int) -> "StateVector":
         """The all-zero basis state (every register at the +1 label)."""
-        _check_qubits(m)
+        check_state_size(m)
         state = cls(m, np.zeros(1 << m, dtype=np.complex128))
         state.amps[0] = 1.0
         return state
@@ -226,19 +242,26 @@ def _apply_oracle(amps: np.ndarray, signs: np.ndarray, start: int, width: int):
     view *= factor[None, :, None]
 
 
-def _bit_probabilities(amps: np.ndarray, q: int) -> tuple[float, float]:
-    view = _pair_view(amps, q)
+def _bit_probabilities(amps: np.ndarray, q: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state probabilities (p0, p1) of bit q, each of shape
+    ``amps.shape[:-1]``: 0-d for one state, (k,) for a batch.  Each row sums
+    the same blocks in the same order as a one-state call.  A total off 1
+    raises InvariantError naming the first bad one."""
+    view = amps.reshape(*amps.shape[:-1], -1, 2, 1 << q)
     sq = np.square(view.real) + np.square(view.imag)
-    p0 = float(sq[:, 0, :].sum())
-    p1 = float(sq[:, 1, :].sum())
-    if abs(p0 + p1 - 1.0) > 1e-6:
-        raise InvariantError(
-            f"measurement on a denormalized state: total probability {p0 + p1}")
+    p0 = sq[..., 0, :].sum(axis=(-2, -1))
+    p1 = sq[..., 1, :].sum(axis=(-2, -1))
+    total = np.atleast_1d(p0 + p1)
+    bad = np.flatnonzero(np.abs(total - 1.0) > 1e-6)
+    if bad.size:
+        raise InvariantError("measurement on a denormalized state: total "
+                             f"probability {total[bad[0]]}")
     return p0, p1
 
 
 def _apply_measure(amps: np.ndarray, q: int, rng: np.random.Generator) -> int:
-    p0, _ = _bit_probabilities(amps, q)
+    p0 = float(_bit_probabilities(amps, q)[0])
     bit = 0 if rng.uniform() < p0 else 1
     view = _pair_view(amps, q)
     view[:, 1 - bit, :] = 0.0
@@ -279,6 +302,9 @@ def apply_gate(state: StateVector, gate: Gate,
         state._check_qubit(gate.q)
         if rng is None:
             raise ValueError("measurement requires a random generator")
+        if state.amps.ndim != 1:
+            raise ValueError("measurement needs one state; one uniform "
+                             "cannot collapse a batch")
         return _apply_measure(state.amps, gate.q, rng)
     raise TypeError(f"unknown gate {gate!r}")
 
@@ -378,12 +404,15 @@ def swap_test(state: StateVector, control: int, rng: np.random.Generator) -> int
     return 1 if sign == 1 else 0
 
 
-def swap_test_probability(state: StateVector, control: int) -> float:
-    """P[outcome = 1] of the swap test, without consuming the state."""
+def swap_test_probability(state: StateVector, control: int
+                          ) -> float | np.ndarray:
+    """P[outcome = 1] of the swap test, without consuming the state: a float
+    for one state, a (k,) array for a batch of k, each entry bit-identical
+    to a one-state call on that row."""
     work = state.copy()
     apply_gate(work, Hadamard(control))
     p0, _ = _bit_probabilities(work.amps, control)
-    return p0
+    return float(p0) if p0.ndim == 0 else p0
 
 
 def swap_test_shots(state: StateVector, control: int, shots: int,

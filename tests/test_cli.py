@@ -1,13 +1,27 @@
 """Tests for the experiment runner: exit codes, output formats, determinism."""
 
 import csv
+import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
-from forrlab import _rng
+from forrlab import _rng, protocol
 from forrlab.cli import EXIT_PASS, EXIT_USAGE, main
-from forrlab.forrelation_dist import LiftedInstance
+from forrlab.forrelation_dist import (
+    ForrParams,
+    InstanceMode,
+    LiftedInstance,
+    generate_instance,
+)
+from forrlab.protocol import (
+    QuantumProtocolConfig,
+    referee_gates,
+    run_quantum_protocol,
+)
+from forrlab.quantum_sim import StateVector, apply_gate, swap_test_probability
 
 
 def run(args):
@@ -399,3 +413,138 @@ def test_byte_identical_reruns(args, tmp_path, capsys):
     assert run(args + ["--out", str(a)]) == EXIT_PASS
     assert run(args + ["--out", str(b)]) == EXIT_PASS
     assert a.read_bytes() and a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of run-protocol CSVs as written before the referee ran in blocks.
+PINNED_PROTOCOL_CSVS = {
+    ("--n", "64", "--mode", "amplified", "--instances", "40",
+     "--copies", "500", "--seed", "0"):
+        "38c744e4026dc0f5cda5a3fb124d415aa3fd79b77ac47d1aebb0d05b620c1f27",
+    ("--n", "16", "--mode", "promise_yes", "--instances", "3",
+     "--copies", "2000", "--seed", "1"):
+        "55f5100d5d09e8e6457d9ad979c4044e025ffe38f21f7c0d16810bf52263f247",
+}
+WORKLOAD = ["run-protocol", "--n", "64", "--mode", "amplified",
+            "--instances", "40", "--copies", "500"]
+
+# N and copies at which a run-protocol block holds BLOCK instances.
+BLOCK_N, BLOCK_COPIES = 16, 320_000
+BLOCK = _rng.BLOCK_BYTES // (8 * (4 * BLOCK_N + BLOCK_COPIES // 8 + 1))
+
+
+def summary_of(capsys) -> dict:
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def one_state_p_one(x, y) -> float:
+    """The referee on one instance, gate by gate on Alice's register."""
+    half = x.n.bit_length() - 1
+    state = StateVector(half, x.signs * y.signs / math.sqrt(x.n))
+    for gate in referee_gates(half):
+        apply_gate(state, gate)
+    return swap_test_probability(state, half - 1)
+
+
+class TestRunProtocolBlocks:
+    @pytest.mark.parametrize("args, digest", PINNED_PROTOCOL_CSVS.items())
+    def test_csv_pinned(self, args, digest, tmp_path):
+        out = tmp_path / "runs.csv"
+        assert run(["run-protocol", *args, "--out", str(out)]) == EXIT_PASS
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("instances",
+                             sorted({1, 2, BLOCK - 1, BLOCK, BLOCK + 1}))
+    def test_blocks_match_one_instance_runs(self, instances, tmp_path,
+                                            monkeypatch):
+        assert BLOCK == 3
+        seen = []
+        real = protocol.swap_test_probability
+
+        def spy(state, control):
+            p = real(state, control)
+            seen.append(np.array(p, ndmin=1))
+            return p
+        monkeypatch.setattr(protocol, "swap_test_probability", spy)
+        out = tmp_path / "runs.csv"
+        seed = 6
+        assert run(["run-protocol", "--n", str(BLOCK_N), "--copies",
+                    str(BLOCK_COPIES), "--instances", str(instances),
+                    "--seed", str(seed), "--out", str(out)]) == EXIT_PASS
+        assert [p.size for p in seen] == [
+            min(BLOCK, instances - start)
+            for start in range(0, instances, BLOCK)]
+        batched = np.concatenate(seen)
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == instances
+
+        monkeypatch.setattr(protocol, "swap_test_probability", real)
+        params = ForrParams(BLOCK_N)
+        for idx, row in enumerate(rows):
+            mode = (InstanceMode.PLANTED_YES, InstanceMode.UNIFORM_NO)[idx % 2]
+            inst = generate_instance(params, mode,
+                                     _rng.derive(seed, "instance", idx))
+            assert batched[idx] == one_state_p_one(inst.x, inst.y)
+            cfg = QuantumProtocolConfig(
+                params, copies=BLOCK_COPIES, threshold=0.7,
+                seed=_rng.derive(seed, "copies", idx))
+            want = run_quantum_protocol(inst.x, inst.y, cfg)
+            assert row["instance_id"] == str(idx)
+            assert row["forr"] == repr(inst.forr_value)
+            assert row["ones_fraction"] == repr(want.ones_fraction)
+            assert row["decision"] == want.decision.value
+            assert row["seed"] == str(cfg.seed)
+
+
+class TestOversizedInput:
+    def test_state_too_large_exits_two_before_any_instance(self, monkeypatch,
+                                                           capsys):
+        from forrlab import cli
+
+        def no_instances(*args, **kwargs):
+            raise AssertionError("instance generated before the size check")
+        monkeypatch.setattr(cli, "generate_instance", no_instances)
+        code = run(["run-protocol", "--n", str(1 << 40), "--instances", "1",
+                    "--copies", "1"])
+        assert code == EXIT_USAGE
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("feasibility error: 41 qubits need")
+
+    def test_copy_bits_too_large_exits_two(self, capsys):
+        code = run(["run-protocol", "--n", "64", "--copies",
+                    "99999999999999999"])
+        assert code == EXIT_USAGE
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("feasibility error: ")
+
+
+class TestRunProtocolSelfCheck:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_workload_unflagged(self, seed, capsys):
+        assert run(WORKLOAD + ["--seed", str(seed)]) == EXIT_PASS
+        summary = summary_of(capsys)
+        assert 0.0 < summary["max_abs_z"] <= 5.0
+        assert summary["z_flagged"] is False
+
+    def test_wrong_referee_probability_flagged(self, monkeypatch, tmp_path,
+                                               capsys):
+        real = protocol.swap_test_probability
+        monkeypatch.setattr(protocol, "swap_test_probability",
+                            lambda state, control: 1.0 - real(state, control))
+        out = tmp_path / "runs.csv"
+        assert run(WORKLOAD + ["--seed", "0", "--out", str(out)]) == EXIT_PASS
+        summary = summary_of(capsys)
+        assert summary["max_abs_z"] > 5.0
+        assert summary["z_flagged"] is True
+        with open(out) as fh:
+            assert len(list(csv.DictReader(fh))) == 40
+
+    def test_zero_standard_error(self):
+        from forrlab.cli import _copy_z
+        assert _copy_z(1.0, 1.0, 10) == 0.0
+        assert _copy_z(0.0, 0.0, 10) == 0.0
+        assert _copy_z(0.9, 1.0, 10) == math.inf
+        assert _copy_z(0.5, 0.5, 100) == 0.0
+        assert _copy_z(0.6, 0.5, 100) == pytest.approx(2.0)

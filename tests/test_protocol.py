@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from forrlab import quantum_sim
+from forrlab import protocol, quantum_sim
 from forrlab._bits import codes_to_signs
 from forrlab._rng import substream
 from forrlab.boolean_fourier import (
@@ -567,3 +567,132 @@ class TestPairParityAdversary:
                 pair_parity_partition(n, m)
         with pytest.raises(ResourceLimitError):
             pair_parity_partition(18, 1)
+
+
+def referee_p_one(x: SignVector, y: SignVector) -> float:
+    """The one-state referee: Alice's register, the referee gates one by
+    one, then the swap-test probability."""
+    half = x.n.bit_length() - 1
+    state = StateVector(half, x.signs * y.signs / math.sqrt(x.n))
+    for gate in referee_gates(half):
+        apply_gate(state, gate)
+    return swap_test_probability(state, half - 1)
+
+
+def spy_p_one(monkeypatch) -> list:
+    """Record every probability array the protocol's referee returns."""
+    seen = []
+    real = protocol.swap_test_probability
+
+    def spy(state, control):
+        p = real(state, control)
+        seen.append(np.array(p, ndmin=1))
+        return p
+    monkeypatch.setattr(protocol, "swap_test_probability", spy)
+    return seen
+
+
+def instance_block(N: int, k: int, seed: int):
+    """k instances: uniform pairs, a planted pair and a pair with x = y."""
+    params = ForrParams(N)
+    pairs = [random_instance(N, seed + i) for i in range(k)]
+    if k > 1:
+        inst = generate_instance(params, InstanceMode.PLANTED_YES, seed)
+        pairs[1] = (inst.x, inst.y)
+    if k > 2:
+        pairs[2] = (pairs[2][0], pairs[2][0])
+    cfgs = [QuantumProtocolConfig(params, copies=300 + 7 * i, seed=seed + i,
+                                  threshold=0.5 + 0.05 * i)
+            for i in range(k)]
+    xs = np.stack([x.signs for x, _ in pairs])
+    ys = np.stack([y.signs for _, y in pairs])
+    return pairs, cfgs, xs, ys
+
+
+class TestBatchedProtocol:
+    """(k, 2N) stacks through one referee pass give each instance the bits
+    of a one-instance run."""
+
+    @pytest.mark.parametrize("N", [4, 8, 16, 64, 1024])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_p_one_equals_one_state_referee(self, N, k, monkeypatch):
+        pairs, cfgs, xs, ys = instance_block(N, k, 100 * k + N)
+        seen = spy_p_one(monkeypatch)
+        run_quantum_protocol(xs, ys, cfgs)
+        assert len(seen) == 1 and seen[0].shape == (k,)
+        want = np.array([referee_p_one(x, y) for x, y in pairs])
+        assert np.count_nonzero(seen[0] != want) == 0
+        if N <= 16:
+            full = np.array([copy_accept_probability(x, y) for x, y in pairs])
+            assert np.max(np.abs(seen[0] - full)) <= 1e-12
+
+    @pytest.mark.parametrize("N", [4, 16, 64])
+    def test_stats_equal_single_calls(self, N):
+        pairs, cfgs, xs, ys = instance_block(N, 4, 7 * N)
+        batch = run_quantum_protocol(xs, ys, cfgs)
+        assert isinstance(batch, list) and len(batch) == 4
+        for (x, y), cfg, got in zip(pairs, cfgs, batch):
+            want = run_quantum_protocol(x, y, cfg)
+            assert np.array_equal(got.per_copy_bits, want.per_copy_bits)
+            assert got.per_copy_bits.dtype == want.per_copy_bits.dtype
+            for name in ("ones_fraction", "decision", "qubits_sent",
+                         "oracle_calls", "gate_count"):
+                assert getattr(got, name) == getattr(want, name), name
+
+    def test_configs_stay_with_their_rows(self):
+        # Identical rows with distinct seeds: a config paired with another
+        # row's seed or copy count shows in the bits.
+        N = 16
+        x, y = random_instance(N, 3)
+        params = ForrParams(N)
+        cfgs = [QuantumProtocolConfig(params, copies=100 + i, seed=i)
+                for i in range(3)]
+        out = run_quantum_protocol(np.stack([x.signs] * 3),
+                                   np.stack([y.signs] * 3), cfgs)
+        for cfg, got in zip(cfgs, out):
+            assert got.per_copy_bits.size == cfg.copies
+            want = run_quantum_protocol(x, y, cfg)
+            assert np.array_equal(got.per_copy_bits, want.per_copy_bits)
+
+    def test_one_row_stack_with_one_config_list(self):
+        x, y = random_instance(8, 4)
+        cfg = QuantumProtocolConfig(ForrParams(8), copies=50, seed=9)
+        [got] = run_quantum_protocol(x.signs[None], y.signs[None], [cfg])
+        want = run_quantum_protocol(x.signs, y.signs, cfg)
+        assert np.array_equal(got.per_copy_bits, want.per_copy_bits)
+
+    def test_one_referee_pass_per_block(self, monkeypatch):
+        calls = []
+        real = protocol.apply_gate
+
+        def spy(state, gate):
+            calls.append(state.amps.shape)
+            return real(state, gate)
+        monkeypatch.setattr(protocol, "apply_gate", spy)
+        _, cfgs, xs, ys = instance_block(64, 5, 1)
+        run_quantum_protocol(xs, ys, cfgs)
+        assert calls == [(5, 128)] * len(referee_gates(7))
+
+    def test_block_validation(self):
+        _, cfgs, xs, ys = instance_block(8, 3, 2)
+        with pytest.raises(ValueError, match="shapes differ"):
+            run_quantum_protocol(xs, ys[:2], cfgs)
+        with pytest.raises(ValueError, match="configs"):
+            run_quantum_protocol(xs, ys, cfgs[:2])
+        with pytest.raises(ValueError, match="configs"):
+            run_quantum_protocol(xs[:0], ys[:0], [])
+        with pytest.raises(ValueError, match="configs"):
+            run_quantum_protocol(xs, ys, cfgs[0])
+        other = [QuantumProtocolConfig(ForrParams(8, eps_override=0.5),
+                                       copies=10)] + cfgs[1:]
+        with pytest.raises(ValueError, match="same params"):
+            run_quantum_protocol(xs, ys, other)
+        with pytest.raises(ValueError, match="length"):
+            run_quantum_protocol(
+                xs, ys, [QuantumProtocolConfig(ForrParams(16), copies=1)] * 3)
+        bad = xs.copy()
+        bad[1, 0] = 0
+        with pytest.raises(ValueError, match=r"\+-1"):
+            run_quantum_protocol(bad, ys, cfgs)
+        with pytest.raises(ValueError, match=r"\+-1"):
+            run_quantum_protocol(xs[None], ys[None], cfgs)

@@ -20,6 +20,7 @@ from forrlab.quantum_sim import (
     apply_gate,
     bell_pairs,
     bell_prep_gates,
+    check_state_size,
     controlled_h,
     controlled_h_gates,
     e_operator,
@@ -408,3 +409,138 @@ class TestCircuit:
     def test_from_amplitudes_must_normalize(self):
         with pytest.raises(ValueError):
             StateVector.from_amplitudes(np.array([1.0, 1.0]))
+
+
+def random_batch(k: int, m: int, seed: int) -> np.ndarray:
+    gen = np.random.default_rng(seed)
+    amps = gen.normal(size=(k, 1 << m)) + 1j * gen.normal(size=(k, 1 << m))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def batch_gates(m: int) -> list:
+    """Every kernel on every qubit it can take: H, R, CNOT with the control
+    above and below the target, and oracles of each width and offset."""
+    gen = np.random.default_rng(m)
+    gates = [Hadamard(q) for q in range(m)] + [RPi8(q) for q in range(m)]
+    gates += [CNot(c, t) for c in range(m) for t in range(m) if c != t]
+    for width in range(1, m + 1):
+        for start in range(m - width + 1):
+            # A full block and, from width 2, one that leaves entries fixed.
+            for n in sorted({1 << width, (1 << (width - 1)) + 1}):
+                signs = 1 - 2 * gen.integers(0, 2, size=n)
+                gate = Oracle(SignVector(signs), start)
+                assert gate.width == width
+                gates.append(gate)
+    return gates
+
+
+class TestBatchContract:
+    """A (k, 2^m) StateVector holds k independent states: every kernel acts
+    on each row exactly as on that row alone."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_each_gate_equals_row_by_row(self, m, k):
+        amps = random_batch(k, m, 10 * m + k)
+        gates = batch_gates(m)
+        assert any(isinstance(g, Oracle) for g in gates)
+        if m >= 2:
+            assert any(isinstance(g, CNot) and g.control > g.target
+                       for g in gates)
+            assert any(isinstance(g, CNot) and g.control < g.target
+                       for g in gates)
+        for gate in gates:
+            batch = StateVector(m, amps.copy())
+            apply_gate(batch, gate)
+            for r in range(k):
+                row = StateVector(m, amps[r].copy())
+                apply_gate(row, gate)
+                assert np.array_equal(batch.amps[r], row.amps), (gate, r)
+
+    @pytest.mark.parametrize("m", [2, 4, 7])
+    def test_gate_sequence_and_swap_probability_equal_row_by_row(self, m):
+        amps = random_batch(4, m, m)
+        gates = batch_gates(m)
+        batch = StateVector(m, amps.copy())
+        for gate in gates:
+            apply_gate(batch, gate)
+        for control in range(m):
+            p = swap_test_probability(batch, control)
+            assert p.shape == (4,)
+            for r in range(4):
+                row = StateVector(m, amps[r].copy())
+                for gate in gates:
+                    apply_gate(row, gate)
+                assert np.array_equal(batch.amps[r], row.amps)
+                single = swap_test_probability(row, control)
+                assert isinstance(single, float)
+                assert p[r] == single
+
+    def test_rows_are_not_summed_together(self):
+        # Rows with different probabilities keep them: a reduction over the
+        # batch axis would give every row the same value.
+        amps = np.zeros((3, 4), dtype=complex)
+        amps[0, 0] = 1.0              # bit 1 is 0 for sure
+        amps[1, 2] = 1.0              # bit 1 is 1 for sure
+        amps[2, [0, 2]] = 1 / math.sqrt(2)  # even
+        sv = StateVector(2, amps)
+        p0, p1 = quantum_sim._bit_probabilities(sv.amps, 1)
+        assert p0.tolist() == [1.0, 0.0, pytest.approx(0.5)]
+        assert p1.tolist() == [0.0, 1.0, pytest.approx(0.5)]
+
+    def test_measure_on_batch_rejected(self):
+        sv = StateVector(2, random_batch(2, 2, 0))
+        before = sv.amps.copy()
+        with pytest.raises(ValueError, match="batch"):
+            apply_gate(sv, Measure(0), substream(1, 0))
+        assert np.array_equal(sv.amps, before)
+
+    def test_one_denormalized_row_rejected(self):
+        amps = random_batch(3, 3, 5)
+        swap_test_probability(StateVector(3, amps), 2)
+        amps[1] = 0.0
+        amps[1, 6] = 2.0
+        four = r"total probability (4\.0|3\.9999)"
+        with pytest.raises(InvariantError, match=four):
+            swap_test_probability(StateVector(3, amps), 2)
+        amps[2] *= 3.0  # the message names the first bad row
+        with pytest.raises(InvariantError, match=four):
+            swap_test_probability(StateVector(3, amps), 2)
+
+    def test_batch_bytes_capped_before_allocation(self, monkeypatch):
+        class NoArray:
+            """Has a shape; any conversion to an array is an error."""
+
+            def __init__(self, shape):
+                self.shape = shape
+
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("amplitudes converted before the check")
+
+        monkeypatch.setattr(quantum_sim, "MAX_STATE_BYTES", 16 << 6)
+        assert StateVector(6, np.zeros((1, 64))).amps.shape == (1, 64)
+        assert StateVector(4, np.zeros((4, 16))).amps.shape == (4, 16)
+        with pytest.raises(ResourceLimitError, match="5 states of 4 qubits"):
+            StateVector(4, NoArray((5, 16)))
+        with pytest.raises(ResourceLimitError, match="2 states of 6 qubits"):
+            StateVector(6, NoArray((2, 64)))
+        with pytest.raises(ResourceLimitError, match="^7 qubits need"):
+            check_state_size(7)
+        check_state_size(6)
+
+    def test_bad_batch_shapes_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            StateVector(2, np.zeros((2, 8)))
+        with pytest.raises(ValueError, match="shape"):
+            StateVector(2, np.zeros((1, 2, 4)))
+
+    def test_non_contiguous_input_is_acted_on(self):
+        # A strided view is copied to a contiguous buffer, so the kernels'
+        # reshapes stay views of the state's own amplitudes.
+        amps = random_batch(4, 3, 9)[::2]
+        sv = StateVector(3, amps)
+        apply_gate(sv, Hadamard(0))
+        for r in range(2):
+            row = StateVector(3, amps[r].copy())
+            apply_gate(row, Hadamard(0))
+            assert np.array_equal(sv.amps[r], row.amps)
