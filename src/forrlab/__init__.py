@@ -52,7 +52,6 @@ from .protocol import (
     RectanglePartition,
     advantage,
     default_copies,
-    eval_partition,
     l2_audit,
     majority_amplify,
     protocol_H,

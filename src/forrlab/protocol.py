@@ -9,23 +9,25 @@ probability exactly 1/2 + forr(x . y)/2; the referee answers YES when the
 accept fraction over all copies clears a threshold.
 
 Classical side: a cost-c deterministic protocol is represented extensionally
-as a partition of the input square into at most 2^c rectangles.  Averaging
-the protocol over a uniform first input turns it into a function H of the
-sign product z alone, a sum of indicator convolutions over cells, whose
-level-2 Fourier mass is the quantity that caps the protocol's power to
-distinguish the lifted distribution from uniform; the audit checks the
-120 c^2 bound by exact transform.
+as a partition of the input square into at most 2^c rectangles, each side a
+boolean mask over the points of a coordinate window R, the at most DENSE_CAP
+coordinates the protocol reads.  Averaging the protocol over a uniform
+first input turns it into a function H of the sign product z alone, indeed
+of z_R, a sum of indicator convolutions over cells, whose level-2 Fourier
+mass is the quantity that caps the protocol's power to distinguish the
+lifted distribution from uniform; the audit checks the 120 c^2 bound by
+exact transform over the window, at any input length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._bits import f2_inner_sign, signs_to_codes
+from ._bits import codes_to_signs, f2_inner_sign, signs_to_codes
 from ._rng import Estimate, chunk_sizes, mc_mean, substream
 from .boolean_fourier import (
     AUDIT_BLOCK,
@@ -66,7 +68,6 @@ __all__ = [
     "default_copies",
     "Cell",
     "RectanglePartition",
-    "eval_partition",
     "protocol_spectrum",
     "protocol_H",
     "L2Audit",
@@ -80,9 +81,8 @@ __all__ = [
     "forrelation_probe_partition",
 ]
 
-DENSE_CAP = 16  # max input length (2N) for dense point-set cells
+DENSE_CAP = 16  # max window size |R|, and max n for full 2^n protocol tables
 MIN_ADVANTAGE_SAMPLES = 10_000
-PREDICATE_CHECK_PAIRS = 4096  # input pairs drawn to validate predicate cells
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +277,18 @@ def majority_amplify(base_error: float, reps: int) -> float:
 # ---------------------------------------------------------------------------
 # Rectangle partitions
 
-PointSet = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
-
-
 @dataclass(frozen=True)
 class Cell:
     """One rectangle A x B with a fixed +-1 output.
 
-    ``alice`` / ``bob`` are boolean membership masks over point codes in the
-    dense regime, or vectorized predicates (sign rows (k, n) -> bool (k,))
-    above it.
+    ``alice`` / ``bob`` are boolean membership masks over the 2^|R| points
+    of the partition's coordinate window R: entry c is the membership of
+    every input whose window coordinates have point code c, with bit b of c
+    encoding coordinate R[b].
     """
 
-    alice: PointSet
-    bob: PointSet
+    alice: np.ndarray
+    bob: np.ndarray
     output: int
 
     def __post_init__(self):
@@ -300,9 +298,16 @@ class Cell:
 
 class RectanglePartition:
     """A deterministic protocol of cost c as a partition of the input
-    square into at most 2^c rectangles."""
+    square into at most 2^c rectangles.
 
-    def __init__(self, n: int, cost: int, cells: Sequence[Cell]):
+    Every cell reads only the coordinates in ``window``, a sorted list R of
+    at most DENSE_CAP distinct coordinates in [0, n), all n by default, so
+    the protocol is a partition of the 2^|R| x 2^|R| window square and is
+    validated exactly on it.
+    """
+
+    def __init__(self, n: int, cost: int, cells: Sequence[Cell],
+                 window: Sequence[int] | None = None):
         if n < 1:
             raise ValueError(f"input length must be positive, got {n}")
         if cost < 0:
@@ -310,27 +315,28 @@ class RectanglePartition:
         if len(cells) > (1 << cost):
             raise PartitionError(
                 f"{len(cells)} cells exceed 2^cost = {1 << cost}")
+        window = np.asarray(range(n) if window is None else window,
+                            dtype=np.intp)
+        if (window.ndim != 1 or np.any(window[1:] <= window[:-1]) or
+                (window.size and not 0 <= window[0] <= window[-1] < n)):
+            raise ValueError(
+                f"window must be sorted distinct coordinates in [0, {n})")
+        if window.size > DENSE_CAP:
+            raise ResourceLimitError(
+                f"a window of {window.size} coordinates exceeds the mask cap "
+                f"{DENSE_CAP}")
         self.n = n
         self.cost = cost
         self.cells = list(cells)
-        self.dense = all(isinstance(c.alice, np.ndarray) and
-                         isinstance(c.bob, np.ndarray) for c in self.cells)
-        if self.dense:
-            for cell in self.cells:
-                for mask in (cell.alice, cell.bob):
-                    if mask.dtype != np.bool_ or mask.shape != (1 << n,):
-                        raise ValueError(
-                            "dense cells need boolean masks of length 2^n")
-            self._validate_dense()
-        else:
-            # Predicate cells are checked on a fixed sample of input pairs;
-            # evaluate_rows raises unless each is covered exactly once.
-            gen = substream(0, 0)
-            self.evaluate_rows(
-                uniform_sign_rows(gen, (PREDICATE_CHECK_PAIRS, n)),
-                uniform_sign_rows(gen, (PREDICATE_CHECK_PAIRS, n)))
+        self.window = window
+        for cell in self.cells:
+            for mask in (cell.alice, cell.bob):
+                if mask.dtype != np.bool_ or mask.shape != (1 << window.size,):
+                    raise ValueError(
+                        "cells need boolean masks of length 2^|window|")
+        self._validate()
 
-    def _validate_dense(self):
+    def _validate(self):
         # Pairwise-disjoint rectangles plus full total measure is exactly
         # the partition property.  Two cells overlap when both their Alice
         # sides and their Bob sides meet, which Gram products of the stacked
@@ -347,62 +353,37 @@ class RectanglePartition:
                 raise PartitionError("cells overlap on the input square")
         total = int(np.count_nonzero(alice, axis=1) @
                     np.count_nonzero(bob, axis=1))
-        if total != 1 << (2 * self.n):
-            raise PartitionError(
-                f"cells cover {total} of {1 << (2 * self.n)} input pairs")
-
-    def _member(self, side: PointSet, rows: np.ndarray) -> np.ndarray:
-        if isinstance(side, np.ndarray):
-            return side[signs_to_codes(rows)]
-        out = np.asarray(side(rows), dtype=bool)
-        if out.shape != (rows.shape[0],):
-            raise ValueError("cell predicate must return one bool per row")
-        return out
+        pairs = 1 << (2 * self.window.size)
+        if total != pairs:
+            raise PartitionError(f"cells cover {total} of {pairs} input pairs")
 
     def evaluate_rows(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Outputs for batched sign rows, checking unique coverage."""
+        """Outputs for batched sign rows."""
         xs = np.atleast_2d(np.asarray(xs, dtype=np.int8))
         ys = np.atleast_2d(np.asarray(ys, dtype=np.int8))
         if xs.shape != ys.shape or xs.shape[1] != self.n:
             raise ValueError("input rows must both have shape (k, n)")
-        counts = np.zeros(xs.shape[0], dtype=np.int64)
-        out = np.zeros(xs.shape[0], dtype=np.int64)
+        x_codes = signs_to_codes(xs[:, self.window])
+        y_codes = signs_to_codes(ys[:, self.window])
+        out = np.zeros(xs.shape[0], dtype=np.int8)
         for cell in self.cells:
-            hit = self._member(cell.alice, xs) & self._member(cell.bob, ys)
-            counts += hit
-            out += np.where(hit, cell.output, 0)
-        if not np.all(counts == 1):
-            bad = int(counts[counts != 1][0])
-            raise PartitionError(
-                f"an input pair is covered by {bad} cells instead of 1")
-        return out.astype(np.int8)
+            out[cell.alice[x_codes] & cell.bob[y_codes]] = cell.output
+        return out
 
 
 def trivial_partition(n: int, output: int = 1) -> RectanglePartition:
-    """The cost-0 protocol that always answers ``output``."""
-    if n <= DENSE_CAP:
-        full = np.ones(1 << n, dtype=bool)
-        return RectanglePartition(n, 0, [Cell(full, full, output)])
-    everything = lambda rows: np.ones(rows.shape[0], dtype=bool)
-    return RectanglePartition(n, 0, [Cell(everything, everything, output)])
-
-
-def eval_partition(p: RectanglePartition, x, y) -> int:
-    """Protocol output on one input pair (must lie in exactly one cell)."""
-    xs = x.signs if isinstance(x, SignVector) else np.asarray(x, dtype=np.int8)
-    ys = y.signs if isinstance(y, SignVector) else np.asarray(y, dtype=np.int8)
-    return int(p.evaluate_rows(xs[None, :], ys[None, :])[0])
+    """The cost-0 protocol that always answers ``output``; it reads no
+    coordinate, so its one cell has one-point sides."""
+    full = np.ones(1, dtype=bool)
+    return RectanglePartition(n, 0, [Cell(full, full, output)], window=())
 
 
 def _cell_sum(p: RectanglePartition, transform) -> np.ndarray:
     """sum_c out_c T(A_c) T(B_c) over the cells, with T the unnormalized
-    ``transform`` of the cell's Alice and Bob indicators.  One transform
-    call covers the stacked indicators of up to AUDIT_BLOCK cells, which
-    bounds memory at n = DENSE_CAP.  Every term is an integer below 2^53,
-    so the sum is exact."""
-    if not p.dense or p.n > DENSE_CAP:
-        raise ResourceLimitError(
-            f"dense protocol table needs dense cells and n <= {DENSE_CAP}")
+    ``transform`` over the window of the cell's Alice and Bob indicators.
+    One transform call covers the stacked indicators of up to AUDIT_BLOCK
+    cells, which bounds memory at a window of DENSE_CAP coordinates.  Every
+    term is an integer below 2^53, so the sum is exact."""
     acc = 0.0
     for start in range(0, len(p.cells), AUDIT_BLOCK):
         cells = p.cells[start:start + AUDIT_BLOCK]
@@ -416,12 +397,22 @@ def _cell_sum(p: RectanglePartition, transform) -> np.ndarray:
 
 def protocol_spectrum(p: RectanglePartition) -> FourierSpectrum:
     """Spectrum of the averaged protocol H(z) = E_x[ C(x, x . z) ], built
-    straight from the cells as sum_c out_c A_c(S) B_c(S) / 4^n, with A_c
-    and B_c the unnormalized transforms of the cell's indicators.  The sum
-    is exact until the final division by a power of two, so the
-    coefficients are exact."""
-    size = 1 << p.n
-    return FourierSpectrum(p.n, _cell_sum(p, fwht) / (size * size))
+    straight from the cells.  H depends on z_R alone, so its coefficient at
+    S inside the window R is sum_c out_c A_c(S) B_c(S) / 4^|R|, with A_c and
+    B_c the unnormalized window transforms of the cell's indicators, and 0
+    at every other S.  The sum is exact until the final division by a power
+    of two, so the coefficients are exact.  The table has 2^n entries, so n
+    is capped at DENSE_CAP."""
+    if p.n > DENSE_CAP:
+        raise ResourceLimitError(
+            f"dense protocol table needs n <= {DENSE_CAP}, got {p.n}")
+    k = p.window.size
+    # Window subset code c scatters to the n-bit mask of {R[b] : bit b of c}.
+    rows = np.ones((1 << k, p.n), dtype=np.int8)
+    rows[:, p.window] = codes_to_signs(np.arange(1 << k), k)
+    coeffs = np.zeros(1 << p.n)
+    coeffs[signs_to_codes(rows)] = _cell_sum(p, fwht) / (1 << (2 * k))
+    return FourierSpectrum(p.n, coeffs)
 
 
 def protocol_H(p: RectanglePartition) -> FunctionTable:
@@ -439,7 +430,7 @@ class L2Audit(NamedTuple):
 
 def l2_audit(p: RectanglePartition) -> L2Audit:
     """Exact level-2 Fourier mass of the averaged protocol against the
-    120 c^2 bound.
+    120 c^2 bound, at any input length.
 
     Cells with a side heavier than 1/e are split by fixing two extra input
     bits per side before auditing, mirroring the bound's preconditioning;
@@ -447,13 +438,17 @@ def l2_audit(p: RectanglePartition) -> L2Audit:
     mass is unchanged and the refinement shows up only in the reported
     effective cost c + 4.
 
-    Only the level-2 coefficients are computed, through the exact
-    :func:`level_transform` of the 0/1 cell indicators, so the mass equals
-    ``level_mass(protocol_spectrum(p), 2)`` bit for bit.
+    H depends on the window coordinates alone, so its level-2 coefficients
+    are those of pairs inside the window: only they are computed, through
+    the exact :func:`level_transform` of the 0/1 window indicators, so the
+    mass equals ``level_mass(protocol_spectrum(p), 2)`` bit for bit.  A
+    window of fewer than two coordinates has no pairs and mass 0.
     """
-    size = 1 << p.n
-    level2 = _cell_sum(p, lambda tables: level_transform(tables, 2))
-    mass = float(np.abs(level2 / (size * size)).sum())
+    k = p.window.size
+    mass = 0.0
+    if k >= 2:
+        level2 = _cell_sum(p, lambda tables: level_transform(tables, 2))
+        mass = float(np.abs(level2 / (1 << (2 * k))).sum())
     heavy = any(cell.alice.mean() > 1.0 / math.e or
                 cell.bob.mean() > 1.0 / math.e for cell in p.cells)
     effective = p.cost + 4 if heavy else p.cost
@@ -554,13 +549,11 @@ def forrelation_probe_partition(params: ForrParams, i: int = 0,
     pair correlation eps (-1)^{<i,j>} / sqrt(N)."""
     if not (0 <= i < params.N and 0 <= j < params.N):
         raise ValueError(f"probe coordinates must lie in [0, {params.N})")
-    n = params.input_length
     w = int(f2_inner_sign(np.uint64(i), np.uint64(j)))
-    second = params.N + j
-
-    def side(sign: int) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda rows: rows[:, i] * rows[:, second] == sign
-
-    cells = [Cell(side(s), side(t), w * s * t)
-             for s in (1, -1) for t in (1, -1)]
-    return RectanglePartition(n, 2, cells)
+    # Window (i, N + j): code bit 0 is coordinate i, bit 1 is N + j, and
+    # the product of the two signs is +1 on codes 0 and 3.
+    plus = np.array([True, False, False, True])
+    cells = [Cell(plus if s == 1 else ~plus, plus if t == 1 else ~plus,
+                  w * s * t) for s in (1, -1) for t in (1, -1)]
+    return RectanglePartition(params.input_length, 2, cells,
+                              window=(i, params.N + j))

@@ -317,6 +317,25 @@ class TestFourierAudit:
         assert run(["fourier-audit", "--partitions", "5"]) == 1
 
 
+# SHA-256 of whole advantage and fourier-audit CSVs: how a partition stores
+# its cells must not change any cell output on any row, so not one byte.
+PINNED_PARTITION_CSVS = {
+    ("advantage", "--n", "16", "--n", "64", "--samples", "20000",
+     "--seed", "2"):
+        "ab807b4898eb1890f57d51b8698fbc24d2280abbbe54da05d74a79cf8d9272d0",
+    ("fourier-audit", "--n", "4", "--partitions", "200", "--seed", "0"):
+        "5b786f40fad8447bbae0edcac24e1db5d38eaed140ab9c25623ac4e11932aca2",
+}
+
+
+@pytest.mark.parametrize("args, digest", PINNED_PARTITION_CSVS.items(),
+                         ids=lambda v: v[0] if isinstance(v, tuple) else "")
+def test_partition_csv_pinned(args, digest, tmp_path):
+    out = tmp_path / "out.csv"
+    assert run([*args, "--out", str(out)]) == EXIT_PASS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 PINNED_AUDIT_PREFIX = b",fourier-audit,4,0.014426950408889633,0,"
 # The --n 4 --partitions 200 --seed 0 rows as the full-transform audit wrote
 # them; the level-2 fast path must leave them byte for byte.

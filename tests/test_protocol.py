@@ -7,13 +7,14 @@ formula is checked against scipy's exact binomial tail.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from forrlab import protocol, quantum_sim
-from forrlab._bits import codes_to_signs
+from forrlab._bits import codes_to_signs, signs_to_codes
 from forrlab._rng import substream
 from forrlab.boolean_fourier import (
     AUDIT_BLOCK,
@@ -34,13 +35,13 @@ from forrlab.forrelation_dist import (
     uniform_sign_rows,
 )
 from forrlab.protocol import (
+    DENSE_CAP,
     Cell,
     QuantumProtocolConfig,
     RectanglePartition,
     advantage,
     build_copy_circuit,
     default_copies,
-    eval_partition,
     forrelation_probe_partition,
     l2_audit,
     majority_amplify,
@@ -281,20 +282,23 @@ class TestMajorityAmplify:
             majority_amplify(0.1, 4)
 
 
-def product_sign_partition(n: int, coord: int) -> RectanglePartition:
-    """Cells realizing C(x, y) = x(coord) * y(coord)."""
-    codes = np.arange(1 << n)
-    sign = 1 - 2 * ((codes >> coord) & 1)
+def product_sign_partition(n: int, coord: int,
+                           window=None) -> RectanglePartition:
+    """Cells realizing C(x, y) = x(coord) * y(coord) over ``window``, which
+    must hold coord; all n coordinates by default."""
+    window = list(range(n) if window is None else window)
+    codes = np.arange(1 << len(window))
+    sign = 1 - 2 * ((codes >> window.index(coord)) & 1)
     cells = [Cell(sign == s, sign == t, int(s * t))
              for s in (1, -1) for t in (1, -1)]
-    return RectanglePartition(n, 2, cells)
+    return RectanglePartition(n, 2, cells, window=window)
 
 
 class TestPartitions:
     def test_single_cell_constant(self):
         p = trivial_partition(4, output=1)
         x, y = random_instance(2, 11)  # length 2N = 4
-        assert eval_partition(p, x, y) == 1
+        assert int(p.evaluate_rows(x.signs, y.signs)[0]) == 1
 
     def test_first_coordinate_protocol(self):
         n = 4
@@ -306,7 +310,7 @@ class TestPartitions:
         for code in range(1 << n):
             x = codes_to_signs(np.array([code]), n)[0]
             y = codes_to_signs(np.array([code ^ 5]), n)[0]
-            assert eval_partition(p, x, y) == x[0]
+            assert int(p.evaluate_rows(x, y)[0]) == x[0]
 
     def test_random_partition_agrees_with_cell_lookup(self):
         n = 4
@@ -317,7 +321,7 @@ class TestPartitions:
                 hits = [c.output for c in p.cells
                         if c.alice[xc] and c.bob[yc]]
                 assert len(hits) == 1
-                assert eval_partition(p, pts[xc], pts[yc]) == hits[0]
+                assert int(p.evaluate_rows(pts[xc], pts[yc])[0]) == hits[0]
 
     def test_overlapping_cells_rejected(self):
         n = 2
@@ -339,17 +343,6 @@ class TestPartitions:
         with pytest.raises(PartitionError):
             RectanglePartition(n, 1, cells)
         RectanglePartition(n, 2, cells)  # fits at cost 2
-
-    def test_predicate_validation_catches_non_partition(self):
-        n = 20
-        first = lambda rows: rows[:, 0] == 1
-        with pytest.raises(PartitionError):
-            RectanglePartition(n, 1, [Cell(first, first, 1)])
-        # Overlap: every pair with x_0 = 1 lies in both cells.
-        everything = lambda rows: np.ones(rows.shape[0], dtype=bool)
-        with pytest.raises(PartitionError, match="covered by 2 cells"):
-            RectanglePartition(n, 1, [Cell(first, everything, 1),
-                                      Cell(everything, everything, -1)])
 
     def test_random_partitions_are_valid_and_bounded(self):
         for seed in range(20):
@@ -540,6 +533,110 @@ class TestDenseValidation:
         alice = np.array([c.alice for c in p.cells], dtype=np.float64)
         bob = np.array([c.bob for c in p.cells], dtype=np.float64)
         assert np.array_equal(alice.T @ bob, np.ones((1 << 8, 1 << 8)))
+
+
+class TestWindowValidation:
+    """Window cells are validated exactly at any input length."""
+
+    FULL = np.ones(4, dtype=bool)
+    HALF = np.arange(4) < 2
+
+    @pytest.mark.parametrize("n", [20, 128])
+    def test_split_window_accepted(self, n):
+        cells = [Cell(side, self.FULL, s)
+                 for side, s in ((self.HALF, 1), (~self.HALF, -1))]
+        p = RectanglePartition(n, 1, cells, window=(3, n - 1))
+        assert p.window.tolist() == [3, n - 1]
+
+    @pytest.mark.parametrize("n", [20, 128])
+    def test_overlap_rejected(self, n):
+        with pytest.raises(PartitionError, match="overlap"):
+            RectanglePartition(n, 1, [Cell(self.FULL, self.FULL, 1),
+                                      Cell(self.FULL, self.HALF, -1)],
+                               window=(3, n - 1))
+
+    @pytest.mark.parametrize("n", [20, 128])
+    def test_gap_rejected(self, n):
+        with pytest.raises(PartitionError, match="cover"):
+            RectanglePartition(n, 1, [Cell(self.HALF, self.HALF, 1)],
+                               window=(3, n - 1))
+
+    @pytest.mark.parametrize("n", [20, 128])
+    @pytest.mark.parametrize("window", ["unsorted", "duplicate", "negative",
+                                        "past-end"])
+    def test_bad_window_rejected(self, n, window):
+        window = {"unsorted": (7, 3), "duplicate": (3, 3),
+                  "negative": (-1, 3), "past-end": (3, n)}[window]
+        with pytest.raises(ValueError, match="window"):
+            RectanglePartition(n, 2, [Cell(self.FULL, self.FULL, 1)],
+                               window=window)
+
+    @pytest.mark.parametrize("n", [20, 128])
+    def test_window_over_cap_rejected_before_allocation(self, n):
+        point = np.ones(1, dtype=bool)
+        tracemalloc.start()
+        try:
+            for window in (range(DENSE_CAP + 1), None):  # None: all n
+                with pytest.raises(ResourceLimitError):
+                    RectanglePartition(n, 0, [Cell(point, point, 1)],
+                                       window=window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << DENSE_CAP
+
+    @pytest.mark.parametrize("n", [20, 128])
+    def test_mask_length_must_match_window(self, n):
+        with pytest.raises(ValueError, match="masks of length"):
+            RectanglePartition(n, 0, [Cell(self.FULL, self.FULL, 1)],
+                               window=(3,))
+
+
+class TestWindowCells:
+    """Code bit b of a window mask is coordinate R[b], and the audit is
+    exact over the window at any input length."""
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 3), (5, 62), (63, 17)])
+    def test_probe_evaluates_its_monomial(self, i, j):
+        N = 64
+        gen = substream(12, 0)
+        x = uniform_sign_rows(gen, (1000, 2 * N))
+        y = uniform_sign_rows(gen, (1000, 2 * N))
+        w = 1 - 2 * ((i & j).bit_count() % 2)
+        probe = forrelation_probe_partition(ForrParams(N), i, j)
+        assert np.array_equal(probe.evaluate_rows(x, y),
+                              w * x[:, i] * x[:, N + j] * y[:, i] * y[:, N + j])
+        # The probe's masks are symmetric in the two window bits; these are
+        # not, so they fail under a reversed bit order.
+        for coord in (i, N + j):
+            p = product_sign_partition(2 * N, coord, window=(i, N + j))
+            assert np.array_equal(p.evaluate_rows(x, y),
+                                  x[:, coord] * y[:, coord])
+
+    def test_window_spectrum_equals_full_spectrum(self):
+        n = 8
+        probe = forrelation_probe_partition(ForrParams(4), 1, 3)
+        codes = signs_to_codes(codes_to_signs(np.arange(1 << n), n)
+                               [:, probe.window])
+        full = RectanglePartition(n, 2, [Cell(c.alice[codes], c.bob[codes],
+                                              c.output) for c in probe.cells])
+        coeffs = protocol_spectrum(probe).coeffs
+        assert np.array_equal(coeffs, protocol_spectrum(full).coeffs)
+        assert np.flatnonzero(coeffs).tolist() == [130]
+        assert coeffs[130] == -1.0
+        for coord in (1, 7):
+            assert np.array_equal(
+                protocol_spectrum(product_sign_partition(n, coord, (1, 7))).coeffs,
+                protocol_spectrum(product_sign_partition(n, coord)).coeffs)
+
+    @pytest.mark.parametrize("N", [4, 64, 1024])
+    def test_probe_audit_exact_at_any_size(self, N):
+        audit = l2_audit(forrelation_probe_partition(ForrParams(N), 1, 3))
+        assert audit.l2_mass == 1.0
+        assert audit.effective_cost == 6
+
+    def test_trivial_audit_at_large_n(self):
+        assert l2_audit(trivial_partition(1000)).l2_mass == 0.0
 
 
 class TestPairParityAdversary:
