@@ -13,10 +13,12 @@ Monte Carlo estimates are built from fixed-size chunks: chunk i of an
 experiment draws from substream(seed, i).  ``mc_means`` runs independent
 chunks at the same time on a thread pool sized to the usable cores (numpy
 releases the interpreter lock in its array loops) and adds the per-chunk sums
-in chunk order on the calling thread.  Within a chunk, draws may be taken in
-row blocks of about ``BLOCK_BYTES`` to bound memory; uniforms are consumed
-row by row, so a block sees the same stream values as an unblocked draw.  No
-result depends on the pool size or on the row blocking.
+in chunk order on the calling thread.  It is the one sample floor: an
+estimate from fewer than ``MIN_SAMPLES`` samples is refused.  Within a
+chunk, draws may be taken in row blocks of about ``BLOCK_BYTES`` to bound
+memory; uniforms are consumed row by row, so a block sees the same stream
+values as an unblocked draw.  No result depends on the pool size or on the
+row blocking.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ import numpy as np
 # experiment uses substream(seed, i), so estimates do not depend on how many
 # chunks run, or where.
 CHUNK = 1 << 15
+
+# Fewest samples an estimate may use: the normal-approximation standard
+# error that every Monte Carlo verdict is gated on needs that many.
+MIN_SAMPLES = 10_000
 
 # Float64 bytes per row block when a chunk is drawn piecewise (about 1 MiB),
 # which bounds a chunk's temporaries whatever its length.
@@ -105,8 +111,9 @@ def mc_means(jobs: list[tuple[Callable[[np.random.Generator, int], np.ndarray],
     and sum of squares, and the calling thread adds them per job in chunk
     order, so every estimate is a pure function of (draw, samples, seed).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"Monte Carlo estimation needs at least {MIN_SAMPLES} "
+                         f"samples, got {samples}")
     # Imported here: concurrent.futures loads logging, which would otherwise
     # add to the import time of every forrlab process.
     from concurrent.futures import ThreadPoolExecutor

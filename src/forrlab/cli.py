@@ -29,7 +29,6 @@ from .forrelation_dist import (
     ForrParams,
     InstanceMode,
     Label,
-    check_moment_samples,
     forr,
     forrelation_rows,
     generate_instance,
@@ -149,7 +148,6 @@ def _params(args) -> ForrParams:
 
 def cmd_verify_moments(args) -> int:
     params = _params(args)
-    check_moment_samples(args.samples)
     gen = substream(derive(args.seed, "pick", 0), 0)
     records, add = recorder(
         "verify-moments", N=params.N, eps=params.eps, seed=args.seed,
@@ -229,24 +227,14 @@ def _copy_z(fraction: float, p: float, copies: int) -> float:
 
 def cmd_run_protocol(args) -> int:
     params = _params(args)
-    if args.copies is not None and args.copies < 1:
-        raise UsageError("--copies must be positive")
-
     mode = args.mode
     if mode == "amplified":
         threshold = args.threshold if args.threshold is not None else AMPLIFIED_THRESHOLD
         copies = args.copies if args.copies is not None else 500
     else:
         threshold = args.threshold
-        if args.copies is not None:
-            copies = args.copies
-        elif args.slow:
-            copies = default_copies(params, 1.0 / 3.0)
-        else:
-            need = default_copies(params, 1.0 / 3.0)
-            raise UsageError(
-                f"mode {mode} at the promise gap needs ~{need} copies; pass "
-                f"--slow to accept that or set --copies explicitly")
+        copies = (args.copies if args.copies is not None
+                  else default_copies(params, 1.0 / 3.0))
 
     # One referee state per block; refuse an oversized one before any
     # instance is drawn.
@@ -317,7 +305,7 @@ def cmd_fourier_audit(args) -> int:
     params = _params(args)
     length = params.input_length
     if length > DENSE_CAP:
-        raise UsageError(
+        raise ValueError(
             f"dense Fourier audit needs input length 2N <= {DENSE_CAP}, "
             f"got {length}")
     records, record = recorder("fourier-audit", N=params.N, eps=params.eps,
@@ -435,10 +423,6 @@ def cmd_sample_dist(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 
-class UsageError(Exception):
-    pass
-
-
 def _power_of_two(text: str) -> int:
     value = int(text)
     if value < 4 or value & (value - 1):
@@ -509,10 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["amplified", "promise_yes", "promise_no",
                             "planted_yes", "uniform_no"])
     p.add_argument("--instances", type=_positive_int, default=100)
-    p.add_argument("--copies", type=int, default=None)
+    p.add_argument("--copies", type=_positive_int, default=None,
+                   help="copies per instance (default: 500 in amplified "
+                        "mode, the promise-gap count default_copies(1/3) "
+                        "in the other modes)")
     p.add_argument("--threshold", type=_probability, default=None)
-    p.add_argument("--slow", action="store_true",
-                   help="accept the promise-gap copy count (huge)")
     p.set_defaults(func=cmd_run_protocol)
 
     p = sub.add_parser("fourier-audit", help="exact level-2 mass audit of "
@@ -554,7 +539,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceLimitError, MemoryError) as exc:

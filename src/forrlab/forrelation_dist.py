@@ -50,7 +50,6 @@ __all__ = [
     "sample_forrelation",
     "sample_lifted",
     "moment_draw",
-    "check_moment_samples",
     "gaussian_moment",
     "Label",
     "InstanceMode",
@@ -59,8 +58,6 @@ __all__ = [
     "generate_instance",
     "planted_instance",
 ]
-
-MIN_MOMENT_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -296,14 +293,6 @@ def moment_draw(params: ForrParams, s_set: Iterable[int],
     return draw
 
 
-def check_moment_samples(samples: int) -> None:
-    """Reject sample counts below ``MIN_MOMENT_SAMPLES``."""
-    if samples < MIN_MOMENT_SAMPLES:
-        raise ValueError(
-            f"moment estimation needs at least {MIN_MOMENT_SAMPLES} samples, "
-            f"got {samples}")
-
-
 def gaussian_moment(params: ForrParams, s_set: Iterable[int], t_set: Iterable[int],
                     samples: int, seed: int) -> Estimate:
     """Monte Carlo estimate of E[prod_{i in S} x_i prod_{j in T} y_j] under
@@ -311,9 +300,7 @@ def gaussian_moment(params: ForrParams, s_set: Iterable[int], t_set: Iterable[in
 
     S indexes the first half, T the second half, both 0-based in [0, N).
     """
-    draw = moment_draw(params, s_set, t_set)
-    check_moment_samples(samples)
-    return mc_mean(draw, samples, seed)
+    return mc_mean(moment_draw(params, s_set, t_set), samples, seed)
 
 
 class Label(str, enum.Enum):

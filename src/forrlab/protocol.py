@@ -82,7 +82,6 @@ __all__ = [
 ]
 
 DENSE_CAP = 16  # max window size |R|, and max n for full 2^n protocol tables
-MIN_ADVANTAGE_SAMPLES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +341,11 @@ class RectanglePartition:
         # sides and their Bob sides meet, which Gram products of the stacked
         # indicators test for AUDIT_BLOCK cells against all at a time.  Only
         # the sign of each count matters, so float32 sums of 0/1 suffice.
-        alice = np.array([c.alice for c in self.cells], dtype=np.float32)
-        bob = np.array([c.bob for c in self.cells], dtype=np.float32)
+        shape = (len(self.cells), 1 << self.window.size)
+        alice = np.array([c.alice for c in self.cells],
+                         dtype=np.float32).reshape(shape)
+        bob = np.array([c.bob for c in self.cells],
+                       dtype=np.float32).reshape(shape)
         for start in range(0, len(self.cells), AUDIT_BLOCK):
             rows = slice(start, start + AUDIT_BLOCK)
             overlap = (alice[rows] @ alice.T > 0) & (bob[rows] @ bob.T > 0)
@@ -463,10 +465,6 @@ def advantage(p: RectanglePartition, params: ForrParams, samples: int,
     Paired with common random numbers: each sample shares the mask x across
     the lifted and uniform terms, so the trivial protocol gives exactly 0.
     """
-    if samples < MIN_ADVANTAGE_SAMPLES:
-        raise ValueError(
-            f"advantage estimation needs at least {MIN_ADVANTAGE_SAMPLES} "
-            f"samples, got {samples}")
     if p.n != params.input_length:
         raise ValueError(
             f"partition is over length {p.n}, params give {params.input_length}")
@@ -515,15 +513,17 @@ def pair_parity_partition(n: int, m: int) -> RectanglePartition:
     y_2i y_2i+1, and the leaf answers the majority of the m products
     (m odd).  The averaged protocol is H(z) = Maj_m(z_0 z_1, z_2 z_3, ...),
     whose level-2 mass is the level-1 mass of Maj_m,
-    m C(m - 1, (m - 1) / 2) / 2^(m - 1)."""
+    m C(m - 1, (m - 1) / 2) / 2^(m - 1).  The masks cover only the window
+    of the 2m coordinates read, so any input length n >= 2m works."""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"pair count must be odd and positive, got {m}")
     if 2 * m > n:
         raise ValueError(f"{m} disjoint pairs need input length >= {2 * m}, "
                          f"got {n}")
-    if n > DENSE_CAP:
-        raise ResourceLimitError(f"pair-parity partitions need n <= {DENSE_CAP}")
-    codes = np.arange(1 << n)
+    if 2 * m > DENSE_CAP:
+        raise ResourceLimitError(
+            f"pair-parity partitions need 2m <= {DENSE_CAP}, got {2 * m}")
+    codes = np.arange(1 << (2 * m))
     # Bit i of pair_bits is 1 where pair i's product is -1.
     pair_bits = sum((((codes >> (2 * i)) ^ (codes >> (2 * i + 1))) & 1) << i
                     for i in range(m))
@@ -533,7 +533,7 @@ def pair_parity_partition(n: int, m: int) -> RectanglePartition:
             minus = (a ^ b).bit_count()
             cells.append(Cell(pair_bits == a, pair_bits == b,
                               -1 if 2 * minus > m else 1))
-    return RectanglePartition(n, 2 * m, cells)
+    return RectanglePartition(n, 2 * m, cells, window=range(2 * m))
 
 
 def pair_parity_mass(m: int) -> float:

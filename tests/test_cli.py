@@ -18,6 +18,7 @@ from forrlab.forrelation_dist import (
 )
 from forrlab.protocol import (
     QuantumProtocolConfig,
+    default_copies,
     referee_gates,
     run_quantum_protocol,
 )
@@ -34,14 +35,15 @@ class TestUsageErrors:
             run(["verify-moments", "--n", "12"])
         assert err.value.code == EXIT_USAGE
 
-    def test_zero_copies(self, tmp_path):
-        code = run(["run-protocol", "--n", "16", "--copies", "0",
-                    "--instances", "1"])
-        assert code == EXIT_USAGE
-
     def test_advantage_sample_floor(self):
         code = run(["advantage", "--n", "16", "--samples", "5000"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("subcommand", ["advantage", "verify-moments"])
+    def test_sample_floor_message(self, subcommand, capsys):
+        assert run([subcommand, "--n", "16", "--samples", "9999"]) == EXIT_USAGE
+        assert ("error: Monte Carlo estimation needs at least 10000 samples, "
+                "got 9999") in capsys.readouterr().err
 
     def test_fourier_audit_feasibility(self, capsys):
         code = run(["fourier-audit", "--n", "16"])
@@ -51,6 +53,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("subcommand, flag", [
         ("run-protocol", "--instances"),
+        ("run-protocol", "--copies"),
         ("fourier-audit", "--partitions"),
         ("fourier-audit", "--max-cost"),
         ("gen-instances", "--count"),
@@ -113,11 +116,14 @@ class TestUsageErrors:
                 f"got {value}") in err_text
         assert "Traceback" not in err_text
 
-    def test_paper_mode_requires_slow_or_copies(self, capsys):
-        code = run(["run-protocol", "--n", "16", "--mode", "promise_yes",
-                    "--instances", "1"])
-        assert code == EXIT_USAGE
-        assert "--slow" in capsys.readouterr().err
+    def test_slow_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["run-protocol", "--n", "16", "--mode", "promise_yes",
+                 "--instances", "1", "--slow"])
+        assert err.value.code == EXIT_USAGE
+        err_text = capsys.readouterr().err
+        assert "unrecognized arguments: --slow" in err_text
+        assert "Traceback" not in err_text
 
 
 class TestRunProtocol:
@@ -443,6 +449,14 @@ PINNED_PROTOCOL_CSVS = {
      "--copies", "2000", "--seed", "1"):
         "55f5100d5d09e8e6457d9ad979c4044e025ffe38f21f7c0d16810bf52263f247",
 }
+# SHA-256 of promise-mode CSVs at the default copy count, default_copies(1/3),
+# as written when that count needed an explicit --slow.
+PINNED_PROMISE_CSVS = {
+    ("--mode", "promise_yes", "--seed", "1"):
+        "f78b912d4607314bd7b79d16b879b7047fd21b886f0b3c9929755ec0f523f787",
+    ("--mode", "promise_no", "--seed", "3"):
+        "52185e770f9c2e4ee2984a03116af9f6e55c8c02a3b6b5cef46d8cd21b8d0acc",
+}
 WORKLOAD = ["run-protocol", "--n", "64", "--mode", "amplified",
             "--instances", "40", "--copies", "500"]
 
@@ -470,6 +484,16 @@ class TestRunProtocolBlocks:
         out = tmp_path / "runs.csv"
         assert run(["run-protocol", *args, "--out", str(out)]) == EXIT_PASS
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, digest", PINNED_PROMISE_CSVS.items())
+    def test_promise_default_copies_pinned(self, args, digest, tmp_path,
+                                           capsys):
+        out = tmp_path / "runs.csv"
+        assert run(["run-protocol", "--n", "16", "--instances", "2", *args,
+                    "--out", str(out)]) == EXIT_PASS
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert summary_of(capsys)["copies"] == default_copies(
+            ForrParams(16), 1.0 / 3.0)
 
     @pytest.mark.parametrize("instances",
                              sorted({1, 2, BLOCK - 1, BLOCK, BLOCK + 1}))

@@ -585,6 +585,11 @@ class TestWindowValidation:
             tracemalloc.stop()
         assert peak < 1 << DENSE_CAP
 
+    def test_empty_partition_rejected(self):
+        with pytest.raises(PartitionError,
+                           match="cells cover 0 of 256 input pairs"):
+            RectanglePartition(4, 0, [])
+
     @pytest.mark.parametrize("n", [20, 128])
     def test_mask_length_must_match_window(self, n):
         with pytest.raises(ValueError, match="masks of length"):
@@ -663,7 +668,16 @@ class TestPairParityAdversary:
             with pytest.raises(ValueError):
                 pair_parity_partition(n, m)
         with pytest.raises(ResourceLimitError):
-            pair_parity_partition(18, 1)
+            pair_parity_partition(40, 9)
+
+    @pytest.mark.parametrize("n", [18, 128])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_window_holds_the_pairs_at_any_length(self, n, m):
+        p = pair_parity_partition(n, m)
+        assert p.n == n and len(p.cells) == 4 ** m
+        assert p.window.tolist() == list(range(2 * m))
+        assert l2_audit(p).l2_mass == l2_audit(
+            pair_parity_partition(8, m)).l2_mass
 
 
 def referee_p_one(x: SignVector, y: SignVector) -> float:

@@ -102,6 +102,13 @@ def test_mc_mean_rejects_empty():
         mc_mean(lambda gen, k: np.ones(k), 0, 0)
 
 
+def test_mc_mean_sample_floor():
+    assert _rng.MIN_SAMPLES == 10_000
+    with pytest.raises(ValueError, match="at least 10000 samples, got 9999"):
+        mc_mean(lambda gen, k: np.ones(k), 9_999, 0)
+    assert mc_mean(lambda gen, k: np.ones(k), 10_000, 0) == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_mc_means_matches_serial_accumulator_at_any_pool_size(workers,
                                                                monkeypatch):
