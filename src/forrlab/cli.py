@@ -32,6 +32,7 @@ from .forrelation_dist import (
     forr,
     forrelation_rows,
     generate_instance,
+    instance_rows,
     moment_draw,
     sample_forrelation,
     sample_gaussian,
@@ -236,9 +237,11 @@ def cmd_run_protocol(args) -> int:
         copies = (args.copies if args.copies is not None
                   else default_copies(params, 1.0 / 3.0))
 
-    # One referee state per block; refuse an oversized one before any
-    # instance is drawn.
+    # One referee state per block, and each instance's copy bits (the
+    # config checks them): refuse an oversized run before any instance is
+    # drawn.
     check_state_size(params.n + 1)
+    run_cfg = QuantumProtocolConfig(params, copies=copies, threshold=threshold)
     rows = []
     correct = 0
     total_qubits = 0
@@ -248,33 +251,29 @@ def cmd_run_protocol(args) -> int:
     # A block's amplitudes (2N complex) and copy bits stay near BLOCK_BYTES.
     for block in row_blocks(args.instances, 4 * params.N + copies // 8 + 1):
         ids = range(block.start, block.stop)
-        insts, wants, cfgs = [], [], []
-        for idx in ids:
-            if mode == "amplified":  # alternate planted YES and uniform NO
-                inst_mode = (InstanceMode.PLANTED_YES,
-                             InstanceMode.UNIFORM_NO)[idx % 2]
-            else:
-                inst_mode = InstanceMode(mode)
-            wants.append(Label.YES if inst_mode in (
-                InstanceMode.PROMISE_YES, InstanceMode.PLANTED_YES) else Label.NO)
-            insts.append(generate_instance(params, inst_mode,
-                                           derive(args.seed, "instance", idx)))
-            cfgs.append(QuantumProtocolConfig(
-                params, copies=copies, threshold=threshold,
-                seed=derive(args.seed, "copies", idx)))
-        block_stats = run_quantum_protocol(
-            np.stack([inst.x.signs for inst in insts]),
-            np.stack([inst.y.signs for inst in insts]), cfgs)
-        for idx, inst, want, cfg, stats in zip(ids, insts, wants, cfgs,
-                                               block_stats):
+        if mode == "amplified":  # alternate planted YES and uniform NO
+            modes = [(InstanceMode.PLANTED_YES,
+                      InstanceMode.UNIFORM_NO)[idx % 2] for idx in ids]
+        else:
+            modes = [InstanceMode(mode)] * len(ids)
+        xs, ys, values, _ = instance_rows(
+            params, modes, [derive(args.seed, "instance", idx) for idx in ids])
+        cfgs = [QuantumProtocolConfig(params, copies=copies,
+                                      threshold=threshold,
+                                      seed=derive(args.seed, "copies", idx))
+                for idx in ids]
+        block_stats = run_quantum_protocol(xs, ys, cfgs)
+        for idx, inst_mode, value, cfg, stats in zip(
+                ids, modes, values.tolist(), cfgs, block_stats):
+            want = Label.YES if inst_mode in (
+                InstanceMode.PROMISE_YES, InstanceMode.PLANTED_YES) else Label.NO
             correct += stats.decision is want
             total_qubits += stats.qubits_sent
             total_gates += stats.gate_count
             max_abs_z = max(max_abs_z, _copy_z(stats.ones_fraction,
-                                               0.5 + inst.forr_value / 2,
-                                               copies))
+                                               0.5 + value / 2, copies))
             rows.append([str(idx), str(params.N), repr(params.eps),
-                         repr(inst.forr_value), str(copies),
+                         repr(value), str(copies),
                          repr(stats.ones_fraction), stats.decision.value,
                          str(stats.qubits_sent), str(stats.gate_count),
                          str(cfg.seed)])
@@ -284,7 +283,7 @@ def cmd_run_protocol(args) -> int:
     summary = {
         "subcommand": "run-protocol", "mode": mode, "N": params.N,
         "eps": params.eps, "instances": args.instances, "copies": copies,
-        "threshold": cfg.decision_threshold,
+        "threshold": run_cfg.decision_threshold,
         "success_rate": rate,
         "qubits_sent_per_instance": total_qubits // args.instances,
         "gate_count_per_instance": total_gates // args.instances,
@@ -383,17 +382,22 @@ def cmd_advantage(args) -> int:
 
 def cmd_gen_instances(args) -> int:
     params = _params(args)
-    lines = []
-    for idx in range(args.count):
-        inst = generate_instance(params, InstanceMode(args.mode),
-                                 derive(args.seed, "instance", idx))
-        lines.append(inst.to_json())
+    lines, attempts = [], []
+    for block in row_blocks(args.count, 2 * params.input_length):
+        ids = range(block.start, block.stop)
+        for inst in generate_instance(
+                params, [InstanceMode(args.mode)] * len(ids),
+                [derive(args.seed, "instance", idx) for idx in ids]):
+            lines.append(inst.to_json())
+            attempts.append(inst.attempts)
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    print(f"# attempts: {sum(attempts)} total, {max(attempts)} max over "
+          f"{args.count} instances", file=sys.stderr)
     return EXIT_PASS
 
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "InstanceMode",
     "LiftedInstance",
     "classify",
+    "instance_rows",
     "generate_instance",
     "planted_instance",
 ]
@@ -328,7 +329,12 @@ def classify(params: ForrParams, value: float) -> Label:
 
 @dataclass(frozen=True)
 class LiftedInstance:
-    """A labeled two-player input pair."""
+    """A labeled two-player input pair.
+
+    ``attempts`` is the number of candidate pairs its generator drew (1
+    unless rejection-sampled); it is not part of the JSON form or of
+    equality.
+    """
 
     N: int
     eps: float
@@ -336,6 +342,7 @@ class LiftedInstance:
     y: SignVector
     forr_value: float
     label: Label
+    attempts: int = field(default=1, compare=False)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -361,66 +368,124 @@ class LiftedInstance:
         )
 
 
-def _instance_from_pair(params: ForrParams, x: np.ndarray,
-                        y: np.ndarray) -> LiftedInstance:
-    value = float(forr((x * y).astype(np.float64)))
-    return LiftedInstance(params.N, params.eps, SignVector(x), SignVector(y),
-                          value, classify(params, value))
+# The label a rejection-sampled mode accepts; other modes accept any draw.
+_ACCEPTS = {InstanceMode.PROMISE_YES: Label.YES,
+            InstanceMode.PROMISE_NO: Label.NO}
 
 
-def _planted_pair(gen: np.random.Generator, params: ForrParams,
-                  strength: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mask-lifted pair whose product z has z2 aligned with sign(H z1) on a
-    (1+strength)/2 fraction of coordinates; measured forrelation
-    concentrates near 0.8 * strength."""
-    z1 = uniform_sign_rows(gen, (params.N,))
-    aligned = np.where(fwht(z1.astype(np.float64)) >= 0, 1, -1).astype(np.int8)
-    flips = round_rows(gen, np.full((1, params.N), float(strength)))[0]
-    z = np.concatenate([z1, aligned * flips])
-    x = uniform_sign_rows(gen, (2 * params.N,))
-    return x, x * z
+def instance_rows(params: ForrParams, modes: Sequence[InstanceMode | str],
+                  seeds: Sequence[int], max_attempts: int = 10 ** 6,
+                  strength: float = 1.0
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The instance generator: a block of k instances, instance i of mode
+    ``modes[i]`` drawn from substream(``seeds[i]``, 0).
+
+    Returns (x, y, forr_values, attempts): both players' (k, 2N) int8 sign
+    rows, forr(x . y) per row, and how many candidate pairs each instance
+    drew.  A candidate draws, in this order: planted_yes z1, the N flip
+    uniforms and x, for y = x . (z1, sign(H z1) . flips) with ties of the
+    sign going to +1 and each flip +1 with probability (1 + strength)/2;
+    promise_yes z = ``forrelation_rows(gen, params, 1)`` and x, for
+    y = x . z; the other modes x and y, both uniform.  Only the transforms
+    are stacked, one ``fwht`` call for all planted candidates and one
+    ``forr`` call per round; both treat each row as a one-row call would,
+    so an instance is the same in any block.
+
+    Rounds draw one candidate for every instance still pending (every
+    instance in the first) and accept promise_yes candidates labeled YES,
+    promise_no ones labeled NO, and all others.  A promise instance still
+    pending after ``max_attempts`` rounds raises ``SamplingFailureError``.
+    """
+    modes = [InstanceMode(m) for m in modes]
+    seeds = list(seeds)
+    if len(seeds) != len(modes):
+        raise ValueError(f"{len(modes)} modes need as many seeds, "
+                         f"got {len(seeds)}")
+    if not -1.0 <= strength <= 1.0:
+        raise ValueError(f"strength must lie in [-1, 1], got {strength}")
+    N = params.N
+    gens = [substream(seed, 0) for seed in seeds]
+    xs = np.empty((len(modes), 2 * N), dtype=np.int8)
+    ys = np.empty_like(xs)
+    values = np.empty(len(modes))
+    attempts = np.zeros(len(modes), dtype=np.int64)
+    pending = np.arange(len(modes))
+    rounds = 0
+    while pending.size:
+        stuck = [modes[i] for i in pending if modes[i] in _ACCEPTS]
+        if stuck and rounds >= max_attempts:
+            raise SamplingFailureError(
+                f"rejection sampling for mode {stuck[0].value} did not "
+                f"accept", max_attempts)
+        x = np.empty((pending.size, 2 * N), dtype=np.int8)
+        y = np.empty_like(x)
+        planted, z1, flips = [], [], []
+        for j, i in enumerate(pending):
+            gen, mode = gens[i], modes[i]
+            if mode is InstanceMode.PLANTED_YES:
+                planted.append(j)
+                z1.append(uniform_sign_rows(gen, (N,)))
+                flips.append(round_rows(gen, np.full((1, N), strength))[0])
+                x[j] = uniform_sign_rows(gen, (2 * N,))
+            elif mode is InstanceMode.PROMISE_YES:
+                z = forrelation_rows(gen, params, 1)[0]
+                x[j] = uniform_sign_rows(gen, (2 * N,))
+                y[j] = x[j] * z
+            else:
+                x[j] = uniform_sign_rows(gen, (2 * N,))
+                y[j] = uniform_sign_rows(gen, (2 * N,))
+        if planted:
+            z1 = np.array(z1)
+            aligned = np.where(fwht(z1.astype(np.float64)) >= 0, 1, -1)
+            z = np.concatenate([z1, aligned.astype(np.int8) * flips], axis=1)
+            y[planted] = x[planted] * z
+        value = forr((x * y).astype(np.float64))
+        keep = np.array([
+            _ACCEPTS.get(modes[i]) in (None, classify(params, float(v)))
+            for i, v in zip(pending, value)], dtype=bool)
+        attempts[pending] += 1
+        done = pending[keep]
+        xs[done], ys[done], values[done] = x[keep], y[keep], value[keep]
+        pending = pending[~keep]
+        rounds += 1
+    return xs, ys, values, attempts
+
+
+def _instances(params: ForrParams, xs: np.ndarray, ys: np.ndarray,
+               values: np.ndarray, attempts: np.ndarray) -> list[LiftedInstance]:
+    """Labeled instances from the rows and values of ``instance_rows``."""
+    return [LiftedInstance(params.N, params.eps, SignVector(x), SignVector(y),
+                           v, classify(params, v), a)
+            for x, y, v, a in zip(xs, ys, values.tolist(), attempts.tolist())]
 
 
 def planted_instance(params: ForrParams, strength: float,
                      seed: int) -> LiftedInstance:
     """Instance with tunable forrelation, roughly 0.8 * strength for
-    strength in [-1, 1].  strength = 1 is the planted-yes generator."""
-    if not -1.0 <= strength <= 1.0:
-        raise ValueError(f"strength must lie in [-1, 1], got {strength}")
-    x, y = _planted_pair(substream(seed, 0), params, strength)
-    return _instance_from_pair(params, x, y)
+    strength in [-1, 1]: a planted block of one of ``instance_rows``.
+    strength = 1 is the planted-yes generator."""
+    return _instances(params, *instance_rows(
+        params, [InstanceMode.PLANTED_YES], [seed], strength=strength))[0]
 
 
-def generate_instance(params: ForrParams, mode: InstanceMode, seed: int,
-                      max_attempts: int = 10 ** 6) -> LiftedInstance:
-    """Draw a labeled instance by mode.
+def generate_instance(params: ForrParams,
+                      mode: InstanceMode | str | Sequence[InstanceMode | str],
+                      seed: int | Sequence[int], max_attempts: int = 10 ** 6
+                      ) -> LiftedInstance | list[LiftedInstance]:
+    """Draw a labeled instance by mode, or a block of them.
 
     promise_yes rejection-samples lifted pairs until forr >= eps/4; promise_no
     rejection-samples uniform pairs until forr <= eps/8; planted_yes plants
     an aligned second half (ties resolved to +1) for forrelation near 0.8;
     uniform_no returns one uniform pair.  The label in the result is always
     recomputed from the pair.
-    """
-    mode = InstanceMode(mode)
-    gen = substream(seed, 0)
-    if mode is InstanceMode.PLANTED_YES:
-        return _instance_from_pair(params, *_planted_pair(gen, params, 1.0))
-    if mode is InstanceMode.UNIFORM_NO:
-        x = uniform_sign_rows(gen, (2 * params.N,))
-        y = uniform_sign_rows(gen, (2 * params.N,))
-        return _instance_from_pair(params, x, y)
 
-    want = Label.YES if mode is InstanceMode.PROMISE_YES else Label.NO
-    for _ in range(max_attempts):
-        if mode is InstanceMode.PROMISE_YES:
-            z = forrelation_rows(gen, params, 1)[0]
-            x = uniform_sign_rows(gen, (2 * params.N,))
-            y = x * z
-        else:  # PROMISE_NO
-            x = uniform_sign_rows(gen, (2 * params.N,))
-            y = uniform_sign_rows(gen, (2 * params.N,))
-        inst = _instance_from_pair(params, x, y)
-        if inst.label is want:
-            return inst
-    raise SamplingFailureError(
-        f"rejection sampling for mode {mode.value} did not accept", max_attempts)
+    One mode and one seed return one ``LiftedInstance``, and sequences of
+    k modes and k seeds k of them, from one ``instance_rows`` block whose
+    rejection rounds ``max_attempts`` bounds.
+    """
+    single = isinstance(mode, str)  # an InstanceMode is a str
+    block = instance_rows(params, [mode] if single else mode,
+                          [seed] if single else seed, max_attempts)
+    out = _instances(params, *block)
+    return out[0] if single else out

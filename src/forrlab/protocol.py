@@ -27,6 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import quantum_sim
 from ._bits import codes_to_signs, f2_inner_sign, signs_to_codes
 from ._rng import Estimate, chunk_sizes, mc_mean, substream
 from .boolean_fourier import (
@@ -92,7 +93,9 @@ class QuantumProtocolConfig:
     """Copies, decision threshold, and seed for one protocol run.
 
     ``threshold`` defaults to 1/2 + (3/32) eps, the promise-regime cut;
-    amplified-gap experiments pass their own.
+    amplified-gap experiments pass their own.  A run keeps one uint8 bit
+    per copy, so more copies than ``MAX_STATE_BYTES`` raise
+    ``ResourceLimitError``.
     """
 
     params: ForrParams
@@ -103,6 +106,10 @@ class QuantumProtocolConfig:
     def __post_init__(self):
         if self.copies < 1:
             raise ValueError(f"copies must be positive, got {self.copies}")
+        if self.copies > quantum_sim.MAX_STATE_BYTES:
+            raise ResourceLimitError(
+                f"{self.copies} copies need {self.copies} bytes of copy "
+                f"bits, over {quantum_sim.MAX_STATE_BYTES}")
         if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
             raise ValueError(
                 f"threshold must be a finite number in [0, 1], got {self.threshold}")

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -561,6 +562,121 @@ class TestOversizedInput:
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1
         assert err_lines[0].startswith("feasibility error: ")
+
+
+def no_instances(*args, **kwargs):
+    raise AssertionError("instance generated before the size check")
+
+
+class TestCopyBitCap:
+    def test_eps_override_copy_count_refused(self, capsys):
+        code = run(["run-protocol", "--n", "16", "--mode", "promise_yes",
+                    "--instances", "1", "--eps-override", "1e-9"])
+        assert code == EXIT_USAGE
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("feasibility error: ")
+        assert "bytes of copy bits, over 1073741824" in err_lines[0]
+
+    def test_small_cap_refuses_before_the_generation_core(self, monkeypatch,
+                                                          capsys):
+        from forrlab import cli, quantum_sim
+        monkeypatch.setattr(quantum_sim, "MAX_STATE_BYTES", 1 << 10)
+        monkeypatch.setattr(cli, "instance_rows", no_instances)
+        code = run(["run-protocol", "--n", "16", "--instances", "1",
+                    "--copies", "1025"])
+        assert code == EXIT_USAGE
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines == ["feasibility error: 1025 copies need 1025 bytes "
+                             "of copy bits, over 1024"]
+
+    def test_copies_at_the_cap_run(self, monkeypatch, capsys):
+        from forrlab import quantum_sim
+        monkeypatch.setattr(quantum_sim, "MAX_STATE_BYTES", 1 << 10)
+        assert run(["run-protocol", "--n", "16", "--instances", "1",
+                    "--copies", "1024"]) == EXIT_PASS
+        assert summary_of(capsys)["copies"] == 1024
+
+    def test_state_too_large_exits_two_before_the_core(self, monkeypatch,
+                                                       capsys):
+        from forrlab import cli
+        monkeypatch.setattr(cli, "instance_rows", no_instances)
+        code = run(["run-protocol", "--n", str(1 << 40), "--instances", "1",
+                    "--copies", "1"])
+        assert code == EXIT_USAGE
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("feasibility error: 41 qubits need")
+
+
+# SHA-256 of gen-instances JSON lines and run-protocol CSVs as written when
+# each instance was generated on its own.
+PINNED_GENERATOR_OUTPUTS = {
+    ("gen-instances", "--mode", "planted_yes", "--n", "64", "--count", "30",
+     "--seed", "4"):
+        "461087c52007299f8cf717b6642f811e3b979dfb30cc5ad61393bcc86c8bd5f7",
+    ("gen-instances", "--mode", "promise_yes", "--n", "16", "--count", "10",
+     "--seed", "4"):
+        "a0a8d71b584c590be232f8320149541d457d3776f4eff9e365ec21fae1c58ade",
+    ("gen-instances", "--mode", "promise_no", "--n", "16", "--count", "10",
+     "--seed", "5"):
+        "dbda5cc8ac14395b76fb96582e550ed5ab1085d1633f470cb99b3215a9e7ea96",
+    ("gen-instances", "--mode", "uniform_no", "--n", "64", "--count", "10",
+     "--seed", "6"):
+        "4aa79e337838dadaca4d1dabf9b8533e2eb3ee61c1f759c222776a6770bbe703",
+    ("run-protocol", "--mode", "planted_yes", "--n", "64", "--instances", "9",
+     "--copies", "300", "--seed", "5"):
+        "de37cafd27ff98c45bf95fcd27567c448524c83ead41f07368d9513bc1a4e998",
+    ("run-protocol", "--mode", "uniform_no", "--n", "64", "--instances", "9",
+     "--copies", "300", "--seed", "5"):
+        "1d7b52a0c4b977dbb70708a74995ace786710eaa9c593ebab5e104b6d4d63add",
+}
+
+
+@pytest.mark.parametrize("args, digest", PINNED_GENERATOR_OUTPUTS.items(),
+                         ids=lambda v: f"{v[0]}-{v[2]}" if isinstance(v, tuple) else "")
+def test_generator_output_pinned(args, digest, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([*args, "--out", str(out)]) == EXIT_PASS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if args[0] == "gen-instances":
+        capsys.readouterr()
+        assert run(list(args)) == EXIT_PASS
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def attempt_counts(capsys) -> tuple[int, int]:
+    """(total, max) from the attempts line gen-instances prints on stderr."""
+    line, = capsys.readouterr().err.splitlines()
+    match = re.fullmatch(r"# attempts: (\d+) total, (\d+) max over \d+ "
+                         r"instances", line)
+    assert match, line
+    return int(match[1]), int(match[2])
+
+
+class TestGenInstancesAttempts:
+    @pytest.mark.parametrize("mode", ["planted_yes", "uniform_no"])
+    def test_one_attempt_each(self, mode, tmp_path, capsys):
+        assert run(["gen-instances", "--n", "16", "--mode", mode, "--count",
+                    "7", "--out", str(tmp_path / "inst.jsonl")]) == EXIT_PASS
+        assert attempt_counts(capsys) == (7, 1)
+
+    def test_promise_counts_rejections(self, tmp_path, capsys):
+        count = 10
+        out = tmp_path / "inst.jsonl"
+        assert run(["gen-instances", "--n", "16", "--mode", "promise_yes",
+                    "--count", str(count), "--seed", "4",
+                    "--out", str(out)]) == EXIT_PASS
+        total, most = attempt_counts(capsys)
+        assert total >= count and 1 <= most <= total - count + 1
+        params = ForrParams(16)
+        insts = generate_instance(
+            params, ["promise_yes"] * count,
+            [_rng.derive(4, "instance", idx) for idx in range(count)])
+        assert total == sum(inst.attempts for inst in insts)
+        assert most == max(inst.attempts for inst in insts)
+        assert [inst.to_json() for inst in insts] == \
+            out.read_text().splitlines()
 
 
 class TestRunProtocolSelfCheck:

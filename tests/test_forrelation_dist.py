@@ -5,6 +5,7 @@ built sign matrix, independent of the transform path under test.
 Statistical checks use the 3/5 sigma gates stated per property.
 """
 
+import itertools
 import json
 import math
 
@@ -32,6 +33,7 @@ from forrlab.forrelation_dist import (
     gaussian_moment,
     gaussian_rows,
     generate_instance,
+    instance_rows,
     moment_draw,
     planted_instance,
     round_rows,
@@ -421,6 +423,124 @@ class TestInstances:
         assert back == inst
         obj = json.loads(inst.to_json())
         assert set(obj) == {"N", "eps", "x", "y", "forr", "label"}
+
+
+def one_at_a_time(params, mode, seed, strength=1.0):
+    """Reference generator: one instance on its own, every transform a
+    one-row call, drawing z1, the flips, x (planted); x, y (uniform and
+    promise_no); forrelation_rows, x (promise_yes).  Returns (x, y, forr,
+    attempts)."""
+    gen = substream(seed, 0)
+    N = params.N
+    for attempt in itertools.count(1):
+        if mode is InstanceMode.PLANTED_YES:
+            z1 = uniform_sign_rows(gen, (N,))
+            aligned = np.where(fwht(z1.astype(np.float64)) >= 0, 1, -1)
+            flips = round_rows(gen, np.full((1, N), float(strength)))[0]
+            z = np.concatenate([z1, aligned.astype(np.int8) * flips])
+            x = uniform_sign_rows(gen, (2 * N,))
+            y = x * z
+        elif mode is InstanceMode.PROMISE_YES:
+            z = forrelation_rows(gen, params, 1)[0]
+            x = uniform_sign_rows(gen, (2 * N,))
+            y = x * z
+        else:
+            x = uniform_sign_rows(gen, (2 * N,))
+            y = uniform_sign_rows(gen, (2 * N,))
+        value = float(forr((x * y).astype(np.float64)))
+        label = classify(params, value)
+        if (mode is InstanceMode.PROMISE_YES and label is not Label.YES or
+                mode is InstanceMode.PROMISE_NO and label is not Label.NO):
+            continue
+        return x, y, value, attempt
+
+
+MODES = list(InstanceMode)
+BLOCK_MODES = {
+    **{m.value: [m] for m in MODES},
+    "amplified": [InstanceMode.PLANTED_YES, InstanceMode.UNIFORM_NO],
+    "mixed": MODES,
+}
+
+
+class TestInstanceBlocks:
+    @pytest.mark.parametrize("N", [4, 16, 64, 1024])
+    @pytest.mark.parametrize("k", [1, 2, 7, 40])
+    @pytest.mark.parametrize("kind", BLOCK_MODES)
+    def test_block_equals_one_at_a_time(self, N, k, kind):
+        params = ForrParams(N)
+        cycle = BLOCK_MODES[kind]
+        modes = [cycle[i % len(cycle)] for i in range(k)]
+        seeds = [1000 * N + 10 * k + i for i in range(k)]
+        xs, ys, values, attempts = instance_rows(params, modes, seeds)
+        assert xs.dtype == ys.dtype == np.int8
+        assert xs.shape == ys.shape == (k, 2 * N)
+        insts = generate_instance(params, modes, seeds)
+        for i, (mode, seed) in enumerate(zip(modes, seeds)):
+            x, y, value, tries = one_at_a_time(params, mode, seed)
+            assert np.array_equal(xs[i], x) and np.array_equal(ys[i], y)
+            assert values[i] == value
+            assert attempts[i] == tries
+            alone = generate_instance(params, mode, seed)
+            for inst in (alone, insts[i]):
+                assert np.array_equal(inst.x.signs, x)
+                assert np.array_equal(inst.y.signs, y)
+                assert inst.forr_value == value
+                assert inst.label == classify(params, value)
+                assert inst.attempts == tries
+
+    @pytest.mark.parametrize("strength", [-1.0, 0.0, 0.5, 1.0])
+    def test_planted_instance_equals_one_at_a_time(self, strength):
+        params = ForrParams(64)
+        for seed in range(5):
+            inst = planted_instance(params, strength, seed)
+            x, y, value, _ = one_at_a_time(params, InstanceMode.PLANTED_YES,
+                                           seed, strength)
+            assert np.array_equal(inst.x.signs, x)
+            assert np.array_equal(inst.y.signs, y)
+            assert inst.forr_value == value
+
+    @pytest.mark.parametrize("N", [1 << e for e in range(2, 13)])
+    def test_stacked_forr_equals_rows(self, N):
+        params = ForrParams(N)
+        gen = substream(N, 0)
+        for rows in (uniform_sign_rows(gen, (40, 2 * N)).astype(np.float64),
+                     gaussian_rows(gen, params, 40)):
+            stacked = forr(rows)
+            for i, row in enumerate(rows):
+                assert stacked[i] == forr(row)
+
+    def test_max_attempts_zero_raises_for_block(self):
+        params = ForrParams(16)
+        modes = [InstanceMode.PLANTED_YES, InstanceMode.PROMISE_NO,
+                 InstanceMode.UNIFORM_NO]
+        with pytest.raises(SamplingFailureError, match="promise_no"):
+            instance_rows(params, modes, [1, 2, 3], max_attempts=0)
+        with pytest.raises(SamplingFailureError):
+            generate_instance(params, modes, [1, 2, 3], max_attempts=0)
+        # Planted and uniform instances are not rejection-sampled.
+        _, _, _, attempts = instance_rows(params, modes[::2], [1, 3],
+                                          max_attempts=0)
+        assert attempts.tolist() == [1, 1]
+
+    def test_block_raises_when_one_instance_is_still_pending(self):
+        params = ForrParams(16)
+        modes = [InstanceMode.PROMISE_YES] * 7
+        _, _, _, attempts = instance_rows(params, modes, range(7))
+        cap = int(attempts.max()) - 1
+        assert cap >= 1
+        with pytest.raises(SamplingFailureError, match=f"after {cap} attempts"):
+            instance_rows(params, modes, range(7), max_attempts=cap)
+        instance_rows(params, modes, range(7), max_attempts=cap + 1)
+
+    def test_block_arguments_validated(self):
+        params = ForrParams(16)
+        with pytest.raises(ValueError, match="2 modes need as many seeds"):
+            instance_rows(params, ["planted_yes", "uniform_no"], [1])
+        with pytest.raises(ValueError, match="strength"):
+            instance_rows(params, ["planted_yes"], [1], strength=1.5)
+        with pytest.raises(ValueError):
+            instance_rows(params, ["no_such_mode"], [1])
 
 
 class TestUniformConcentration:

@@ -197,6 +197,12 @@ class TestQuantumProtocol:
         with pytest.raises(ValueError):
             QuantumProtocolConfig(ForrParams(16), copies=0)
 
+    def test_copy_bits_over_the_byte_cap_refused(self):
+        cap = quantum_sim.MAX_STATE_BYTES
+        assert QuantumProtocolConfig(ForrParams(16), copies=cap).copies == cap
+        with pytest.raises(ResourceLimitError, match="bytes of copy bits"):
+            QuantumProtocolConfig(ForrParams(16), copies=cap + 1)
+
     def test_run_checks_controlled_h_once(self):
         x, y = random_instance(8, 11)
         quantum_sim._verify_controlled_h_once.cache_clear()
