@@ -47,6 +47,7 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 # derive()'s tag per kind of stream, never 0 (key word 1 of any seed < 2^64).
 PURPOSES = {"instance": 1, "copies": 2, "pick": 3, "moment": 4,
@@ -55,9 +56,14 @@ _INDEX_BITS = 56  # the tag takes the top byte of key word 1
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent stream addressed by (seed, index)."""
-    if index < 0:
-        raise ValueError(f"substream index must be nonnegative, got {index}")
+    """Independent stream addressed by (seed, index), each in [0, 2^128):
+    the key and the top counter words hold 128 bits, so a value outside
+    that range would alias one inside it and is refused."""
+    if not 0 <= seed <= _MASK128:
+        raise ValueError(f"substream seed must lie in [0, 2^128), got {seed}")
+    if not 0 <= index <= _MASK128:
+        raise ValueError(
+            f"substream index must lie in [0, 2^128), got {index}")
     key = np.array([seed & _MASK64, (seed >> 64) & _MASK64], dtype=np.uint64)
     counter = np.array([0, 0, index & _MASK64, (index >> 64) & _MASK64],
                        dtype=np.uint64)

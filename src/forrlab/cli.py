@@ -39,6 +39,7 @@ from .forrelation_dist import (
     sample_lifted,
 )
 from .protocol import (
+    AUDIT_BYTES,
     DENSE_CAP,
     QuantumProtocolConfig,
     advantage,
@@ -300,6 +301,23 @@ def cmd_run_protocol(args) -> int:
 # ---------------------------------------------------------------------------
 # fourier-audit
 
+def _random_partition_blocks(length: int, args):
+    """fourier-audit's random partitions in order, partition idx of cost
+    1 + idx % max_cost, in blocks whose cell masks hold about AUDIT_BYTES,
+    so memory stays flat however many partitions are audited."""
+    block, size = [], 0
+    for idx in range(args.partitions):
+        p = random_protocol_partition(length, 1 + idx % args.max_cost,
+                                      derive(args.seed, "partition", idx))
+        block.append(p)
+        size += len(p.cells) << (p.window.size + 1)
+        if size >= AUDIT_BYTES:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
 def cmd_fourier_audit(args) -> int:
     params = _params(args)
     length = params.input_length
@@ -317,12 +335,10 @@ def cmd_fourier_audit(args) -> int:
 
     worst = 0.0
     failures = 0
-    for idx in range(args.partitions):
-        cost = 1 + idx % args.max_cost
-        audit = l2_audit(random_protocol_partition(
-            length, cost, derive(args.seed, "partition", idx)))
-        worst = max(worst, audit.l2_mass)
-        failures += not audit.passed
+    for block in _random_partition_blocks(length, args):
+        for audit in l2_audit(block):
+            worst = max(worst, audit.l2_mass)
+            failures += not audit.passed
     record("random",
            f"l2_violations[{args.partitions} partitions c<={args.max_cost}]",
            failures, bound=f"max mass {worst:.4f} vs 120 c^2",

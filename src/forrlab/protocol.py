@@ -83,6 +83,11 @@ __all__ = [
 ]
 
 DENSE_CAP = 16  # max window size |R|, and max n for full 2^n protocol tables
+TREE_WORDS = 1 << 10  # fewest uint32 words per read of a random tree's stream
+# Bytes of float64 cell tables per stacked audit transform, and of boolean
+# cell masks per block of fourier-audit partitions: small enough that
+# blocking never raises a run's peak memory.
+AUDIT_BYTES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +392,49 @@ def trivial_partition(n: int, output: int = 1) -> RectanglePartition:
     return RectanglePartition(n, 0, [Cell(full, full, output)], window=())
 
 
-def _cell_sum(p: RectanglePartition, transform) -> np.ndarray:
-    """sum_c out_c T(A_c) T(B_c) over the cells, with T the unnormalized
-    ``transform`` over the window of the cell's Alice and Bob indicators.
-    One transform call covers the stacked indicators of up to AUDIT_BLOCK
-    cells, which bounds memory at a window of DENSE_CAP coordinates.  Every
-    term is an integer below 2^53, so the sum is exact."""
-    acc = 0.0
-    for start in range(0, len(p.cells), AUDIT_BLOCK):
-        cells = p.cells[start:start + AUDIT_BLOCK]
-        alice, bob = transform(np.array([[c.alice for c in cells],
-                                         [c.bob for c in cells]],
-                                        dtype=np.float64))
-        outputs = np.array([c.output for c in cells], dtype=np.float64)
-        acc = acc + outputs @ (alice * bob)
-    return acc
+def _audit_rows(k: int) -> int:
+    """Cells per stacked transform at window size k: as many as fit in
+    ``AUDIT_BYTES`` of float64 Alice and Bob tables, and at least
+    AUDIT_BLOCK, which bounds memory at a window of DENSE_CAP coordinates."""
+    return max(AUDIT_BLOCK, AUDIT_BYTES // (16 << k))
+
+
+def _cell_sums(ps: Sequence[RectanglePartition],
+               transform) -> tuple[np.ndarray, np.ndarray]:
+    """For the partitions ``ps``, which share a window size, one row each of
+    the sum over the partition's cells of out_c T(A_c) T(B_c), with T the
+    unnormalized ``transform`` over the window of the cell's Alice and Bob
+    indicators, and one entry each of the largest density of any of the
+    partition's cell sides.
+
+    The cells of all the partitions are stacked and transformed
+    ``_audit_rows`` at a time, and each chunk's terms are summed per
+    partition.  Every term is an integer below 2^53, so every sum is exact
+    in any order, and a partition's sums do not depend on its chunks."""
+    k = ps[0].window.size
+    cells = [c for p in ps for c in p.cells]
+    owner = np.repeat(np.arange(len(ps)), [len(p.cells) for p in ps])
+    sums = densest = None
+    step = _audit_rows(k)
+    for start in range(0, len(cells), step):
+        chunk = cells[start:start + step]
+        tables = np.array([[c.alice for c in chunk], [c.bob for c in chunk]],
+                          dtype=np.float64)
+        # The chunk row where each partition's cells begin, row 0 included;
+        # every partition has a cell, so no reduceat segment is empty.
+        heads = np.flatnonzero(np.diff(owner[start:start + step], prepend=-1))
+        ids = owner[start + heads]
+        dense = np.maximum.reduceat(tables.mean(axis=-1).max(axis=0), heads)
+        alice, bob = transform(tables)
+        alice *= np.array([[c.output] for c in chunk], dtype=np.float64)
+        alice *= bob
+        terms = np.add.reduceat(alice, heads)
+        if sums is None:
+            sums = np.zeros((len(ps), terms.shape[1]))
+            densest = np.zeros(len(ps))
+        sums[ids] += terms
+        densest[ids] = np.maximum(densest[ids], dense)
+    return sums, densest
 
 
 def protocol_spectrum(p: RectanglePartition) -> FourierSpectrum:
@@ -419,8 +452,9 @@ def protocol_spectrum(p: RectanglePartition) -> FourierSpectrum:
     # Window subset code c scatters to the n-bit mask of {R[b] : bit b of c}.
     rows = np.ones((1 << k, p.n), dtype=np.int8)
     rows[:, p.window] = codes_to_signs(np.arange(1 << k), k)
+    sums, _ = _cell_sums([p], fwht)
     coeffs = np.zeros(1 << p.n)
-    coeffs[signs_to_codes(rows)] = _cell_sum(p, fwht) / (1 << (2 * k))
+    coeffs[signs_to_codes(rows)] = sums[0] / (1 << (2 * k))
     return FourierSpectrum(p.n, coeffs)
 
 
@@ -437,9 +471,25 @@ class L2Audit(NamedTuple):
     effective_cost: int
 
 
-def l2_audit(p: RectanglePartition) -> L2Audit:
+def _level2(tables: np.ndarray) -> np.ndarray:
+    """Level-2 columns of the window transform; none below two coordinates."""
+    if tables.shape[-1] < 4:
+        return tables[..., :0]
+    return level_transform(tables, 2)
+
+
+def l2_audit(p: RectanglePartition | Sequence[RectanglePartition]
+             ) -> L2Audit | list[L2Audit]:
     """Exact level-2 Fourier mass of the averaged protocol against the
-    120 c^2 bound, at any input length.
+    120 c^2 bound, at any input length, for one partition or for a block.
+
+    One partition returns one ``L2Audit``; a sequence returns one per
+    partition, in order.  A block's partitions are grouped by window size,
+    and each group's cells are transformed together, so a block costs one
+    stacked level-2 product per ``_audit_rows`` cells rather than one per
+    partition.  Every partial sum is an integer, and every mass a sum of
+    multiples of 4^-|R| with far fewer than 53 significant bits, so any
+    summation order is exact and each audit has the bits of a block of one.
 
     Cells with a side heavier than 1/e are split by fixing two extra input
     bits per side before auditing, mirroring the bound's preconditioning;
@@ -453,16 +503,21 @@ def l2_audit(p: RectanglePartition) -> L2Audit:
     mass equals ``level_mass(protocol_spectrum(p), 2)`` bit for bit.  A
     window of fewer than two coordinates has no pairs and mass 0.
     """
-    k = p.window.size
-    mass = 0.0
-    if k >= 2:
-        level2 = _cell_sum(p, lambda tables: level_transform(tables, 2))
-        mass = float(np.abs(level2 / (1 << (2 * k))).sum())
-    heavy = any(cell.alice.mean() > 1.0 / math.e or
-                cell.bob.mean() > 1.0 / math.e for cell in p.cells)
-    effective = p.cost + 4 if heavy else p.cost
-    bound = 120.0 * p.cost ** 2
-    return L2Audit(mass, bound, mass <= bound, effective)
+    single = isinstance(p, RectanglePartition)
+    ps = [p] if single else list(p)
+    groups: dict[int, list[int]] = {}
+    for i, q in enumerate(ps):
+        groups.setdefault(q.window.size, []).append(i)
+    out: list[L2Audit | None] = [None] * len(ps)
+    for k, ids in groups.items():
+        sums, densest = _cell_sums([ps[i] for i in ids], _level2)
+        masses = np.abs(sums / (1 << (2 * k))).sum(axis=1)
+        for i, mass, dense in zip(ids, masses.tolist(), densest.tolist()):
+            cost = ps[i].cost
+            bound = 120.0 * cost ** 2
+            effective = cost + 4 if dense > 1.0 / math.e else cost
+            out[i] = L2Audit(mass, bound, mass <= bound, effective)
+    return out[0] if single else out
 
 
 def advantage(p: RectanglePartition, params: ForrParams, samples: int,
@@ -488,30 +543,61 @@ def advantage(p: RectanglePartition, params: ForrParams, samples: int,
 def random_protocol_partition(n: int, cost: int, seed: int) -> RectanglePartition:
     """Partition induced by a random communication tree of depth ``cost``:
     at each node a random speaker announces a random bipartition of their
-    compatible set; leaves answer a random sign."""
+    compatible set; leaves answer a random sign.  The tree is drawn from
+    substream (seed, 0) as :func:`_random_tree_cells` describes."""
+    if cost < 0:
+        raise ValueError(f"cost must be nonnegative, got {cost}")
     if n > DENSE_CAP:
         raise ResourceLimitError(f"random dense partitions need n <= {DENSE_CAP}")
+    return RectanglePartition(n, cost, _random_tree_cells(n, cost, seed))
+
+
+def _random_tree_cells(n: int, cost: int, seed: int) -> list[Cell]:
+    """The leaves of a random depth-``cost`` tree over 2^n points per side,
+    in depth-first order: at each split, the part of the speaker's set
+    inside the message before the part outside it.
+
+    The tree reads substream (seed, 0) one uint32 word at a time in stream
+    order: a node's message takes ceil(2^n / 4) words whose bytes' top bits
+    are its 2^n bits, then one word whose top bit picks the speaker (0 is
+    Alice); a leaf takes one word whose top bit picks the sign (0 is +1).
+    Those are the words and bits that per-node ``integers(0, 2, size=2^n,
+    dtype=uint8)`` and ``integers(2)`` draws and per-leaf ``integers(2)``
+    draws consume, but the words are read in refills of at least
+    ``TREE_WORDS``, so the stream is touched once per refill rather than up
+    to three times per node.  A part of a split that is empty is pruned.
+    """
     gen = substream(seed, 0)
     points = 1 << n
+    msg_words = -(-points // 4)
+    words = np.empty(0, dtype="<u4")
+    pos = 0
     cells: list[Cell] = []
-
-    def grow(amask: np.ndarray, bmask: np.ndarray, depth: int):
-        if depth == cost:
-            cells.append(Cell(amask, bmask, int(1 - 2 * gen.integers(2))))
-            return
-        msg = gen.integers(0, 2, size=points, dtype=np.uint8).astype(bool)
-        alice_speaks = gen.integers(2) == 0
-        side = amask if alice_speaks else bmask
-        for part in (side & msg, side & ~msg):
-            if part.any():
-                if alice_speaks:
-                    grow(part, bmask, depth + 1)
-                else:
-                    grow(amask, part, depth + 1)
-
     full = np.ones(points, dtype=bool)
-    grow(full, full, 0)
-    return RectanglePartition(n, cost, cells)
+    stack = [(full, full, 0)]  # pending subtrees, the next one on top
+    while stack:
+        amask, bmask, depth = stack.pop()
+        need = 1 if depth == cost else msg_words + 1
+        if pos + need > words.size:
+            fresh = gen.integers(0, 1 << 32, dtype=np.uint32,
+                                 size=max(need, TREE_WORDS))
+            words = np.concatenate([words[pos:], fresh]).astype("<u4",
+                                                               copy=False)
+            bits = words.view(np.uint8) >= 128
+            pos = 0
+        if depth == cost:
+            cells.append(Cell(amask, bmask, 1 - 2 * int(words[pos] >> 31)))
+            pos += 1
+            continue
+        msg = bits[4 * pos:4 * pos + points]
+        alice_speaks = words[pos + msg_words] >> 31 == 0
+        pos += need
+        side = amask if alice_speaks else bmask
+        for part in (side & ~msg, side & msg):  # side & msg pops first
+            if np.count_nonzero(part):
+                stack.append((part, bmask, depth + 1) if alice_speaks
+                             else (amask, part, depth + 1))
+    return cells
 
 
 def pair_parity_partition(n: int, m: int) -> RectanglePartition:

@@ -343,6 +343,14 @@ def test_partition_csv_pinned(args, digest, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_readme_audit_csv_pinned(tmp_path):
+    # The README configuration, audited in several blocks of partitions.
+    test_partition_csv_pinned(
+        ("fourier-audit", "--n", "4", "--partitions", "1000", "--seed", "3"),
+        "e9835382d02bae0981e59949d6e162ec66e0ad523f30dc5cea4badc9fe48420c",
+        tmp_path)
+
+
 PINNED_AUDIT_PREFIX = b",fourier-audit,4,0.014426950408889633,0,"
 # The --n 4 --partitions 200 --seed 0 rows as the full-transform audit wrote
 # them; the level-2 fast path must leave them byte for byte.

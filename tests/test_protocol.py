@@ -7,6 +7,7 @@ formula is checked against scipy's exact binomial tail.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -357,6 +358,80 @@ class TestPartitions:
             assert len(p.cells) <= 1 << cost
 
 
+def scalar_tree_cells(n: int, cost: int, seed: int) -> list[Cell]:
+    """The slow reference for the random tree: per-node ``integers`` draws
+    from substream (seed, 0), recursing depth first."""
+    gen = substream(seed, 0)
+    points = 1 << n
+    cells = []
+
+    def grow(amask, bmask, depth):
+        if depth == cost:
+            cells.append(Cell(amask, bmask, int(1 - 2 * gen.integers(2))))
+            return
+        msg = gen.integers(0, 2, size=points, dtype=np.uint8).astype(bool)
+        alice_speaks = gen.integers(2) == 0
+        side = amask if alice_speaks else bmask
+        for part in (side & msg, side & ~msg):
+            if part.any():
+                if alice_speaks:
+                    grow(part, bmask, depth + 1)
+                else:
+                    grow(amask, part, depth + 1)
+
+    full = np.ones(points, dtype=bool)
+    grow(full, full, 0)
+    return cells
+
+
+def assert_same_cells(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.alice, b.alice)
+        assert np.array_equal(a.bob, b.bob)
+        assert a.output == b.output
+
+
+class TestRandomTreeReader:
+    """The bulk word reader draws the tree the per-node draws would."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 10, 16])
+    def test_matches_per_node_draws(self, n):
+        # n = 1 reads half of each message word; n = 16 reads 2^14 words
+        # per message, more than one refill.
+        for cost in range(8):
+            for seed in range(20):
+                assert_same_cells(protocol._random_tree_cells(n, cost, seed),
+                                  scalar_tree_cells(n, cost, seed))
+
+    def test_partition_keeps_the_tree(self):
+        for n, cost, seed in ((4, 3, 0), (8, 6, 1), (10, 2, 2)):
+            assert_same_cells(random_protocol_partition(n, cost, seed).cells,
+                              scalar_tree_cells(n, cost, seed))
+
+    @pytest.mark.parametrize("n, cost", [(2, 40), (3, 30), (4, 24)])
+    def test_deep_tree_reads_what_it_uses(self, n, cost):
+        # Pruning keeps these trees small; a read sized by 2^cost would
+        # need 2^24 words or more.
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            p = random_protocol_partition(n, cost, seed=1)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_cells(p.cells, scalar_tree_cells(n, cost, 1))
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    def test_negative_cost_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(protocol, "substream", None)  # a draw would fail
+        with pytest.raises(ValueError,
+                           match="cost must be nonnegative, got -1"):
+            random_protocol_partition(4, -1, 0)
+
+
 class TestProtocolH:
     def test_trivial_partition_gives_constant(self):
         H = protocol_H(trivial_partition(4, 1))
@@ -448,6 +523,71 @@ class TestL2Audit:
         audit = l2_audit(p)
         assert audit.l2_mass == pytest.approx(
             level_mass(spectrum(protocol_H(p)), 2), abs=1e-12)
+
+
+def mixed_block(n: int = 8) -> list:
+    """Random partitions over all n coordinates interleaved with the
+    trivial partition (no coordinate), the probe and the one-pair
+    adversary (two) and the three-pair adversary (six)."""
+    others = [trivial_partition(n), forrelation_probe_partition(
+        ForrParams(n // 2), 1, 3), pair_parity_partition(n, 1),
+        pair_parity_partition(n, 3)]
+    block = []
+    for seed in range(12):
+        block.append(random_protocol_partition(n, 1 + seed % 6, seed))
+        if seed % 3 == 0:
+            block.append(others[seed // 3])
+    return block
+
+
+class TestBlockAudit:
+    """A block's audits equal its partitions' single audits exactly."""
+
+    @pytest.mark.parametrize("edge_offset", [None, -1, 0, 1])
+    def test_transform_rows_around_the_edge(self, edge_offset, monkeypatch):
+        # The edge is the random group's cell count: rows of 1, edge - 1,
+        # edge and edge + 1 put the transform boundaries everywhere, at the
+        # group's last cell, and past it.
+        block = mixed_block()
+        want = [l2_audit(p) for p in block]
+        edge = sum(len(p.cells) for p in block if p.window.size == 8)
+        rows = 1 if edge_offset is None else edge + edge_offset
+        monkeypatch.setattr(protocol, "_audit_rows", lambda k: rows)
+        assert l2_audit(block) == want
+        assert l2_audit(tuple(block)) == want
+
+    def test_block_lengths_around_the_edge(self):
+        # The edge is the first prefix of random partitions that fills one
+        # stacked transform at their window.
+        ps = [random_protocol_partition(8, 1 + s % 4, 100 + s)
+              for s in range(40)]
+        filled = np.cumsum([len(p.cells) for p in ps])
+        edge = 1 + int(np.argmax(filled >= protocol._audit_rows(8)))
+        extras = mixed_block()[1::5]
+        for length in (1, edge - 1, edge, edge + 1):
+            block = ps[:length] + extras
+            assert l2_audit(block) == [l2_audit(p) for p in block]
+
+    def test_one_level_two_product_per_transform(self, monkeypatch):
+        ps = [random_protocol_partition(8, 1 + s % 4, s) for s in range(40)]
+        want = [l2_audit(p) for p in ps]
+        shapes = []
+        exact = protocol.level_transform
+
+        def spy(values, k):
+            shapes.append(values.shape[1])
+            return exact(values, k)
+        monkeypatch.setattr(protocol, "level_transform", spy)
+        assert l2_audit(ps) == want
+        cells, rows = sum(len(p.cells) for p in ps), protocol._audit_rows(8)
+        full, rest = divmod(cells, rows)
+        assert shapes == [rows] * full + [rest] * (rest > 0)
+
+    def test_single_and_empty(self):
+        p = random_protocol_partition(8, 3, 5)
+        assert isinstance(l2_audit(p), protocol.L2Audit)
+        assert l2_audit([p]) == [l2_audit(p)]
+        assert l2_audit([]) == []
 
 
 class TestAdvantage:

@@ -75,6 +75,21 @@ def test_derive_rejects_out_of_range(bad_seed, bad_index):
         derive(0, "nonsense", 0)
 
 
+@pytest.mark.parametrize("seed, index", [(2**128, 0), (5, 2**128), (-1, 0),
+                                         (0, -1)])
+def test_substream_rejects_what_would_alias(seed, index):
+    # Each would otherwise draw the stream of its value mod 2^128.
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\^128\), got"):
+        substream(seed, index)
+
+
+def test_substream_range_ends_are_distinct_streams():
+    top = 2**128 - 1
+    draws = {tuple(substream(seed, index).integers(0, 2**63, size=4))
+             for seed, index in ((0, 0), (top, 0), (5, 0), (5, top))}
+    assert len(draws) == 4
+
+
 def test_mc_mean_matches_hand_written_accumulator():
     # Two full chunks and a ragged third: the merged estimator must equal
     # the per-chunk loop it replaced, bit for bit, in both fields.
