@@ -249,8 +249,8 @@ def cmd_run_protocol(args) -> int:
     total_gates = 0
     max_abs_z = 0.0
     t0 = time.time()
-    # A block's amplitudes (2N complex) and copy bits stay near BLOCK_BYTES.
-    for block in row_blocks(args.instances, 4 * params.N + copies // 8 + 1):
+    # A block's amplitudes (2N float64) and copy bits stay near BLOCK_BYTES.
+    for block in row_blocks(args.instances, 2 * params.N + copies // 8 + 1):
         ids = range(block.start, block.stop)
         if mode == "amplified":  # alternate planted YES and uniform NO
             modes = [(InstanceMode.PLANTED_YES,

@@ -256,20 +256,33 @@ def default_copies(params: ForrParams, target_error: float) -> int:
     """Smallest copy count T with 2 exp(-2 T (eps/32)^2) <= target_error,
     the additive-Chernoff count for resolving the eps/8 vs eps/16 gap with a
     deviation budget of eps/32.  Large at desk scale; amplified-gap runs use
-    far fewer copies."""
+    far fewer copies.  An eps so small that the count overflows a float
+    raises ``ResourceLimitError``."""
     if not 0 < target_error < 0.5:
         raise ValueError(f"target error must lie in (0, 1/2), got {target_error}")
     rate = 2.0 * (params.eps / 32.0) ** 2
+    need = math.log(2.0 / target_error) / rate if rate else math.inf
+    if need == math.inf:
+        raise ResourceLimitError(
+            f"eps = {params.eps!r} needs a copy count beyond float range")
 
     def bound(t: int) -> float:
         return 2.0 * math.exp(-rate * t)
 
-    t = max(1, math.ceil(math.log(2.0 / target_error) / rate))
-    while t > 1 and bound(t - 1) <= target_error:
-        t -= 1
-    while bound(t) > target_error:
-        t += 1
-    return t
+    # bound is nonincreasing and bound(0) = 2 > target_error, so bisecting
+    # between lo and hi with bound(lo) > target_error >= bound(hi) finds T
+    # in O(log T) steps, also where the float rate * T cannot tell
+    # neighbouring counts apart (a walk of one count per step would not end).
+    lo, hi, step = 0, max(1, math.ceil(need)), 1
+    while bound(hi) > target_error:
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) <= target_error:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def majority_amplify(base_error: float, reps: int) -> float:
@@ -350,17 +363,19 @@ class RectanglePartition:
     def _validate(self):
         # Pairwise-disjoint rectangles plus full total measure is exactly
         # the partition property.  Two cells overlap when both their Alice
-        # sides and their Bob sides meet, which Gram products of the stacked
-        # indicators test for AUDIT_BLOCK cells against all at a time.  Only
-        # the sign of each count matters, so float32 sums of 0/1 suffice.
+        # sides and their Bob sides meet, which an AND of the bit-packed
+        # masks tests for AUDIT_BLOCK cells against all at a time: exact,
+        # and in one thread.  The zero pad bits of packing never meet.
         shape = (len(self.cells), 1 << self.window.size)
         alice = np.array([c.alice for c in self.cells],
-                         dtype=np.float32).reshape(shape)
-        bob = np.array([c.bob for c in self.cells],
-                       dtype=np.float32).reshape(shape)
+                         dtype=bool).reshape(shape)
+        bob = np.array([c.bob for c in self.cells], dtype=bool).reshape(shape)
+        alice_bits = np.packbits(alice, axis=1)
+        bob_bits = np.packbits(bob, axis=1)
         for start in range(0, len(self.cells), AUDIT_BLOCK):
             rows = slice(start, start + AUDIT_BLOCK)
-            overlap = (alice[rows] @ alice.T > 0) & (bob[rows] @ bob.T > 0)
+            overlap = ((alice_bits[rows, None] & alice_bits).any(axis=2) &
+                       (bob_bits[rows, None] & bob_bits).any(axis=2))
             block = np.arange(overlap.shape[0])
             overlap[block, start + block] = False
             if overlap.any():

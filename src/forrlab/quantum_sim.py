@@ -22,7 +22,13 @@ array.  Every unitary kernel reshapes the flat buffer into blocks that
 divide 2^m, so rows never mix and each row gets the bits a one-state run
 would; measurement refuses a batch.
 
-A state or batch holds at most MAX_STATE_BYTES (1 GiB, 26 qubits for one
+Amplitudes are real float64.  Every native gate is real: H and CNOT, the
+rotation R_pi/8 = [[cos, -sin], [sin, cos]] and the +-1 oracles; so are the
+referee's initial values x_i y_i / sqrt(2N).  No amplitude the simulator can
+reach has an imaginary part, and a complex dtype would only double the
+memory and work of every kernel.
+
+A state or batch holds at most MAX_STATE_BYTES (1 GiB, 27 qubits for one
 state) of amplitudes.  The five-gate controlled-H is checked against
 diag(I, H) once per process; a failed check or a measurement on a
 denormalized state raises InvariantError.
@@ -75,11 +81,11 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def check_state_size(m: int, rows: int = 1) -> None:
     """Reject a qubit count below 1, or ``rows`` states of m qubits whose
-    complex128 amplitudes together need more than MAX_STATE_BYTES; callers
-    check before they allocate."""
+    real amplitudes, 8 bytes each, together need more than MAX_STATE_BYTES
+    (one state fits up to 27 qubits); callers check before they allocate."""
     if m < 1:
         raise ValueError(f"qubit count must be positive, got {m}")
-    need = rows * (16 << m)
+    need = rows * (8 << m)
     if need > MAX_STATE_BYTES:
         states = f"{rows} states of {m} qubits" if rows > 1 else f"{m} qubits"
         raise ResourceLimitError(f"{states} need {need} bytes of "
@@ -87,11 +93,15 @@ def check_state_size(m: int, rows: int = 1) -> None:
 
 
 class StateVector:
-    """Normalized complex amplitudes over m qubits: one state of shape
+    """Normalized real amplitudes over m qubits: one state of shape
     (2^m,), or a batch of k independent states of shape (k, 2^m).
 
-    The amplitudes are held C-contiguous, so the kernels' reshapes are views
-    and act in place.  The size of the whole batch is checked against
+    The amplitudes are held as C-contiguous float64, so the kernels'
+    reshapes are views and act in place.  A float64 C-contiguous input is
+    used in place, not copied: the gates then act on the caller's array.
+    Any other input is converted to a new array.  Complex-typed input is
+    accepted when its imaginary part is all zero and refused with
+    ValueError otherwise.  The size of the whole batch is checked against
     MAX_STATE_BYTES before the amplitudes are converted.
     """
 
@@ -103,21 +113,27 @@ class StateVector:
         if shape[-1:] != (1 << m,) or len(shape) > 2:
             raise ValueError(f"amplitudes for m={m} must have shape "
                              f"({1 << m},) or (k, {1 << m}), got {shape}")
+        amps = np.asarray(amps)
+        if np.iscomplexobj(amps):
+            if np.any(amps.imag):
+                raise ValueError("amplitudes must be real: every native "
+                                 "gate is real")
+            amps = amps.real
         self.m = m
-        self.amps = np.ascontiguousarray(amps, dtype=np.complex128)
+        self.amps = np.ascontiguousarray(amps, dtype=np.float64)
 
     @classmethod
     def zero(cls, m: int) -> "StateVector":
         """The all-zero basis state (every register at the +1 label)."""
         check_state_size(m)
-        state = cls(m, np.zeros(1 << m, dtype=np.complex128))
+        state = cls(m, np.zeros(1 << m))
         state.amps[0] = 1.0
         return state
 
     @classmethod
     def from_amplitudes(cls, amps: np.ndarray) -> "StateVector":
         """A copy of ``amps`` as a state; its norm must be 1."""
-        amps = np.array(amps, dtype=np.complex128)
+        amps = np.array(amps)
         state = cls(amps.size.bit_length() - 1, amps)
         if abs(state.norm() - 1.0) > 1e-9:
             raise ValueError(f"state is not normalized: |amps| = {state.norm()}")
@@ -249,7 +265,7 @@ def _bit_probabilities(amps: np.ndarray, q: int
     the same blocks in the same order as a one-state call.  A total off 1
     raises InvariantError naming the first bad one."""
     view = amps.reshape(*amps.shape[:-1], -1, 2, 1 << q)
-    sq = np.square(view.real) + np.square(view.imag)
+    sq = np.square(view)
     p0 = sq[..., 0, :].sum(axis=(-2, -1))
     p1 = sq[..., 1, :].sum(axis=(-2, -1))
     total = np.atleast_1d(p0 + p1)
@@ -337,12 +353,12 @@ def verify_controlled_h_decomposition(tol: float = 1e-10) -> float:
     """Max deviation of the five-gate sequence from diag(I, H) up to global
     phase, reconstructed column by column on two qubits."""
     gates = _controlled_h_sequence(control=1, target=0)
-    images = np.eye(4, dtype=np.complex128)
+    images = np.eye(4)
     for row in images:  # row c becomes the image of basis state c
         for g in gates:
             apply_gate(StateVector(2, row), g)
     built = images.T
-    want = np.eye(4, dtype=np.complex128)
+    want = np.eye(4)
     want[2:, 2:] = np.array([[1, 1], [1, -1]]) * _INV_SQRT2
     k = np.unravel_index(np.abs(built).argmax(), built.shape)
     phase = want[k] / built[k]

@@ -240,7 +240,7 @@ class TestExitOne:
 class TestFeasibility:
     def test_state_over_byte_cap_exits_two(self, monkeypatch, capsys):
         from forrlab import quantum_sim
-        monkeypatch.setattr(quantum_sim, "MAX_STATE_BYTES", 16 << 6)
+        monkeypatch.setattr(quantum_sim, "MAX_STATE_BYTES", 8 << 6)
         code = run(["run-protocol", "--n", "64", "--instances", "1",
                     "--copies", "10"])
         assert code == EXIT_USAGE
@@ -457,6 +457,11 @@ PINNED_PROTOCOL_CSVS = {
     ("--n", "16", "--mode", "promise_yes", "--instances", "3",
      "--copies", "2000", "--seed", "1"):
         "55f5100d5d09e8e6457d9ad979c4044e025ffe38f21f7c0d16810bf52263f247",
+    # An 11-qubit state: every kernel, on amplitudes held as complex128 when
+    # this digest was taken and as float64 since.
+    ("--n", "1024", "--mode", "amplified", "--instances", "8",
+     "--copies", "500", "--seed", "0"):
+        "f97a29d5803d34a94772b701f72068d14d7320cd975f148b529b9df67b4731b7",
 }
 # SHA-256 of promise-mode CSVs at the default copy count, default_copies(1/3),
 # as written when that count needed an explicit --slow.
@@ -585,6 +590,16 @@ class TestCopyBitCap:
         assert len(err_lines) == 1
         assert err_lines[0].startswith("feasibility error: ")
         assert "bytes of copy bits, over 1073741824" in err_lines[0]
+
+    @pytest.mark.parametrize("eps", ["1e-160", "1e-200"])
+    def test_copy_count_beyond_float_range_refused(self, eps, capsys):
+        code = run(["run-protocol", "--n", "16", "--mode", "promise_yes",
+                    "--instances", "1", "--eps-override", eps])
+        assert code == EXIT_USAGE
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(
+            f"feasibility error: eps = {float(eps)!r} needs a copy count")
 
     def test_small_cap_refuses_before_the_generation_core(self, monkeypatch,
                                                           capsys):

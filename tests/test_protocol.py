@@ -259,6 +259,21 @@ class TestDefaultCopies:
             with pytest.raises(ValueError):
                 default_copies(params, bad)
 
+    @pytest.mark.parametrize("eps", [1e-160, 1e-200])
+    def test_count_beyond_float_range_refused(self, eps):
+        with pytest.raises(ResourceLimitError, match="beyond float range"):
+            default_copies(ForrParams(16, eps_override=eps), 1.0 / 3.0)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-30, 1e-150])
+    def test_is_smallest_where_floats_cannot_resolve_one_copy(self, eps):
+        # rate * T is coarser than 1 here, so a search that steps one copy
+        # at a time would not finish.
+        params = ForrParams(16, eps_override=eps)
+        t = default_copies(params, 1.0 / 3.0)
+        rate = 2.0 * (eps / 32.0) ** 2
+        assert 2.0 * math.exp(-rate * t) <= 1.0 / 3.0
+        assert 2.0 * math.exp(-rate * (t - 1)) > 1.0 / 3.0
+
 
 class TestMajorityAmplify:
     def test_single_repetition_is_identity(self):
@@ -665,6 +680,20 @@ class TestDenseValidation:
                      else Cell(side, self.FULL, s)
                      for side, s in ((self.HALF, 1), (~self.HALF, -1))]
             assert len(RectanglePartition(2, 1, cells).cells) == 2
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overlap_at_last_point_of_short_window(self, k):
+        # 2^k < 8 points, so each packed mask byte carries pad bits.  The
+        # Alice sides meet only at the last point; one point is uncovered,
+        # so the total measure is right and only the overlap test fails.
+        last = np.arange(1 << k) == (1 << k) - 1
+        first = np.arange(1 << k) == 0
+        full = np.ones(1 << k, dtype=bool)
+        with pytest.raises(PartitionError, match="overlap"):
+            RectanglePartition(k, 1, [Cell(~first, full, 1),
+                                      Cell(last, full, -1)])
+        assert len(RectanglePartition(k, 1, [Cell(~last, full, 1),
+                                             Cell(last, full, -1)]).cells) == 2
 
     def test_overlap_found_in_a_later_block(self):
         cells = random_protocol_partition(8, 6, seed=0).cells

@@ -1,6 +1,7 @@
 """Tests for the gate-level state-vector simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from forrlab.quantum_sim import (
 
 def random_state(m: int, seed: int) -> StateVector:
     gen = np.random.default_rng(seed)
-    amps = gen.normal(size=1 << m) + 1j * gen.normal(size=1 << m)
+    amps = gen.normal(size=1 << m)
     amps /= np.linalg.norm(amps)
     return StateVector.from_amplitudes(amps)
 
@@ -357,8 +358,8 @@ class TestBellPairs:
 
     def test_cap_enforced(self, monkeypatch):
         with pytest.raises(ResourceLimitError, match="bytes"):
-            StateVector.zero(27)
-        monkeypatch.setattr(quantum_sim, "MAX_STATE_BYTES", 16 << 6)
+            StateVector.zero(28)
+        monkeypatch.setattr(quantum_sim, "MAX_STATE_BYTES", 8 << 6)
         assert bell_pairs(3).m == 6
         with pytest.raises(ResourceLimitError):
             bell_pairs(4)
@@ -411,9 +412,64 @@ class TestCircuit:
             StateVector.from_amplitudes(np.array([1.0, 1.0]))
 
 
+class TestRealState:
+    """Every native gate is real, so a state holds float64 amplitudes."""
+
+    @pytest.mark.parametrize("build", ["init", "from_amplitudes"])
+    def test_nonzero_imaginary_part_refused(self, build):
+        amps = np.full(4, 0.5, dtype=complex)
+        amps[3] = 0.5j
+        with pytest.raises(ValueError, match="^amplitudes must be real"):
+            if build == "init":
+                StateVector(2, amps)
+            else:
+                StateVector.from_amplitudes(amps)
+
+    def test_zero_imaginary_part_accepted(self):
+        real = random_batch(3, 3, 1)
+        for state, want in ((StateVector(3, real.astype(complex)), real),
+                            (StateVector(3, real[0].astype(complex)), real[0]),
+                            (StateVector.from_amplitudes(
+                                real[1].astype(complex)), real[1])):
+            assert state.amps.dtype == np.float64
+            assert np.array_equal(state.amps, want)
+
+    def test_float64_contiguous_input_used_in_place(self):
+        amps = random_batch(2, 3, 2)
+        state = StateVector(3, amps)
+        assert state.amps is amps
+        apply_gate(state, Hadamard(1))
+        assert np.array_equal(amps, state.amps)
+
+    def test_other_input_converted_to_float64(self):
+        for amps in (np.array([1, 0, 0, 0], dtype=np.int8),
+                     np.array([1.0, 0, 0, 0], dtype=np.float32), [1, 0, 0, 0]):
+            state = StateVector(2, amps)
+            assert state.amps.dtype == np.float64
+            assert not np.shares_memory(state.amps, amps)
+            assert state.amps.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_gates_keep_float64(self):
+        state, _, _ = simulate(Circuit(3, batch_gates(3)))
+        assert state.amps.dtype == np.float64
+        assert bell_pairs(2).amps.dtype == np.float64
+
+    def test_27_qubits_fit_and_28_refused_without_allocation(self):
+        tracemalloc.start()
+        try:
+            check_state_size(27)
+            with pytest.raises(ResourceLimitError,
+                               match=f"^28 qubits need {8 << 28} bytes"):
+                check_state_size(28)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+
 def random_batch(k: int, m: int, seed: int) -> np.ndarray:
     gen = np.random.default_rng(seed)
-    amps = gen.normal(size=(k, 1 << m)) + 1j * gen.normal(size=(k, 1 << m))
+    amps = gen.normal(size=(k, 1 << m))
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
@@ -517,7 +573,7 @@ class TestBatchContract:
             def __array__(self, *args, **kwargs):
                 raise AssertionError("amplitudes converted before the check")
 
-        monkeypatch.setattr(quantum_sim, "MAX_STATE_BYTES", 16 << 6)
+        monkeypatch.setattr(quantum_sim, "MAX_STATE_BYTES", 8 << 6)
         assert StateVector(6, np.zeros((1, 64))).amps.shape == (1, 64)
         assert StateVector(4, np.zeros((4, 16))).amps.shape == (4, 16)
         with pytest.raises(ResourceLimitError, match="5 states of 4 qubits"):
