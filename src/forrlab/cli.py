@@ -19,8 +19,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._bits import f2_inner_sign
 from ._rng import derive, mc_means, row_blocks, substream
 from .boolean_fourier import random_indicator_violations, subcube_violations
@@ -193,13 +191,8 @@ def cmd_verify_moments(args) -> int:
                   abs(est.estimate) <= limit + 5 * est.standard_error)
 
     # Mean forrelation of the sign distribution is at least eps/2.
-    def draw(gen, k):
-        signs = forrelation_rows(gen, params, k)
-        out = np.empty(k)
-        for block in row_blocks(k, params.input_length):
-            out[block] = forr(signs[block].astype(np.float64))
-        return out
-    check("mean_forrelation", draw,
+    check("mean_forrelation",
+          lambda gen, k: forr(forrelation_rows(gen, params, k)),
           f"est >= eps/2 = {params.eps / 2:.3e} - 3 se",
           lambda est: est.estimate >= params.eps / 2 - 3 * est.standard_error)
 
@@ -422,13 +415,12 @@ def cmd_sample_dist(args) -> int:
     seed = derive(args.seed, "sample", 0)
     if args.dist == "gaussian":
         rows = sample_gaussian(params, seed, samples=args.samples)
-        values = forr(rows)
     elif args.dist == "signs":
         rows = sample_forrelation(params, seed, samples=args.samples)
-        values = forr(rows.astype(np.float64))
     else:  # lifted
         x, y = sample_lifted(params, seed, samples=args.samples)
-        values = forr((x * y).astype(np.float64))
+        rows = x * y
+    values = forr(rows)
     write_csv(args.out, ["index", "forr"],
               ([str(i), repr(float(v))] for i, v in enumerate(values)))
     mean = float(values.mean())
@@ -479,6 +471,8 @@ def _out_path(text: str) -> str:
     folder = os.path.dirname(text)
     if folder and not os.path.isdir(folder):
         raise argparse.ArgumentTypeError(f"directory {folder!r} does not exist")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
     return text
 
 
@@ -559,7 +553,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: --out not writable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceLimitError, MemoryError) as exc:

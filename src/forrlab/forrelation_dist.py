@@ -108,12 +108,18 @@ def forr(z: np.ndarray) -> float | np.ndarray:
 
     Computed with one normalized Walsh-Hadamard transform in O(N log N):
     (1/(N sqrt(N))) sum_{i,j} (-1)^{<i,j>} z1(i) z2(j).  Sign inputs always
-    land in [-1, 1] by Cauchy-Schwarz.
+    land in [-1, 1] by Cauchy-Schwarz.  Rows of any dtype are scored in
+    float64 one ``row_blocks`` block at a time, so the temporaries stay near
+    one block, and each row has the bits of a one-row call.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
     N = _check_pair_length(z.shape[-1])
-    w = fwht(z[..., :N])
-    out = (w * z[..., N:]).sum(axis=-1) / (N * math.sqrt(N))
+    rows = z.reshape(-1, 2 * N)
+    out = np.empty(len(rows))
+    for block in row_blocks(len(rows), 2 * N):
+        part = rows[block].astype(np.float64)
+        out[block] = (fwht(part[:, :N]) * part[:, N:]).sum(axis=1)
+    out = out.reshape(z.shape[:-1]) / (N * math.sqrt(N))
     return float(out) if out.ndim == 0 else out
 
 
@@ -456,7 +462,7 @@ def instance_rows(params: ForrParams, modes: Sequence[InstanceMode | str],
             aligned = np.where(fwht(z1.astype(np.float64)) >= 0, 1, -1)
             z = np.concatenate([z1, aligned.astype(np.int8) * flips], axis=1)
             y[planted] = x[planted] * z
-        value = forr((x * y).astype(np.float64))
+        value = forr(x * y)
         keep = np.array([
             _ACCEPTS.get(modes[i]) in (None, classify(params, float(v)))
             for i, v in zip(pending, value)], dtype=bool)

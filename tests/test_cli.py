@@ -106,6 +106,37 @@ class TestUsageErrors:
         assert "Traceback" not in err_text
         assert not missing.exists()
 
+    @pytest.mark.parametrize("subcommand", [
+        "verify-moments", "run-protocol", "fourier-audit", "advantage",
+        "gen-instances", "sample-dist"])
+    @pytest.mark.parametrize("slash", ["", "/"])
+    def test_out_naming_a_directory_rejected(self, subcommand, slash,
+                                             tmp_path, capsys):
+        folder = f"{tmp_path}{slash}"
+        with pytest.raises(SystemExit) as err:
+            run([subcommand, "--out", folder])
+        assert err.value.code == EXIT_USAGE
+        err_text = capsys.readouterr().err
+        assert f"argument --out: '{folder}' is a directory" in err_text
+        assert "Traceback" not in err_text
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["sample-dist", "--n", "4", "--samples", "10"],
+        ["gen-instances", "--n", "4", "--count", "1"]], ids=lambda a: a[0])
+    def test_unwritable_out_exits_two(self, args, tmp_path, monkeypatch,
+                                      capsys):
+        from forrlab import cli
+
+        def refuse(path, *rest, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        out = tmp_path / "out.csv"
+        assert run([*args, "--out", str(out)]) == EXIT_USAGE
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines == [f"error: [Errno 13] Permission denied: '{out}'"]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
     def test_threshold_outside_unit_interval_rejected(self, value, capsys):
         with pytest.raises(SystemExit) as err:
@@ -432,6 +463,20 @@ class TestInstanceAndSampleEmitters:
         assert len(rows) == 2000
         assert set(rows[0]) == {"index", "forr"}
 
+    def test_lifted_csv_equals_signs_csv(self, tmp_path, capsys):
+        # x . y = x . x . z = z exactly, and both draws take z first from
+        # the same chunk streams: the lifted rows repeat the sign rows.
+        summaries = {}
+        for dist in ("signs", "lifted"):
+            assert run(["sample-dist", "--n", "16", "--dist", dist,
+                        "--samples", "40000", "--seed", "3",
+                        "--out", str(tmp_path / f"{dist}.csv")]) == EXIT_PASS
+            summaries[dist] = json.loads(
+                capsys.readouterr().out.strip().splitlines()[-1])
+        assert ((tmp_path / "lifted.csv").read_bytes()
+                == (tmp_path / "signs.csv").read_bytes())
+        assert summaries["lifted"] == {**summaries["signs"], "dist": "lifted"}
+
 
 @pytest.mark.parametrize("args", [
     ["fourier-audit", "--partitions", "5", "--seed", "2"],
@@ -476,7 +521,7 @@ WORKLOAD = ["run-protocol", "--n", "64", "--mode", "amplified",
 
 # N and copies at which a run-protocol block holds BLOCK instances.
 BLOCK_N, BLOCK_COPIES = 16, 160_000
-BLOCK = _rng.BLOCK_BYTES // (8 * (4 * BLOCK_N + BLOCK_COPIES // 8 + 1))
+BLOCK = _rng.BLOCK_BYTES // (8 * (2 * BLOCK_N + BLOCK_COPIES // 8 + 1))
 
 
 def summary_of(capsys) -> dict:

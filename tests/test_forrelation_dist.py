@@ -123,6 +123,56 @@ class TestForr:
         assert abs(forr(z)) <= 1.0 + 1e-12
 
 
+class TestForrBlocks:
+    """forr scores rows one row block at a time; every row must keep the
+    bits of a one-row call, whatever its dtype or the block edges."""
+
+    @staticmethod
+    def rows(dtype, N: int, k: int) -> np.ndarray:
+        if dtype is np.float64:
+            return gaussian_rows(substream(53, k), ForrParams(N), k)
+        signs = uniform_sign_rows(substream(53, k), (k, 2 * N))
+        return signs > 0 if dtype is np.bool_ else signs
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.float64])
+    @pytest.mark.parametrize("N", [16, 64])
+    def test_stack_equals_one_row_calls(self, N, dtype):
+        block = BLOCK_BYTES // (8 * 2 * N)
+        for k in (1, block - 1, block, block + 1, 3 * block - 5):
+            rows = self.rows(dtype, N, k)
+            got = forr(rows)
+            assert got.shape == (k,)
+            assert np.array_equal(got, [forr(row) for row in rows]), k
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.float64])
+    def test_leading_axes(self, dtype):
+        N = 64
+        block = BLOCK_BYTES // (8 * 2 * N)
+        stack = self.rows(dtype, N, 3 * (block + 1)).reshape(
+            3, block + 1, 2 * N)
+        got = forr(stack)
+        assert got.shape == (3, block + 1)
+        for a in range(3):
+            assert np.array_equal(got[a], [forr(row) for row in stack[a]])
+        # A non-contiguous view is scored as its copy would be.
+        assert np.array_equal(forr(stack.transpose(1, 0, 2)), got.T)
+        assert isinstance(forr(stack[0, 0]), float)
+
+    def test_memory_stays_near_one_block(self):
+        # The float64 output and one block's temporaries, never the
+        # chunk's (CHUNK, 2N) float64 cast (32 MiB at N = 64).
+        rows = uniform_sign_rows(substream(2, 0), (CHUNK, 128))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            out = forr(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == CHUNK * 8
+        assert peak <= out.nbytes + 8 * BLOCK_BYTES
+
+
 class TestTruncate:
     def test_clamps(self):
         assert truncate(np.array([1.7]))[0] == 1.0
