@@ -19,6 +19,8 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._bits import f2_inner_sign
 from ._rng import derive, mc_means, row_blocks, substream
 from .boolean_fourier import random_indicator_violations, subcube_violations
@@ -27,14 +29,14 @@ from .forrelation_dist import (
     ForrParams,
     InstanceMode,
     Label,
+    chunked,
     forr,
     forrelation_rows,
+    gaussian_rows,
     generate_instance,
     instance_rows,
+    lifted_rows,
     moment_draw,
-    sample_forrelation,
-    sample_gaussian,
-    sample_lifted,
 )
 from .protocol import (
     AUDIT_BYTES,
@@ -303,7 +305,7 @@ def _random_partition_blocks(length: int, args):
         p = random_protocol_partition(length, 1 + idx % args.max_cost,
                                       derive(args.seed, "partition", idx))
         block.append(p)
-        size += len(p.cells) << (p.window.size + 1)
+        size += p.alice.nbytes + p.bob.nbytes
         if size >= AUDIT_BYTES:
             yield block
             block, size = [], 0
@@ -412,15 +414,23 @@ def cmd_gen_instances(args) -> int:
 
 def cmd_sample_dist(args) -> int:
     params = _params(args)
-    seed = derive(args.seed, "sample", 0)
+    # Each chunk is scored as it is drawn, so only the forrelation values
+    # of earlier chunks are kept.
     if args.dist == "gaussian":
-        rows = sample_gaussian(params, seed, samples=args.samples)
+        # Float64 rows that read gen row by row: a chunk is drawn and
+        # scored one row block at a time, with the bits of a whole draw.
+        def score(gen, k):
+            return np.concatenate([
+                forr(gaussian_rows(gen, params, block.stop - block.start))
+                for block in row_blocks(k, params.input_length)])
     elif args.dist == "signs":
-        rows = sample_forrelation(params, seed, samples=args.samples)
+        def score(gen, k):
+            return forr(forrelation_rows(gen, params, k))
     else:  # lifted
-        x, y = sample_lifted(params, seed, samples=args.samples)
-        rows = x * y
-    values = forr(rows)
+        def score(gen, k):
+            x, y = lifted_rows(gen, params, k)
+            return forr(x * y)
+    values = chunked(derive(args.seed, "sample", 0), args.samples, score)
     write_csv(args.out, ["index", "forr"],
               ([str(i), repr(float(v))] for i, v in enumerate(values)))
     mean = float(values.mean())

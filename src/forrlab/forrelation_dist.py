@@ -46,6 +46,8 @@ __all__ = [
     "round_rows",
     "forrelation_rows",
     "uniform_sign_rows",
+    "lifted_rows",
+    "chunked",
     "sample_gaussian",
     "sample_forrelation",
     "sample_lifted",
@@ -226,11 +228,24 @@ def uniform_sign_rows(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nd
     return (1 - 2 * gen.integers(0, 2, size=shape, dtype=np.int8)).astype(np.int8)
 
 
-def _chunked(seed: int, samples: int | None, draw):
-    """Run ``draw(gen, k)`` over fixed-size chunks with per-chunk substreams.
+def lifted_rows(gen: np.random.Generator, params: ForrParams,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k lifted input pairs (x, y) drawn from ``gen``: forrelation rows z,
+    then uniform rows x, and y = x . z."""
+    z = forrelation_rows(gen, params, k)
+    x = uniform_sign_rows(gen, z.shape)
+    return x, x * z
+
+
+def chunked(seed: int, samples: int | None, draw):
+    """Run ``draw(gen, k)`` over fixed-size chunks with per-chunk substreams
+    and join the results along the first axis; one result row with
+    ``samples`` None.
 
     Chunk i always uses substream(seed, i), so the result is a pure function
-    of (seed, samples) no matter how chunks are scheduled.
+    of (seed, samples) no matter how chunks are scheduled.  A draw that
+    reduces its rows, such as to their forrelation, keeps only the reduced
+    values of earlier chunks.
     """
     if samples is None:
         return draw(substream(seed, 0), 1)[0]
@@ -249,7 +264,7 @@ def sample_gaussian(params: ForrParams, seed: int,
     second half of every row is exactly the normalized Hadamard image of the
     first half.
     """
-    return _chunked(seed, samples, lambda gen, k: gaussian_rows(gen, params, k))
+    return chunked(seed, samples, lambda gen, k: gaussian_rows(gen, params, k))
 
 
 def sample_forrelation(params: ForrParams, seed: int,
@@ -259,8 +274,8 @@ def sample_forrelation(params: ForrParams, seed: int,
     Each coordinate of a truncated Gaussian draw is rounded to +-1
     independently with conditional mean equal to the truncated value.
     """
-    return _chunked(seed, samples,
-                    lambda gen, k: forrelation_rows(gen, params, k))
+    return chunked(seed, samples,
+                   lambda gen, k: forrelation_rows(gen, params, k))
 
 
 def sample_lifted(params: ForrParams, seed: int,
@@ -268,11 +283,8 @@ def sample_lifted(params: ForrParams, seed: int,
     """Draw lifted input pairs (x, y) with x uniform and y = x . z for a
     forrelation-distributed z.  Marginally each of x, y is uniform, and
     x . y recovers z."""
-    def draw(gen, k):
-        z = forrelation_rows(gen, params, k)
-        x = uniform_sign_rows(gen, z.shape)
-        return np.stack([x, x * z], axis=1)
-    out = _chunked(seed, samples, draw)
+    out = chunked(seed, samples, lambda gen, k: np.stack(
+        lifted_rows(gen, params, k), axis=1))
     if samples is None:
         return out[0], out[1]
     return out[:, 0, :], out[:, 1, :]

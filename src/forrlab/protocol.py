@@ -303,7 +303,8 @@ def majority_amplify(base_error: float, reps: int) -> float:
 
 @dataclass(frozen=True)
 class Cell:
-    """One rectangle A x B with a fixed +-1 output.
+    """One rectangle A x B with a fixed +-1 output: what a caller hands to
+    ``RectanglePartition``, and what its ``cells`` views are.
 
     ``alice`` / ``bob`` are boolean membership masks over the 2^|R| points
     of the partition's coordinate window R: entry c is the membership of
@@ -320,6 +321,41 @@ class Cell:
             raise ValueError(f"cell output must be +-1, got {self.output}")
 
 
+def _checked_window(n: int, cost: int,
+                    window: Sequence[int] | None) -> np.ndarray:
+    """A partition's window R as an index array, after the checks on n,
+    the cost and R that come before any mask is looked at."""
+    if n < 1:
+        raise ValueError(f"input length must be positive, got {n}")
+    if cost < 0:
+        raise ValueError(f"cost must be nonnegative, got {cost}")
+    if window is None:
+        window = np.arange(n, dtype=np.intp)
+    else:
+        window = np.asarray(window, dtype=np.intp)
+        if (window.ndim != 1 or np.any(window[1:] <= window[:-1]) or
+                (window.size and not 0 <= window[0] <= window[-1] < n)):
+            raise ValueError(
+                f"window must be sorted distinct coordinates in [0, {n})")
+    if window.size > DENSE_CAP:
+        raise ResourceLimitError(
+            f"a window of {window.size} coordinates exceeds the mask cap "
+            f"{DENSE_CAP}")
+    return window
+
+
+def _stack(masks: list, width: int) -> np.ndarray:
+    """One side's cell masks as a (cells, width) array of their own dtype;
+    masks of unequal shapes fail the same check as a wrong length."""
+    if not masks:
+        return np.zeros((0, width), dtype=bool)
+    try:
+        return np.stack(masks)
+    except ValueError:
+        raise ValueError(
+            "cells need boolean masks of length 2^|window|") from None
+
+
 class RectanglePartition:
     """A deterministic protocol of cost c as a partition of the input
     square into at most 2^c rectangles.
@@ -328,60 +364,86 @@ class RectanglePartition:
     at most DENSE_CAP distinct coordinates in [0, n), all n by default, so
     the protocol is a partition of the 2^|R| x 2^|R| window square and is
     validated exactly on it.
+
+    The cells are stored stacked: row i of the read-only boolean arrays
+    ``alice`` and ``bob``, each of shape (cells, 2^|R|), holds cell i's
+    masks, and entry i of the int8 vector ``outputs`` its output.  ``Cell``
+    is the input type of the constructor and the type of the ``cells``
+    views; the samplers and built-in partitions hand over stacked masks.
     """
 
     def __init__(self, n: int, cost: int, cells: Sequence[Cell],
                  window: Sequence[int] | None = None):
-        if n < 1:
-            raise ValueError(f"input length must be positive, got {n}")
-        if cost < 0:
-            raise ValueError(f"cost must be nonnegative, got {cost}")
-        if len(cells) > (1 << cost):
+        window = _checked_window(n, cost, window)
+        cells = list(cells)
+        width = 1 << window.size
+        self._set_masks(n, cost, window,
+                        _stack([c.alice for c in cells], width),
+                        _stack([c.bob for c in cells], width),
+                        [c.output for c in cells])
+
+    @classmethod
+    def _from_masks(cls, n: int, cost: int, alice: np.ndarray, bob: np.ndarray,
+                    outputs, window: Sequence[int] | None = None
+                    ) -> RectanglePartition:
+        """The partition whose cell i has masks ``alice[i]``, ``bob[i]`` and
+        output ``outputs[i]``, checked as the constructor checks cells.  The
+        mask arrays become the partition's own, read-only."""
+        p = cls.__new__(cls)
+        p._set_masks(n, cost, _checked_window(n, cost, window), alice, bob,
+                     outputs)
+        return p
+
+    def _set_masks(self, n, cost, window, alice, bob, outputs):
+        outputs = np.asarray(outputs)
+        for mask in (alice, bob):
+            if (mask.dtype != np.bool_ or
+                    mask.shape != (len(outputs), 1 << window.size)):
+                raise ValueError(
+                    "cells need boolean masks of length 2^|window|")
+        bad = outputs[(outputs != 1) & (outputs != -1)]
+        if bad.size:
+            raise ValueError(f"cell output must be +-1, got {bad[0]}")
+        if len(outputs) > (1 << cost):
             raise PartitionError(
-                f"{len(cells)} cells exceed 2^cost = {1 << cost}")
-        window = np.asarray(range(n) if window is None else window,
-                            dtype=np.intp)
-        if (window.ndim != 1 or np.any(window[1:] <= window[:-1]) or
-                (window.size and not 0 <= window[0] <= window[-1] < n)):
-            raise ValueError(
-                f"window must be sorted distinct coordinates in [0, {n})")
-        if window.size > DENSE_CAP:
-            raise ResourceLimitError(
-                f"a window of {window.size} coordinates exceeds the mask cap "
-                f"{DENSE_CAP}")
+                f"{len(outputs)} cells exceed 2^cost = {1 << cost}")
         self.n = n
         self.cost = cost
-        self.cells = list(cells)
         self.window = window
-        for cell in self.cells:
-            for mask in (cell.alice, cell.bob):
-                if mask.dtype != np.bool_ or mask.shape != (1 << window.size,):
-                    raise ValueError(
-                        "cells need boolean masks of length 2^|window|")
+        self.alice = alice
+        self.bob = bob
+        self.outputs = outputs.astype(np.int8)
+        for array in (alice, bob, self.outputs):
+            array.flags.writeable = False
         self._validate()
+
+    @property
+    def cells(self) -> list[Cell]:
+        """The cells in order, as ``Cell`` views of the stacked masks."""
+        return [Cell(a, b, out) for a, b, out in
+                zip(self.alice, self.bob, self.outputs.tolist())]
 
     def _validate(self):
         # Pairwise-disjoint rectangles plus full total measure is exactly
         # the partition property.  Two cells overlap when both their Alice
         # sides and their Bob sides meet, which an AND of the bit-packed
         # masks tests for AUDIT_BLOCK cells against all at a time: exact,
-        # and in one thread.  The zero pad bits of packing never meet.
-        shape = (len(self.cells), 1 << self.window.size)
-        alice = np.array([c.alice for c in self.cells],
-                         dtype=bool).reshape(shape)
-        bob = np.array([c.bob for c in self.cells], dtype=bool).reshape(shape)
-        alice_bits = np.packbits(alice, axis=1)
-        bob_bits = np.packbits(bob, axis=1)
-        for start in range(0, len(self.cells), AUDIT_BLOCK):
+        # and in one thread.  The masks are packed along the points, so
+        # byte j of every cell is one contiguous row and the test reduces
+        # over whole rows.  The zero pad bits of packing never meet.
+        alice_bits = np.packbits(self.alice.T, axis=0)
+        bob_bits = np.packbits(self.bob.T, axis=0)
+        for start in range(0, len(self.outputs), AUDIT_BLOCK):
             rows = slice(start, start + AUDIT_BLOCK)
-            overlap = ((alice_bits[rows, None] & alice_bits).any(axis=2) &
-                       (bob_bits[rows, None] & bob_bits).any(axis=2))
+            overlap = ((alice_bits[:, rows, None] & alice_bits[:, None]
+                        ).any(axis=0) &
+                       (bob_bits[:, rows, None] & bob_bits[:, None]
+                        ).any(axis=0))
             block = np.arange(overlap.shape[0])
             overlap[block, start + block] = False
             if overlap.any():
                 raise PartitionError("cells overlap on the input square")
-        total = int(np.count_nonzero(alice, axis=1) @
-                    np.count_nonzero(bob, axis=1))
+        total = int(self.alice.sum(axis=1) @ self.bob.sum(axis=1))
         pairs = 1 << (2 * self.window.size)
         if total != pairs:
             raise PartitionError(f"cells cover {total} of {pairs} input pairs")
@@ -395,16 +457,17 @@ class RectanglePartition:
         x_codes = signs_to_codes(xs[:, self.window])
         y_codes = signs_to_codes(ys[:, self.window])
         out = np.zeros(xs.shape[0], dtype=np.int8)
-        for cell in self.cells:
-            out[cell.alice[x_codes] & cell.bob[y_codes]] = cell.output
+        for alice, bob, output in zip(self.alice, self.bob, self.outputs):
+            out[alice[x_codes] & bob[y_codes]] = output
         return out
 
 
 def trivial_partition(n: int, output: int = 1) -> RectanglePartition:
     """The cost-0 protocol that always answers ``output``; it reads no
     coordinate, so its one cell has one-point sides."""
-    full = np.ones(1, dtype=bool)
-    return RectanglePartition(n, 0, [Cell(full, full, output)], window=())
+    full = np.ones((1, 1), dtype=bool)
+    return RectanglePartition._from_masks(n, 0, full, full, [output],
+                                          window=())
 
 
 def _audit_rows(k: int) -> int:
@@ -412,6 +475,25 @@ def _audit_rows(k: int) -> int:
     ``AUDIT_BYTES`` of float64 Alice and Bob tables, and at least
     AUDIT_BLOCK, which bounds memory at a window of DENSE_CAP coordinates."""
     return max(AUDIT_BLOCK, AUDIT_BYTES // (16 << k))
+
+
+def _row_chunks(counts: Sequence[int], step: int):
+    """Chunks of ``step`` rows, the last one ragged, of runs of ``counts``
+    rows laid end to end: each chunk is the list of (run, first row, end
+    row) pieces it takes from consecutive runs, in order."""
+    chunk, fill = [], 0
+    for run, count in enumerate(counts):
+        lo = 0
+        while lo < count:
+            hi = min(count, lo + step - fill)
+            chunk.append((run, lo, hi))
+            fill += hi - lo
+            lo = hi
+            if fill == step:
+                yield chunk
+                chunk, fill = [], 0
+    if chunk:
+        yield chunk
 
 
 def _cell_sums(ps: Sequence[RectanglePartition],
@@ -422,26 +504,35 @@ def _cell_sums(ps: Sequence[RectanglePartition],
     indicators, and one entry each of the largest density of any of the
     partition's cell sides.
 
-    The cells of all the partitions are stacked and transformed
-    ``_audit_rows`` at a time, and each chunk's terms are summed per
-    partition.  Every term is an integer below 2^53, so every sum is exact
-    in any order, and a partition's sums do not depend on its chunks."""
+    The cells of all the partitions, in order, are transformed
+    ``_audit_rows`` at a time: a chunk's tables are filled from row slices
+    of the stacked masks of the partitions it spans, and its terms are
+    summed per partition.  Every term is an integer below 2^53, so every
+    sum is exact in any order, and a partition's sums do not depend on its
+    chunks."""
     k = ps[0].window.size
-    cells = [c for p in ps for c in p.cells]
-    owner = np.repeat(np.arange(len(ps)), [len(p.cells) for p in ps])
-    sums = densest = None
+    counts = [len(p.outputs) for p in ps]
     step = _audit_rows(k)
-    for start in range(0, len(cells), step):
-        chunk = cells[start:start + step]
-        tables = np.array([[c.alice for c in chunk], [c.bob for c in chunk]],
-                          dtype=np.float64)
-        # The chunk row where each partition's cells begin, row 0 included;
-        # every partition has a cell, so no reduceat segment is empty.
-        heads = np.flatnonzero(np.diff(owner[start:start + step], prepend=-1))
-        ids = owner[start + heads]
+    # One table buffer serves every chunk, so no two are alive at once.
+    buffer = np.empty((2, min(step, sum(counts)), 1 << k))
+    out_buffer = np.empty((buffer.shape[1], 1))
+    sums = densest = None
+    for chunk in _row_chunks(counts, step):
+        # Chunk row heads[j] is the first of piece j; every piece has a
+        # cell, so no reduceat segment is empty.
+        ids = [i for i, _, _ in chunk]
+        sizes = [hi - lo for _, lo, hi in chunk]
+        ends = np.cumsum(sizes)
+        heads = ends - sizes
+        tables = buffer[:, :ends[-1]]
+        outputs = out_buffer[:ends[-1]]
+        for (i, lo, hi), head, end in zip(chunk, heads, ends):
+            tables[0, head:end] = ps[i].alice[lo:hi]
+            tables[1, head:end] = ps[i].bob[lo:hi]
+            outputs[head:end, 0] = ps[i].outputs[lo:hi]
         dense = np.maximum.reduceat(tables.mean(axis=-1).max(axis=0), heads)
         alice, bob = transform(tables)
-        alice *= np.array([[c.output] for c in chunk], dtype=np.float64)
+        alice *= outputs
         alice *= bob
         terms = np.add.reduceat(alice, heads)
         if sums is None:
@@ -559,18 +650,21 @@ def random_protocol_partition(n: int, cost: int, seed: int) -> RectanglePartitio
     """Partition induced by a random communication tree of depth ``cost``:
     at each node a random speaker announces a random bipartition of their
     compatible set; leaves answer a random sign.  The tree is drawn from
-    substream (seed, 0) as :func:`_random_tree_cells` describes."""
+    substream (seed, 0) as :func:`_random_tree_masks` describes."""
     if cost < 0:
         raise ValueError(f"cost must be nonnegative, got {cost}")
     if n > DENSE_CAP:
         raise ResourceLimitError(f"random dense partitions need n <= {DENSE_CAP}")
-    return RectanglePartition(n, cost, _random_tree_cells(n, cost, seed))
+    return RectanglePartition._from_masks(n, cost,
+                                          *_random_tree_masks(n, cost, seed))
 
 
-def _random_tree_cells(n: int, cost: int, seed: int) -> list[Cell]:
-    """The leaves of a random depth-``cost`` tree over 2^n points per side,
-    in depth-first order: at each split, the part of the speaker's set
-    inside the message before the part outside it.
+def _random_tree_masks(n: int, cost: int,
+                       seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The leaves of a random depth-``cost`` tree over 2^n points per side
+    as stacked Alice masks, Bob masks and int8 outputs, in depth-first
+    order: at each split, the part of the speaker's set inside the message
+    before the part outside it.
 
     The tree reads substream (seed, 0) one uint32 word at a time in stream
     order: a node's message takes ceil(2^n / 4) words whose bytes' top bits
@@ -581,38 +675,57 @@ def _random_tree_cells(n: int, cost: int, seed: int) -> list[Cell]:
     draws consume, but the words are read in refills of at least
     ``TREE_WORDS``, so the stream is touched once per refill rather than up
     to three times per node.  A part of a split that is empty is pruned.
+
+    Each leaf's masks are written once, into arrays with a row for every
+    leaf the tree could have: at most 2^cost, and at most 4^n, since the
+    leaves are disjoint nonempty rectangles.  Rows past the last leaf are
+    never written, and the arrays returned are views of the rows that are.
     """
     gen = substream(seed, 0)
     points = 1 << n
     msg_words = -(-points // 4)
     words = np.empty(0, dtype="<u4")
     pos = 0
-    cells: list[Cell] = []
+    rows = 1 << min(cost, 2 * n)
+    alice = np.empty((rows, points), dtype=bool)
+    bob = np.empty((rows, points), dtype=bool)
+    outputs = np.empty(rows, dtype=np.int8)
+    leaves = 0
     full = np.ones(points, dtype=bool)
-    stack = [(full, full, 0)]  # pending subtrees, the next one on top
+    # Pending subtrees, the next one on top, with the point counts of
+    # their sides.
+    stack = [(full, full, points, points, 0)]
     while stack:
-        amask, bmask, depth = stack.pop()
+        amask, bmask, asize, bsize, depth = stack.pop()
         need = 1 if depth == cost else msg_words + 1
         if pos + need > words.size:
             fresh = gen.integers(0, 1 << 32, dtype=np.uint32,
                                  size=max(need, TREE_WORDS))
             words = np.concatenate([words[pos:], fresh]).astype("<u4",
                                                                copy=False)
+            # The top bit of each byte; bits[4 w + 3] is that of word w.
             bits = words.view(np.uint8) >= 128
             pos = 0
         if depth == cost:
-            cells.append(Cell(amask, bmask, 1 - 2 * int(words[pos] >> 31)))
+            alice[leaves] = amask
+            bob[leaves] = bmask
+            outputs[leaves] = -1 if bits[4 * pos + 3] else 1
+            leaves += 1
             pos += 1
             continue
         msg = bits[4 * pos:4 * pos + points]
-        alice_speaks = words[pos + msg_words] >> 31 == 0
+        alice_speaks = not bits[4 * (pos + msg_words) + 3]
         pos += need
-        side = amask if alice_speaks else bmask
-        for part in (side & ~msg, side & msg):  # side & msg pops first
-            if np.count_nonzero(part):
-                stack.append((part, bmask, depth + 1) if alice_speaks
-                             else (amask, part, depth + 1))
-    return cells
+        side, size = (amask, asize) if alice_speaks else (bmask, bsize)
+        inside = side & msg
+        within = np.count_nonzero(inside)
+        # The part inside the message pops first.
+        for part, count in ((side ^ inside, size - within), (inside, within)):
+            if count:
+                stack.append((part, bmask, count, bsize, depth + 1)
+                             if alice_speaks else
+                             (amask, part, asize, count, depth + 1))
+    return alice[:leaves], bob[:leaves], outputs[:leaves]
 
 
 def pair_parity_partition(n: int, m: int) -> RectanglePartition:
@@ -635,13 +748,12 @@ def pair_parity_partition(n: int, m: int) -> RectanglePartition:
     # Bit i of pair_bits is 1 where pair i's product is -1.
     pair_bits = sum((((codes >> (2 * i)) ^ (codes >> (2 * i + 1))) & 1) << i
                     for i in range(m))
-    cells = []
-    for a in range(1 << m):
-        for b in range(1 << m):
-            minus = (a ^ b).bit_count()
-            cells.append(Cell(pair_bits == a, pair_bits == b,
-                              -1 if 2 * minus > m else 1))
-    return RectanglePartition(n, 2 * m, cells, window=range(2 * m))
+    # Cell a 2^m + b: Alice announced products a, Bob products b.
+    a, b = np.divmod(np.arange(1 << (2 * m)), 1 << m)
+    minus = np.bitwise_count(a ^ b)
+    return RectanglePartition._from_masks(
+        n, 2 * m, pair_bits == a[:, None], pair_bits == b[:, None],
+        np.where(2 * minus > m, -1, 1), window=range(2 * m))
 
 
 def pair_parity_mass(m: int) -> float:
@@ -659,9 +771,9 @@ def forrelation_probe_partition(params: ForrParams, i: int = 0,
         raise ValueError(f"probe coordinates must lie in [0, {params.N})")
     w = int(f2_inner_sign(np.uint64(i), np.uint64(j)))
     # Window (i, N + j): code bit 0 is coordinate i, bit 1 is N + j, and
-    # the product of the two signs is +1 on codes 0 and 3.
-    plus = np.array([True, False, False, True])
-    cells = [Cell(plus if s == 1 else ~plus, plus if t == 1 else ~plus,
-                  w * s * t) for s in (1, -1) for t in (1, -1)]
-    return RectanglePartition(params.input_length, 2, cells,
-                              window=(i, params.N + j))
+    # the product of the two signs is +1 on codes 0 and 3.  Cell (s, t),
+    # for s, t in (1, -1), has sides[s < 0] x sides[t < 0] and output w s t.
+    sides = np.array([[True, False, False, True], [False, True, True, False]])
+    return RectanglePartition._from_masks(
+        params.input_length, 2, sides[[0, 0, 1, 1]], sides[[0, 1, 0, 1]],
+        w * np.array([1, -1, -1, 1]), window=(i, params.N + j))

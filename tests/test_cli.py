@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,6 +364,10 @@ PINNED_PARTITION_CSVS = {
         "ab807b4898eb1890f57d51b8698fbc24d2280abbbe54da05d74a79cf8d9272d0",
     ("fourier-audit", "--n", "4", "--partitions", "200", "--seed", "0"):
         "5b786f40fad8447bbae0edcac24e1db5d38eaed140ab9c25623ac4e11932aca2",
+    # 16-coordinate windows: masks of 65,536 points.
+    ("fourier-audit", "--n", "8", "--partitions", "8", "--max-cost", "6",
+     "--seed", "5"):
+        "810f6d32dc6b8b9faae7b3395f54e17d6340907b264f952bb995258326f98a5f",
 }
 
 
@@ -476,6 +481,22 @@ class TestInstanceAndSampleEmitters:
         assert ((tmp_path / "lifted.csv").read_bytes()
                 == (tmp_path / "signs.csv").read_bytes())
         assert summaries["lifted"] == {**summaries["signs"], "dist": "lifted"}
+
+    def test_gaussian_rows_are_scored_per_chunk(self, tmp_path, capsys):
+        # Two full chunks and a ragged one: every float64 row at once would
+        # take samples * 2N * 8 bytes, 64 MiB here.
+        samples, width = 2 * _rng.CHUNK + 5, 128
+        tracemalloc.start()
+        try:
+            code = run(["sample-dist", "--n", "64", "--dist", "gaussian",
+                        "--samples", str(samples), "--seed", "1",
+                        "--out", str(tmp_path / "g.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_PASS
+        assert summary_of(capsys)["samples"] == samples
+        assert peak < samples * width * 8
 
 
 @pytest.mark.parametrize("args", [

@@ -416,8 +416,10 @@ class TestRandomTreeReader:
         # per message, more than one refill.
         for cost in range(8):
             for seed in range(20):
-                assert_same_cells(protocol._random_tree_cells(n, cost, seed),
-                                  scalar_tree_cells(n, cost, seed))
+                assert_same_cells(
+                    [Cell(*leaf) for leaf in
+                     zip(*protocol._random_tree_masks(n, cost, seed))],
+                    scalar_tree_cells(n, cost, seed))
 
     def test_partition_keeps_the_tree(self):
         for n, cost, seed in ((4, 3, 0), (8, 6, 1), (10, 2, 2)):
@@ -708,6 +710,56 @@ class TestDenseValidation:
         alice = np.array([c.alice for c in p.cells], dtype=np.float64)
         bob = np.array([c.bob for c in p.cells], dtype=np.float64)
         assert np.array_equal(alice.T @ bob, np.ones((1 << 8, 1 << 8)))
+
+
+class TestStackedMasks:
+    """Partitions built from stacked masks are checked and behave as ones
+    built from cells."""
+
+    FULL = np.ones(4, dtype=bool)
+    HALF = np.arange(4) < 2
+
+    @pytest.mark.parametrize("alice, bob, message", [
+        # FULL x FULL and FULL x HALF share HALF x HALF.
+        ([FULL, FULL], [FULL, HALF], "cells overlap on the input square"),
+        ([HALF], [HALF], "cells cover 4 of 16 input pairs"),
+    ], ids=["overlap", "gap"])
+    def test_sampled_masks_are_validated(self, alice, bob, message,
+                                         monkeypatch):
+        def tree(n, cost, seed):
+            return (np.array(alice), np.array(bob),
+                    np.ones(len(alice), dtype=np.int8))
+        monkeypatch.setattr(protocol, "_random_tree_masks", tree)
+        with pytest.raises(PartitionError, match=f"^{message}$"):
+            random_protocol_partition(2, 1, seed=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_protocol_partition(4, 3, 0),
+        lambda: random_protocol_partition(8, 6, 1),
+        lambda: random_protocol_partition(10, 4, 2),
+        lambda: pair_parity_partition(8, 1),
+        lambda: pair_parity_partition(8, 3),
+        lambda: forrelation_probe_partition(ForrParams(4), 1, 3),
+    ], ids=["tree-n4", "tree-n8", "tree-n10", "pairs1", "pairs3", "probe"])
+    def test_cells_rebuild_the_same_partition(self, make):
+        p = make()
+        q = RectanglePartition(p.n, p.cost, p.cells, window=p.window)
+        assert np.array_equal(q.alice, p.alice)
+        assert np.array_equal(q.bob, p.bob)
+        assert np.array_equal(q.outputs, p.outputs)
+        assert np.array_equal(l2_audit(q).l2_mass, l2_audit(p).l2_mass)
+        assert np.array_equal(protocol_spectrum(q).coeffs,
+                              protocol_spectrum(p).coeffs)
+        gen = substream(p.n, 0)
+        x = uniform_sign_rows(gen, (2000, p.n))
+        y = uniform_sign_rows(gen, (2000, p.n))
+        assert np.array_equal(q.evaluate_rows(x, y), p.evaluate_rows(x, y))
+
+    def test_masks_are_read_only(self):
+        p = random_protocol_partition(4, 3, 0)
+        for array in (p.alice, p.bob, p.outputs, p.cells[0].alice):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
 
 class TestWindowValidation:
