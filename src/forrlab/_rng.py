@@ -30,6 +30,7 @@ blocks pay more numpy call overhead per row than they save.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from typing import Callable, NamedTuple
@@ -75,7 +76,25 @@ def substream(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed & _MASK64, (seed >> 64) & _MASK64], dtype=np.uint64)
     counter = np.array([0, 0, index & _MASK64, (index >> 64) & _MASK64],
                        dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    bits = np.random.Philox(_no_seed())
+    bits.state = {"bit_generator": "Philox",
+                  "state": {"counter": counter, "key": key},
+                  "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
+
+
+@functools.cache
+def _no_seed():
+    """A seed sequence for Philox bit generators whose state is set right
+    after they are built.  ``Philox(key=key, counter=counter)`` gives the
+    same state, but first seeds a seed sequence from OS entropy that no
+    stream here uses, about a third of the cost of a substream.  Made on
+    first use, so importing forrlab does not load ``numpy.random``."""
+    class NoSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+    return NoSeed()
 
 
 def ahead(gen: np.random.Generator, words: int) -> np.random.Generator:
@@ -93,7 +112,7 @@ def ahead(gen: np.random.Generator, words: int) -> np.random.Generator:
     if words < 0:
         raise ValueError(f"words must be nonnegative, got {words}")
     state = gen.bit_generator.state
-    bits = np.random.Philox(key=state["state"]["key"])
+    bits = np.random.Philox(_no_seed())
     out = np.random.Generator(bits)
     left = 4 - state["buffer_pos"]
     if words < left:

@@ -43,6 +43,7 @@ from .protocol import (
     DENSE_CAP,
     QuantumProtocolConfig,
     advantage,
+    check_partition_size,
     default_copies,
     forrelation_probe_partition,
     l2_audit,
@@ -114,12 +115,13 @@ def recorder(subcommand: str, **shared):
     **columns)`` adds experiment ``subcommand:name`` with the ``shared``
     columns and the time since the recorder was made."""
     records: list[ResultRecord] = []
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     def record(name: str, metric: str, estimate, **columns):
         records.append(ResultRecord(
             experiment=f"{subcommand}:{name}", subcommand=subcommand,
-            metric=metric, estimate=estimate, wall_time=time.time() - t0,
+            metric=metric, estimate=estimate,
+            wall_time=time.perf_counter() - t0,
             **shared, **columns))
     return records, record
 
@@ -243,7 +245,7 @@ def cmd_run_protocol(args) -> int:
     total_qubits = 0
     total_gates = 0
     max_abs_z = 0.0
-    t0 = time.time()
+    t0 = time.perf_counter()
     # A block's amplitudes (2N float64) and copy bits stay near BLOCK_BYTES.
     for block in row_blocks(args.instances, 2 * params.N + copies // 8 + 1):
         ids = range(block.start, block.stop)
@@ -288,8 +290,8 @@ def cmd_run_protocol(args) -> int:
         "z_flagged": max_abs_z > Z_FLAG,
     }
     print(json.dumps(summary))
-    print(f"# success {correct}/{args.instances} in {time.time() - t0:.2f}s",
-          file=sys.stderr)
+    print(f"# success {correct}/{args.instances} in "
+          f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return EXIT_PASS
 
 
@@ -320,6 +322,9 @@ def cmd_fourier_audit(args) -> int:
         raise ValueError(
             f"dense Fourier audit needs input length 2N <= {DENSE_CAP}, "
             f"got {length}")
+    # Partition idx has cost 1 + idx % max_cost: refuse the largest one
+    # drawn before any is.
+    check_partition_size(length, min(args.max_cost, args.partitions))
     records, record = recorder("fourier-audit", N=params.N, eps=params.eps,
                                seed=args.seed)
 
@@ -486,33 +491,32 @@ def _out_path(text: str) -> str:
     return text
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="forrlab",
-        description="Seeded audits and protocol runs for the lifted "
-                    "forrelation lab.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line:
+    ``PROG: error: MESSAGE``, exit 2.  Sub-parsers are of the same class."""
 
-    def common(p, samples_default=None):
-        p.add_argument("--n", type=_power_of_two, default=64,
-                       help="problem half-length N (power of two)")
-        p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--out", type=_out_path, default=None,
-                       help="output file path (its directory must exist)")
-        p.add_argument("--eps-override", type=float, default=None,
-                       help="override the derived coupling for exploration")
-        if samples_default is not None:
-            p.add_argument("--samples", type=int, default=samples_default)
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
-    p = sub.add_parser("verify-moments",
-                       help="Monte Carlo audit of the Gaussian moments and "
-                            "the mean forrelation of the sign distribution")
-    common(p, samples_default=1_000_000)
-    p.set_defaults(func=cmd_verify_moments)
 
-    p = sub.add_parser("run-protocol", help="run the quantum protocol over "
-                                            "sampled instances")
-    common(p)
+def _common(p, samples_default=None):
+    p.add_argument("--n", type=_power_of_two, default=64,
+                   help="problem half-length N (power of two)")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--out", type=_out_path, default=None,
+                   help="output file path (its directory must exist)")
+    p.add_argument("--eps-override", type=float, default=None,
+                   help="override the derived coupling for exploration")
+    if samples_default is not None:
+        p.add_argument("--samples", type=int, default=samples_default)
+
+
+def _verify_moments_args(p):
+    _common(p, samples_default=1_000_000)
+
+
+def _run_protocol_args(p):
+    _common(p)
     p.add_argument("--mode", default="amplified",
                    choices=["amplified", "promise_yes", "promise_no",
                             "planted_yes", "uniform_no"])
@@ -522,45 +526,83 @@ def build_parser() -> argparse.ArgumentParser:
                         "mode, the promise-gap count default_copies(1/3) "
                         "in the other modes)")
     p.add_argument("--threshold", type=_probability, default=None)
-    p.set_defaults(func=cmd_run_protocol)
 
-    p = sub.add_parser("fourier-audit", help="exact level-2 mass audit of "
-                                             "random protocol partitions")
-    common(p)
+
+def _fourier_audit_args(p):
+    _common(p)
     p.set_defaults(n=4)
     p.add_argument("--partitions", type=_positive_int, default=1000)
     p.add_argument("--max-cost", type=_positive_int, default=4)
-    p.set_defaults(func=cmd_fourier_audit)
 
-    p = sub.add_parser("advantage", help="distinguishing advantage of "
-                                         "built-in probe partitions")
+
+def _advantage_args(p):
     p.add_argument("--n", type=_power_of_two, action="append", default=None)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=_out_path, default=None)
     p.add_argument("--eps-override", type=float, default=None)
     p.add_argument("--samples", type=int, default=100_000)
-    p.set_defaults(func=cmd_advantage)
 
-    p = sub.add_parser("gen-instances", help="emit labeled instances as JSON lines")
-    common(p)
+
+def _gen_instances_args(p):
+    _common(p)
     p.add_argument("--mode", default="planted_yes",
                    choices=[m.value for m in InstanceMode])
     p.add_argument("--count", type=_positive_int, default=10)
-    p.set_defaults(func=cmd_gen_instances)
 
-    p = sub.add_parser("sample-dist", help="sample a distribution and record "
-                                           "per-sample forrelation")
-    common(p, samples_default=10_000)
+
+def _sample_dist_args(p):
+    _common(p, samples_default=10_000)
     p.add_argument("--dist", default="signs",
                    choices=["gaussian", "signs", "lifted"])
-    p.set_defaults(func=cmd_sample_dist)
 
+
+# (name, help, add-arguments function, handler) of every subcommand, in
+# the order --help lists them.
+SUBCOMMANDS = (
+    ("verify-moments", "Monte Carlo audit of the Gaussian moments and the "
+                       "mean forrelation of the sign distribution",
+     _verify_moments_args, cmd_verify_moments),
+    ("run-protocol", "run the quantum protocol over sampled instances",
+     _run_protocol_args, cmd_run_protocol),
+    ("fourier-audit", "exact level-2 mass audit of random protocol "
+                      "partitions",
+     _fourier_audit_args, cmd_fourier_audit),
+    ("advantage", "distinguishing advantage of built-in probe partitions",
+     _advantage_args, cmd_advantage),
+    ("gen-instances", "emit labeled instances as JSON lines",
+     _gen_instances_args, cmd_gen_instances),
+    ("sample-dist", "sample a distribution and record per-sample "
+                    "forrelation",
+     _sample_dist_args, cmd_sample_dist),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The forrlab parser.  Every subcommand is registered with its help,
+    but only the one ``argv[0]`` names, the only one that can run, gets
+    its arguments and ``--help``, since each argument added builds a help
+    formatter.  With no argv, or one that starts with anything else
+    (``--help``, an unknown name), all do, so help and errors read as
+    they would with every argument added."""
+    parser = _Parser(
+        prog="forrlab",
+        description="Seeded audits and protocol runs for the lifted "
+                    "forrelation lab.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    names = {name for name, *_ in SUBCOMMANDS}
+    chosen = argv[0] if argv and argv[0] in names else None
+    for name, text, add_arguments, handler in SUBCOMMANDS:
+        runs = chosen in (None, name)
+        p = sub.add_parser(name, help=text, add_help=runs)
+        if runs:
+            add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # OSError: --out not writable

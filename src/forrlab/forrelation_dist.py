@@ -225,7 +225,10 @@ def forrelation_rows(gen: np.random.Generator, params: ForrParams,
 
 def uniform_sign_rows(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Uniform +-1 entries of the given shape, drawn from ``gen``."""
-    return (1 - 2 * gen.integers(0, 2, size=shape, dtype=np.int8)).astype(np.int8)
+    signs = gen.integers(0, 2, size=shape, dtype=np.int8)
+    signs *= -2
+    signs += 1
+    return signs
 
 
 def lifted_rows(gen: np.random.Generator, params: ForrParams,
@@ -439,6 +442,9 @@ def instance_rows(params: ForrParams, modes: Sequence[InstanceMode | str],
     if not -1.0 <= strength <= 1.0:
         raise ValueError(f"strength must lie in [-1, 1], got {strength}")
     N = params.N
+    # A flip is +1 when its uniform falls below this: the draw and compare
+    # of round_rows on a constant row of strength, without the row.
+    keep_sign = (1.0 + strength) / 2.0
     gens = [substream(seed, 0) for seed in seeds]
     xs = np.empty((len(modes), 2 * N), dtype=np.int8)
     ys = np.empty_like(xs)
@@ -460,7 +466,7 @@ def instance_rows(params: ForrParams, modes: Sequence[InstanceMode | str],
             if mode is InstanceMode.PLANTED_YES:
                 planted.append(j)
                 z1.append(uniform_sign_rows(gen, (N,)))
-                flips.append(round_rows(gen, np.full((1, N), strength))[0])
+                flips.append(gen.random(N) < keep_sign)
                 x[j] = uniform_sign_rows(gen, (2 * N,))
             elif mode is InstanceMode.PROMISE_YES:
                 z = forrelation_rows(gen, params, 1)[0]
@@ -471,8 +477,10 @@ def instance_rows(params: ForrParams, modes: Sequence[InstanceMode | str],
                 y[j] = uniform_sign_rows(gen, (2 * N,))
         if planted:
             z1 = np.array(z1)
-            aligned = np.where(fwht(z1.astype(np.float64)) >= 0, 1, -1)
-            z = np.concatenate([z1, aligned.astype(np.int8) * flips], axis=1)
+            aligned = np.where(fwht(z1.astype(np.float64)) >= 0, 1, -1
+                               ).astype(np.int8)
+            z = np.concatenate([z1, np.where(flips, aligned, -aligned)],
+                               axis=1)
             y[planted] = x[planted] * z
         value = forr(x * y)
         keep = np.array([

@@ -76,6 +76,7 @@ __all__ = [
     "advantage",
     "majority_amplify",
     "random_protocol_partition",
+    "check_partition_size",
     "pair_parity_partition",
     "pair_parity_mass",
     "trivial_partition",
@@ -237,9 +238,10 @@ def run_quantum_protocol(x: SignVector | np.ndarray, y: SignVector | np.ndarray,
         bits = np.empty(c.copies, dtype=np.uint8)
         start = 0
         for k in chunk_sizes(c.copies):
-            bits[start:start + k] = gen.uniform(size=k) < p_one
+            np.less(gen.random(k), p_one, out=bits[start:start + k])
             start += k
-        ones_fraction = float(bits.mean())
+        # A Python float, so the CSV keeps repr(float) of count / copies.
+        ones_fraction = int(np.count_nonzero(bits)) / c.copies
         decision = Label.YES if ones_fraction > c.decision_threshold else Label.NO
         out.append(ProtocolRunStats(
             ones_fraction=ones_fraction,
@@ -655,8 +657,22 @@ def random_protocol_partition(n: int, cost: int, seed: int) -> RectanglePartitio
         raise ValueError(f"cost must be nonnegative, got {cost}")
     if n > DENSE_CAP:
         raise ResourceLimitError(f"random dense partitions need n <= {DENSE_CAP}")
+    check_partition_size(n, cost)
     return RectanglePartition._from_masks(n, cost,
                                           *_random_tree_masks(n, cost, seed))
+
+
+def check_partition_size(n: int, cost: int) -> None:
+    """Refuse a random depth-``cost`` partition over 2^n points per side
+    whose two mask stacks, 2^min(cost, 2n) rows of 2^n bytes each, would
+    together need more than MAX_STATE_BYTES; callers check before they
+    draw."""
+    need = 2 << (min(cost, 2 * n) + n)
+    if need > quantum_sim.MAX_STATE_BYTES:
+        raise ResourceLimitError(
+            f"a cost-{cost} random partition over 2^{n} points per side "
+            f"needs {need} bytes of cell masks, over "
+            f"{quantum_sim.MAX_STATE_BYTES}")
 
 
 def _random_tree_masks(n: int, cost: int,

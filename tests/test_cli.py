@@ -4,13 +4,19 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import shlex
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from forrlab import _rng, protocol
+from forrlab import _rng, cli, protocol
 from forrlab.cli import EXIT_PASS, EXIT_USAGE, main
 from forrlab.forrelation_dist import (
     ForrParams,
@@ -159,6 +165,110 @@ class TestUsageErrors:
         assert "Traceback" not in err_text
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# SHA-256 of `forrlab --help` and `forrlab SUB --help` at 80 columns, as
+# printed by Python 3.11's argparse when build_parser added every
+# subcommand's arguments on every call.
+PINNED_HELP = {
+    "": "cfbc361457f96744b20d33dc52793d197208fdf4eea62c5f0f7c9d46ef53ea39",
+    "verify-moments":
+        "5d2402c98803d847e7061cde3873d81e52ff0b32be23740f7c100f57aa24af59",
+    "run-protocol":
+        "3092380936e0b816fb40147e5410f2741db43561b083430bca55e2d7d45a5501",
+    "fourier-audit":
+        "156cccd8b818cfddeb6af3eafa57f3d03566473d3cd4effffa24aec5fe7732c0",
+    "advantage":
+        "20a71148fc6869f169f93bffe4eaba9146c4044f9a0ead00b44560d12e20c298",
+    "gen-instances":
+        "13cf32ea61c234af3917b4d528e9412eaf0986d4294e36e99bcc811a424a3393",
+    "sample-dist":
+        "2377d74891bd43d4ee432105bdcd4248f22aa6529d9088036c8b8a8f2dcd48f9",
+}
+
+
+def readme_commands() -> list[list[str]]:
+    """The forrlab command lines of the README, continuations joined."""
+    text = README.read_text().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("forrlab ")]
+
+
+def help_text(parser_argv, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser(parser_argv).parse_args(argv)
+    assert err.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestParser:
+    @pytest.mark.parametrize("subcommand", PINNED_HELP)
+    def test_help_matches_the_full_parser(self, subcommand, monkeypatch,
+                                          capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [subcommand, "--help"] if subcommand else ["--help"]
+        text = help_text(argv, argv, capsys)
+        assert text == help_text(None, argv, capsys)
+        if sys.version_info[:2] == (3, 11):  # argparse layout varies
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == PINNED_HELP[subcommand]
+
+    def test_every_subcommand_is_listed(self):
+        names = [name for name, *_ in cli.SUBCOMMANDS]
+        assert list(PINNED_HELP)[1:] == names
+        for name in names:  # registered, with its arguments, when chosen
+            assert cli.build_parser([name]).parse_args([name]).subcommand == name
+
+    def test_unknown_subcommand_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["bogus"])
+        assert err.value.code == EXIT_USAGE
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("forrlab: error: argument subcommand: "
+                                       "invalid choice: 'bogus'")
+
+    def test_readme_commands_parse_as_with_every_argument(self):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == {
+            name for name, *_ in cli.SUBCOMMANDS}
+        for argv in commands:
+            lazy = cli.build_parser(argv).parse_args(argv)
+            assert lazy == cli.build_parser().parse_args(argv), argv
+
+    def test_bad_threshold_is_one_stderr_line(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["run-protocol", "--threshold", "2"])
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "forrlab run-protocol: error: argument --threshold: must be a "
+            "finite number in [0, 1], got 2"]
+
+    def test_import_loads_no_random_no_pool_and_builds_no_parser(self):
+        # Work done at import would move time from a run into set-up.
+        probe = textwrap.dedent("""
+            import argparse, sys
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counted(self, *args, **kwargs):
+                built.append(1)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counted
+            import forrlab.cli
+            print(sorted({"numpy.random", "concurrent.futures"}
+                         & set(sys.modules)), len(built))
+            """)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["[]", "0"]
+
+
 class TestRunProtocol:
     def test_amplified_summary_and_csv(self, tmp_path, capsys):
         out = tmp_path / "runs.csv"
@@ -279,6 +389,41 @@ class TestFeasibility:
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1
         assert err_lines[0].startswith("feasibility error: 7 qubits need")
+
+
+class TestFourierAuditFeasibility:
+    def test_oversized_masks_exit_two_before_any_partition(self, monkeypatch,
+                                                           capsys):
+        def no_partitions(*args, **kwargs):
+            raise AssertionError("partition drawn before the size check")
+        monkeypatch.setattr(cli, "random_protocol_partition", no_partitions)
+        monkeypatch.setattr(cli, "trivial_partition", no_partitions)
+        # The cost-14 partition, the last drawn, needs 2 GiB of masks.
+        code = run(["fourier-audit", "--n", "8", "--max-cost", "14",
+                    "--partitions", "14"])
+        assert code == EXIT_USAGE
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines == ["feasibility error: a cost-14 random partition "
+                             "over 2^16 points per side needs 2147483648 "
+                             "bytes of cell masks, over 1073741824"]
+
+    def test_only_costs_drawn_are_checked(self, capsys):
+        # One partition is drawn, of cost 1, however large --max-cost is.
+        assert run(["fourier-audit", "--n", "8", "--max-cost", "40",
+                    "--partitions", "1"]) == EXIT_PASS
+
+    def test_partition_refused_before_its_masks(self, monkeypatch):
+        from forrlab.errors import ResourceLimitError
+
+        def no_masks(*args, **kwargs):
+            raise AssertionError("masks allocated before the size check")
+        monkeypatch.setattr(protocol, "_random_tree_masks", no_masks)
+        with pytest.raises(ResourceLimitError, match="cost-14"):
+            protocol.random_protocol_partition(16, 14, 0)
+        # 2 * 2^13 * 2^16 bytes is exactly the cap: allowed.
+        protocol.check_partition_size(16, 13)
+        # Costs past 2n leave the leaf count at 4^n.
+        protocol.check_partition_size(4, 10 ** 6)
 
 
 class TestVerifyMoments:
@@ -699,7 +844,9 @@ class TestCopyBitCap:
 
 
 # SHA-256 of gen-instances JSON lines and run-protocol CSVs as written when
-# each instance was generated on its own.
+# each instance was generated on its own, and as written when planted flips
+# were rounded from a constant row and copy bits came from gen.uniform (the
+# benchmark's run-protocol configuration and a planted_yes run at seed 3).
 PINNED_GENERATOR_OUTPUTS = {
     ("gen-instances", "--mode", "planted_yes", "--n", "64", "--count", "30",
      "--seed", "4"):
@@ -719,6 +866,12 @@ PINNED_GENERATOR_OUTPUTS = {
     ("run-protocol", "--mode", "uniform_no", "--n", "64", "--instances", "9",
      "--copies", "300", "--seed", "5"):
         "1d7b52a0c4b977dbb70708a74995ace786710eaa9c593ebab5e104b6d4d63add",
+    ("run-protocol", "--n", "64", "--mode", "amplified", "--instances", "40",
+     "--copies", "500", "--seed", "1"):
+        "190bf496b9bb232d898065bd0cedda764b16f453224023c860c609cc2b2699b2",
+    ("gen-instances", "--n", "64", "--mode", "planted_yes", "--count", "8",
+     "--seed", "3"):
+        "8e9f23665eeaac7304c18393d7a0c019fb9daf834397d01a120a89ce51b8b466",
 }
 
 

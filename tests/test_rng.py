@@ -84,6 +84,28 @@ def test_substream_rejects_what_would_alias(seed, index):
         substream(seed, index)
 
 
+@pytest.mark.parametrize("seed, index", [(0, 0), (5, 3), (2**64 + 7, 9),
+                                         (2**127 + 9, 2**100 + 7),
+                                         (2**128 - 1, 2**128 - 1)])
+def test_substream_is_numpys_keyed_philox(seed, index):
+    # The key holds the seed and the top counter words the index, with an
+    # empty output buffer, as Philox(key=..., counter=...) builds them.
+    got = substream(seed, index)
+    words = [seed & (2**64 - 1), seed >> 64, index & (2**64 - 1), index >> 64]
+    want = np.random.Generator(np.random.Philox(
+        key=np.array(words[:2], dtype=np.uint64),
+        counter=np.array([0, 0, *words[2:]], dtype=np.uint64)))
+    a, b = got.bit_generator.state, want.bit_generator.state
+    for part in ("key", "counter"):
+        assert np.array_equal(a["state"][part], b["state"][part])
+    assert np.array_equal(a["buffer"], b["buffer"])
+    assert [a[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == [
+        b[k] for k in ("buffer_pos", "has_uint32", "uinteger")]
+    assert np.array_equal(got.integers(0, 2, 77, dtype=np.int8),
+                          want.integers(0, 2, 77, dtype=np.int8))
+    assert np.array_equal(got.random(1001), want.random(1001))
+
+
 def test_substream_range_ends_are_distinct_streams():
     top = 2**128 - 1
     draws = {tuple(substream(seed, index).integers(0, 2**63, size=4))
