@@ -22,10 +22,13 @@ values as an unblocked draw.  Where one draw interleaves two runs of words,
 block can take its words from both runs without holding the whole draw.  No
 result depends on the pool size or on the row blocking.
 
-``BLOCK_BYTES`` is 512 KiB: a block of Box-Muller normals and its
-temporaries (the uniforms, radii, angles and the transformed half) then fit
-in a core's 2 MiB L2 cache, where 1 MiB blocks spilled out of it; smaller
-blocks pay more numpy call overhead per row than they save.
+``BLOCK_BYTES`` is 512 KiB: the buffers a draw keeps for a block then fit
+in a core's 2 MiB L2 cache, where 1 MiB blocks spilled out of it.  For the
+sign sampler these are the Gaussian uniforms, which Box-Muller overwrites
+with their normals (half a block), its radius, angle and trig scratch (a
+quarter block each) and the rounding uniforms (a block), besides the half
+block that the transform returns.  Smaller blocks pay more numpy call
+overhead per row than they save.
 """
 
 from __future__ import annotations

@@ -130,35 +130,70 @@ def truncate(v: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(v, dtype=np.float64), -1.0, 1.0)
 
 
-def _box_muller(u: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-    """Standard normals from (k, n) uniforms ``u`` (n even), columns ``cols``
-    only, in that order (all n when None).
+def _box_muller(u: np.ndarray, scratch: Sequence[np.ndarray]) -> np.ndarray:
+    """Overwrite (rows, n) uniforms ``u`` (n even) with their standard
+    normals, and return ``u``.
 
     Pair p has radius r = sqrt(-2 log(1 - u[:, p])) and angle
-    a = 2 pi u[:, n/2 + p]; column c < n/2 is r cos(a) of pair c and column
-    c >= n/2 is r sin(a) of pair c - n/2.  1 - u stays in (0, 1], keeping
-    the log finite.  log1p, cos and sin only ever see contiguous arrays,
-    since numpy's vector and scalar loops for them may differ in the last
-    bit; so a column has the same bits whichever columns are asked for.
-    Callers draw u with ``gen.random``: it gives the doubles that
-    ``gen.uniform()`` gives (0 + 1 * u) without uniform's scaling pass.
+    a = 2 pi u[:, n/2 + p]; column c < n/2 becomes r cos(a) of pair c and
+    column c >= n/2 r sin(a) of pair c - n/2.  1 - u stays in (0, 1],
+    keeping the log finite.  ``scratch`` is the radius, angle and trig
+    buffers: three C-contiguous float64 arrays of at least rows * n/2
+    values each, which the caller makes once for all its blocks.  Each is
+    used as one contiguous (rows, n/2) array, so log1p, cos and sin only
+    ever see contiguous arrays: numpy's vector and scalar loops for them
+    may differ in the last bit, and this way a normal has the same bits in
+    any block and whichever pairs it is transformed with.
     """
-    half = u.shape[1] // 2
-    if cols is None:
-        out = np.empty(u.shape)
-        radius = np.sqrt(-2.0 * np.log1p(-u[:, :half]))
-        angle = 2.0 * np.pi * u[:, half:]
-        np.multiply(radius, np.cos(angle), out=out[:, :half])
-        np.multiply(radius, np.sin(angle), out=out[:, half:])
-        return out
-    pairs = cols % half
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, pairs]))
-    angle = 2.0 * np.pi * u[:, half + pairs]
-    sine = cols >= half
-    trig = np.empty(angle.shape)
-    trig[:, ~sine] = np.cos(angle[:, ~sine])
-    trig[:, sine] = np.sin(angle[:, sine])
-    return radius * trig
+    rows, n = u.shape
+    half = n // 2
+    radius, angle, trig = (buf.reshape(-1)[:rows * half].reshape(rows, half)
+                           for buf in scratch)
+    np.negative(u[:, :half], out=radius)
+    np.log1p(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    np.multiply(u[:, half:], 2.0 * np.pi, out=angle)
+    np.cos(angle, out=trig)
+    np.multiply(radius, trig, out=u[:, :half])
+    np.sin(angle, out=trig)
+    np.multiply(radius, trig, out=u[:, half:])
+    return u
+
+
+def _buffer(blocks: list[slice], *shape: int) -> np.ndarray:
+    """An empty float64 buffer for the rows of the largest (the first) of
+    ``blocks``, each row of ``shape``."""
+    return np.empty((blocks[0].stop if blocks else 0, *shape))
+
+
+def _normal_blocks(gen: np.random.Generator, blocks: list[slice], n: int,
+                   pairs: np.ndarray | None = None):
+    """Yield (block, normals) for each row block of ``blocks``: the
+    standard normals of that block's (rows, n) uniforms, which are read
+    from ``gen`` row by row, so no row depends on the blocking.  With
+    ``pairs`` (distinct pairs in [0, n/2)), a block yields only the
+    normals of those m pairs, (rows, 2m): their cosines, then their sines.
+
+    The uniforms come from ``gen.random``, which gives the doubles of
+    ``gen.uniform()`` (0 + 1 * u) without uniform's scaling pass.  One set
+    of buffers, made on the call and sized to the first block, serves every
+    block: a block's normals are overwritten by the next block's, and calls
+    share nothing, so draws may run on several threads at once.
+    """
+    uniforms = _buffer(blocks, n)
+    if pairs is not None:
+        gather = np.concatenate([pairs, n // 2 + pairs])
+        picked = _buffer(blocks, gather.size)
+    half = n // 2 if pairs is None else pairs.size
+    scratch = [_buffer(blocks, half) for _ in range(3)]
+    for block in blocks:
+        u = uniforms[:block.stop - block.start]
+        gen.random(out=u)
+        if pairs is not None:
+            # mode "clip" writes straight into out; every index is in range.
+            u = np.take(u, gather, axis=1, out=picked[:len(u)], mode="clip")
+        yield block, _box_muller(u, scratch)
 
 
 def standard_normal_rows(gen: np.random.Generator, k: int, n: int) -> np.ndarray:
@@ -168,35 +203,62 @@ def standard_normal_rows(gen: np.random.Generator, k: int, n: int) -> np.ndarray
     Each row consumes its own n uniforms in order, so row contents do not
     depend on the batch size.  Column c < n/2 is the cosine normal of pair
     c and column c >= n/2 the sine normal of pair c - n/2 (see
-    ``_box_muller``, which ``moment_draw`` shares).
+    ``_box_muller``, which every sampler here shares).
     """
-    return _box_muller(gen.random(size=(k, n)))
+    if n % 2:
+        raise ValueError(f"n must be even, got {n}")
+    out = np.empty((k, n))
+    for block, normals in _normal_blocks(gen, row_blocks(k, n), n):
+        out[block] = normals
+    return out
 
 
 def gaussian_rows(gen: np.random.Generator, params: ForrParams, k: int) -> np.ndarray:
     """k coupled-Gaussian rows of length 2N, drawn from ``gen``.
 
     Generator-based primitive for custom Monte Carlo loops; the seeded
-    samplers below wrap it with fixed chunking.
+    samplers below wrap it with fixed chunking.  Rows are made one
+    ``row_blocks`` block at a time, with the bits of a one-row call.
     """
-    first = math.sqrt(params.eps) * standard_normal_rows(gen, k, params.N)
-    second = fwht(first) / math.sqrt(params.N)
-    return np.concatenate([first, second], axis=1)
+    out = np.empty((k, params.input_length))
+    blocks = row_blocks(k, params.input_length)
+    for block, normals in _normal_blocks(gen, blocks, params.N):
+        first = out[block, :params.N]
+        np.multiply(normals, math.sqrt(params.eps), out=first)
+        np.divide(fwht(first), math.sqrt(params.N), out=out[block, params.N:])
+    return out
+
+
+def _round(rows: np.ndarray, uniforms: np.ndarray, out: np.ndarray,
+           probs: np.ndarray) -> None:
+    """Round ``rows`` into the int8 signs ``out``: +1 where ``uniforms``
+    fall below (1 + truncate(rows)) / 2, else -1.  ``probs`` is a float64
+    buffer of the shape of ``rows``, and may be ``rows`` itself."""
+    np.clip(rows, -1.0, 1.0, out=probs)
+    np.add(probs, 1.0, out=probs)
+    np.divide(probs, 2.0, out=probs)
+    np.less(uniforms, probs, out=out.view(np.bool_))
+    out *= 2
+    out -= 1
 
 
 def round_rows(gen: np.random.Generator, rows: np.ndarray) -> np.ndarray:
     """Round truncated rows to signs, independently per coordinate, with
     conditional mean equal to the truncated value.
 
-    Rounds in row blocks; the uniforms are consumed in row order, so the
-    result equals one unblocked draw of ``gen.uniform(size=rows.shape)``.
-    ``gen.random`` gives the same doubles without uniform's scaling pass.
+    Rounds in row blocks, in one pair of block buffers; the uniforms are
+    consumed in row order, so the result equals one unblocked draw of
+    ``gen.uniform(size=rows.shape)``.  ``gen.random`` gives the same
+    doubles without uniform's scaling pass.
     """
     rows = np.asarray(rows)
     out = np.empty(rows.shape, dtype=np.int8)
-    for block in row_blocks(len(rows), math.prod(rows.shape[1:])):
-        probs = (1.0 + truncate(rows[block])) / 2.0
-        out[block] = np.where(gen.random(size=probs.shape) < probs, 1, -1)
+    blocks = row_blocks(len(rows), math.prod(rows.shape[1:]))
+    probs, uniforms = (_buffer(blocks, *rows.shape[1:]) for _ in range(2))
+    for block in blocks:
+        size = block.stop - block.start
+        gen.random(out=uniforms[:size])
+        _round(rows[block], uniforms[:size], out[block], probs[:size])
     return out
 
 
@@ -212,13 +274,25 @@ def forrelation_rows(gen: np.random.Generator, params: ForrParams,
     its Gaussian words from ``gen`` and its rounding words from one reader
     opened kN words ahead (``ahead``), and is drawn, transformed and rounded
     before the next block starts; ``gen`` then takes that reader's place at
-    word 3Nk.  Memory stays near one block besides the int8 output.
+    word 3Nk.  A block's two halves are rounded where they are made: the
+    first in the normals' buffer, the second in its transform's output.
+    All blocks share one set of buffers, so memory stays near a few blocks
+    besides the int8 output.
     """
-    rounding = ahead(gen, k * params.N)
+    N = params.N
+    rounding = ahead(gen, k * N)
     out = np.empty((k, params.input_length), dtype=np.int8)
-    for block in row_blocks(k, params.input_length):
-        out[block] = round_rows(
-            rounding, gaussian_rows(gen, params, block.stop - block.start))
+    blocks = row_blocks(k, params.input_length)
+    uniforms = _buffer(blocks, params.input_length)
+    for block, first in _normal_blocks(gen, blocks, N):
+        u = uniforms[:len(first)]
+        rounding.random(out=u)
+        np.multiply(first, math.sqrt(params.eps), out=first)
+        second = fwht(first)
+        second /= math.sqrt(N)
+        _round(first, u[:, :N], out[block, :N], first)
+        _round(second, u[:, N:], out[block, N:], second)
+        del second  # so the next block's transform does not overlap it
     gen.bit_generator.state = rounding.bit_generator.state
     return out
 
@@ -302,10 +376,13 @@ def moment_draw(params: ForrParams, s_set: Iterable[int],
     The values equal ``gaussian_rows(gen, params, k)[:, cols].prod(axis=1)``
     for cols = S followed by N + T, bit for bit, but only what the product
     reads is computed.  Each row block draws the same (rows, N) uniforms as
-    ``gaussian_rows``; with T empty only the S normals are made, and
-    otherwise all N scaled normals and only the T columns of their
-    transform (``fwht_columns``).  Blocks are about 512 KiB of full rows, so
-    memory stays near one block.
+    ``gaussian_rows``.  With T empty only the normals of S's Box-Muller
+    pairs are made.  Otherwise each column of the transform reads every
+    first-half value, so all N normals are made, scaled in place, and only
+    the T columns of their transform are taken (``fwht_columns``).  The
+    factors are multiplied into the output column by column, in the order
+    ``prod`` takes them.  A draw makes one set of block buffers (blocks are
+    about 512 KiB of full rows), so memory stays near one block.
     """
     s_idx = np.fromiter(s_set, dtype=np.int64)
     t_idx = np.fromiter(t_set, dtype=np.int64)
@@ -314,20 +391,27 @@ def moment_draw(params: ForrParams, s_set: Iterable[int],
             raise ValueError(f"{name} indices must lie in [0, {params.N})")
     scale = math.sqrt(params.eps)
     root_n = math.sqrt(params.N)
+    half = params.N // 2
+    pairs, s_cols = None, s_idx
+    if not t_idx.size:
+        # Column c is the cosine (c < N/2) or sine normal of pair c % (N/2).
+        pairs, which = np.unique(s_idx % half, return_inverse=True)
+        s_cols = np.where(s_idx < half, which, pairs.size + which)
 
     def draw(gen, k):
         out = np.empty(k)
-        for block in row_blocks(k, params.input_length):
-            u = gen.random(size=(block.stop - block.start, params.N))
+        blocks = row_blocks(k, params.input_length)
+        for block, normals in _normal_blocks(gen, blocks, params.N, pairs):
+            np.multiply(normals, scale, out=normals)
+            factors = [normals[:, c] for c in s_cols]
             if t_idx.size:
-                first = _box_muller(u)
-                np.multiply(first, scale, out=first)
-                factors = np.concatenate(
-                    [first[:, s_idx], fwht_columns(first, t_idx) / root_n],
-                    axis=1)
-            else:
-                factors = scale * _box_muller(u, s_idx)
-            out[block] = factors.prod(axis=1)
+                hadamard = fwht_columns(normals, t_idx)
+                hadamard /= root_n
+                factors.extend(hadamard.T)
+            product = out[block]
+            product.fill(1.0)
+            for factor in factors:
+                np.multiply(product, factor, out=product)
         return out
     return draw
 

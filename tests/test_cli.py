@@ -887,6 +887,30 @@ def test_generator_output_pinned(args, digest, tmp_path, capsys):
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+# SHA-256 of sampler outputs as written when Box-Muller made its normals in
+# fresh temporaries on every row block: the benchmark's verify-moments
+# configuration and sample-dist's Gaussian and sign samplers.
+PINNED_SAMPLER_OUTPUTS = {
+    ("verify-moments", "--n", "16", "--samples", "16384", "--seed", "1"):
+        "cf23a30870eee76617434a7e7fed0597c77f677f75e5980267c58277feac4daa",
+    ("sample-dist", "--n", "64", "--samples", "20000", "--dist", "gaussian",
+     "--seed", "2"):
+        "df222566df04221b5b21e57f801e9ccc97317829219f43fea1394d35b03e344b",
+    ("sample-dist", "--n", "16", "--samples", "40000", "--dist", "signs",
+     "--seed", "2"):
+        "23584995a97e062ee998ac19d854e27a0485127c08cc87cba5cf31db2dc56b0e",
+}
+
+
+@pytest.mark.parametrize("args, digest", PINNED_SAMPLER_OUTPUTS.items(),
+                         ids=lambda v: "-".join(v[::2]) if isinstance(v, tuple)
+                         else "")
+def test_sampler_output_pinned(args, digest, tmp_path):
+    out = tmp_path / "out"
+    assert run([*args, "--out", str(out)]) == EXIT_PASS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def attempt_counts(capsys) -> tuple[int, int]:
     """(total, max) from the attempts line gen-instances prints on stderr."""
     line, = capsys.readouterr().err.splitlines()

@@ -8,7 +8,9 @@ Statistical checks use the 3/5 sigma gates stated per property.
 import itertools
 import json
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -459,6 +461,10 @@ class TestMomentFastPath:
         got = standard_normal_rows(substream(45, n), 257, n)
         assert np.array_equal(got, want)
 
+    def test_standard_normal_rows_refuses_odd_n(self):
+        with pytest.raises(ValueError, match="^n must be even, got 7$"):
+            standard_normal_rows(substream(45, 0), 4, 7)
+
     def test_gaussian_moment_equals_reference_estimate(self):
         params = ForrParams(16)
         s_set, t_set = moment_sets(16)["three_by_three"]
@@ -467,6 +473,53 @@ class TestMomentFastPath:
         want = mc_mean(moment_reference(params, s_set, t_set), samples, 44)
         assert got.estimate == want.estimate
         assert got.standard_error == want.standard_error
+
+
+class TestDrawScratch:
+    """A draw makes its block buffers on each call: calls on several
+    threads must not see each other's buffers, and the buffers stay near
+    one block whatever the chunk length."""
+
+    def test_threaded_draws_equal_serial_calls(self):
+        # Four threads and a short switch interval, so draws on different
+        # substreams interleave block by block.
+        params = ForrParams(16)
+
+        def signs(gen, k):
+            return forrelation_rows(gen, params, k)
+
+        draws = {"moments": moment_draw(params, [3], [5]),
+                 "s_only": moment_draw(params, [3, 9], []),
+                 "signs": signs}
+        k = 4 * BLOCK_BYTES // (8 * params.input_length) + 7
+        jobs = [(name, draw, i) for i in range(4)
+                for name, draw in draws.items()]
+        serial = [draw(substream(62, i), k) for _, draw, i in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(draw, substream(62, i), k)
+                           for _, draw, i in jobs]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (name, _, i), got, want in zip(jobs, threaded, serial):
+            assert np.array_equal(got, want), (name, i)
+
+    def test_moment_draw_memory_stays_near_one_block(self):
+        # The float64 output and one block's buffers and transform
+        # temporaries, never a chunk's rows.
+        draw = moment_draw(ForrParams(64), [1], [2])
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            out = draw(substream(1, 0), CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == CHUNK * 8
+        assert peak <= out.nbytes + 4 * BLOCK_BYTES
 
 
 class TestInstances:
