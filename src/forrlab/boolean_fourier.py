@@ -50,7 +50,12 @@ __all__ = [
     "random_indicator_violations",
 ]
 
-AUDIT_BLOCK = 16  # tables per transform in the level-k audits and the protocol audit
+# Random indicators drawn and transformed per block, cells per block of the
+# pairwise partition check, and the fewest cells per protocol-audit transform.
+AUDIT_BLOCK = 16
+# Bytes of float64 tables per stacked level-k transform of the subcube and
+# protocol audits: wide enough that per-call overhead does not dominate.
+TRANSFORM_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,14 +226,15 @@ def _level_masks(n: int, k: int) -> np.ndarray:
 
 
 @functools.cache
-def _level_characters(n: int, k: int) -> np.ndarray:
-    """The (2^n, C(n, k)) float64 matrix of +-1 characters chi_S(x), one
-    column per size-k subset S in ascending mask order.  Cached: about
-    60 MiB at (16, 2), and read-only since every caller shares it."""
+def _level_characters(n: int, k: int, dtype=np.float64) -> np.ndarray:
+    """The (2^n, C(n, k)) matrix of +-1 characters chi_S(x), float64 unless
+    ``dtype`` says otherwise, one column per size-k subset S in ascending
+    mask order.  Cached per dtype: about 60 MiB at (16, 2) in float64, and
+    read-only since every caller shares it."""
     codes = np.arange(1 << n, dtype=np.uint32)
     subsets = codes[np.bitwise_count(codes) == k]
     odd = np.bitwise_count(codes[:, None] & subsets) & 1
-    characters = np.where(odd, -1.0, 1.0)
+    characters = np.where(odd, dtype(-1), dtype(1))
     characters.flags.writeable = False
     return characters
 
@@ -318,29 +324,61 @@ def level_k_bound(alpha: float, k: int) -> float:
 def _level_weights(members: np.ndarray, k: int) -> np.ndarray:
     """Level-k weight of each row's 0/1 indicator, from one level-k
     transform of the (rows, 2^n) block; row r equals
-    ``level_weight(spectrum(indicator_table(n, members[r])), k)``."""
+    ``level_weight(spectrum(indicator_table(n, members[r])), k)``.
+
+    Every partial sum of a 0/1 row's level-k columns is an integer of
+    magnitude at most 2^n, exact in float32 up to n = 24, so the product
+    runs in float32, on half the bytes, with the values of the float64
+    :func:`level_transform`."""
     size = members.shape[-1]
-    return np.square(level_transform(members, k) / size).sum(axis=1)
+    level = (members.astype(np.float32) @
+             _level_characters(size.bit_length() - 1, k, np.float32))
+    return np.square(level.astype(np.float64) / size).sum(axis=1)
+
+
+def _subcube_blocks(n: int, k: int):
+    """Yield (tables, bounds) blocks of the 0/1 subcube indicators on n
+    variables that the level-k bound applies to, each row with its own
+    bound plus 1e-12.  The fixed-coordinate masks are walked in order, and
+    the subcubes of consecutive masks fill one buffer of about
+    TRANSFORM_BYTES of float64 tables, so a mask's subcubes may span two
+    blocks; each block is a view of that buffer, overwritten by the next."""
+    codes = np.arange(1 << n)
+    rows = max(1, TRANSFORM_BYTES // (8 << n))
+    tables = np.empty((rows, 1 << n))
+    bounds = np.empty(rows)
+    fill = 0
+    for mask in range(1, 1 << n):
+        alpha = 2.0 ** -mask.bit_count()
+        if k > 2 * math.log(1 / alpha):
+            continue
+        fixed = codes & mask
+        wants = codes[(codes & ~mask) == 0]
+        start = 0
+        while start < len(wants):
+            take = min(len(wants) - start, rows - fill)
+            np.equal(fixed, wants[start:start + take, None],
+                     out=tables[fill:fill + take])
+            bounds[fill:fill + take] = level_k_bound(alpha, k) + 1e-12
+            start += take
+            fill += take
+            if fill == rows:
+                yield tables, bounds
+                fill = 0
+    if fill:
+        yield tables[:fill], bounds[:fill]
 
 
 def subcube_violations(n: int, k: int) -> tuple[int, int]:
     """(violations, checked) of the level-k bound over every subcube
     indicator on n variables with at least ceil(k / (2 ln 2)) fixed
-    coordinates (so the bound applies).  The subcubes of each fixed-coordinate
-    mask are transformed in blocks of at most AUDIT_BLOCK tables."""
+    coordinates (so the bound applies).  The subcubes of consecutive
+    fixed-coordinate masks are transformed together, in blocks of about
+    TRANSFORM_BYTES of float64 tables (128 tables at n = 8)."""
     checked = violations = 0
-    codes = np.arange(1 << n)
-    for mask in range(1, 1 << n):
-        alpha = 2.0 ** -mask.bit_count()
-        if k > 2 * math.log(1 / alpha):
-            continue
-        bound = level_k_bound(alpha, k) + 1e-12
-        wants = codes[(codes & ~mask) == 0]
-        for start in range(0, len(wants), AUDIT_BLOCK):
-            block = wants[start:start + AUDIT_BLOCK]
-            weights = _level_weights((codes & mask) == block[:, None], k)
-            checked += len(block)
-            violations += int(np.count_nonzero(weights > bound))
+    for tables, bounds in _subcube_blocks(n, k):
+        violations += int(np.count_nonzero(_level_weights(tables, k) > bounds))
+        checked += len(bounds)
     return violations, checked
 
 
@@ -359,7 +397,7 @@ def _random_indicators(n: int, k: int, count: int, seed: int):
         draws = gen.random((AUDIT_BLOCK, (1 << n) + 1))
         density = 0.02 + (0.35 - 0.02) * draws[:, :1]
         members = draws[:, 1:] < density
-        alphas = members.mean(axis=1)
+        alphas = np.count_nonzero(members, axis=1) / (1 << n)
         keep = [r for r, alpha in enumerate(alphas)
                 if alpha > 0 and k <= 2 * math.log(1 / alpha)][:left]
         left -= len(keep)

@@ -32,6 +32,7 @@ from ._bits import codes_to_signs, f2_inner_sign, signs_to_codes
 from ._rng import Estimate, chunk_sizes, mc_mean, substream
 from .boolean_fourier import (
     AUDIT_BLOCK,
+    TRANSFORM_BYTES,
     FourierSpectrum,
     FunctionTable,
     SignVector,
@@ -84,10 +85,9 @@ __all__ = [
 ]
 
 DENSE_CAP = 16  # max window size |R|, and max n for full 2^n protocol tables
-TREE_WORDS = 1 << 10  # fewest uint32 words per read of a random tree's stream
-# Bytes of float64 cell tables per stacked audit transform, and of boolean
-# cell masks per block of fourier-audit partitions: small enough that
-# blocking never raises a run's peak memory.
+TREE_WORDS = 1 << 10  # uint32 words per read of a large random tree's stream
+# Bytes of boolean cell masks per block of fourier-audit partitions: small
+# enough that blocking never raises a run's peak memory.
 AUDIT_BYTES = 1 << 16
 
 
@@ -358,6 +358,63 @@ def _stack(masks: list, width: int) -> np.ndarray:
             "cells need boolean masks of length 2^|window|") from None
 
 
+def _tree_certified(alice: np.ndarray, bob: np.ndarray, splits) -> bool:
+    """Whether the tree shape ``splits`` proves that the cells with stacked
+    masks ``alice`` and ``bob`` partition the full window square.
+
+    ``splits`` holds one row (speaker, lo, mid, hi) per node with two
+    children, in post-order: the speaker (0 is Alice, 1 is Bob) and the
+    cell ranges [lo, mid) and [mid, hi) of its children, each one cell or a
+    node checked earlier.  Going bottom up on the masks as Python-int
+    bitsets, each node's children must agree on the listener's side, have
+    disjoint speaker sides, and the node's rectangle is their union; the
+    ranges must nest exactly, ending in one root over every cell, whose
+    rectangle is the full square.  That is O(nodes) big-int operations.  A
+    malformed shape (wrong layout, indices out of range or not nesting)
+    is not a proof and gives False."""
+    splits = np.asarray(splits)
+    if (splits.ndim != 2 or splits.shape[1] != 4 or
+            splits.dtype.kind not in "iu"):
+        return False
+    cells = len(alice)
+
+    def bitsets(masks):
+        packed = np.packbits(masks, axis=1, bitorder="little")
+        rows = packed.view(f"V{packed.shape[1]}")[:, 0].tolist()
+        return [int.from_bytes(row, "little") for row in rows]
+
+    sides = list(zip(bitsets(alice), bitsets(bob)))
+    # Checked nodes not yet joined to a parent, as (lo, hi, alice, bob);
+    # in post-order a node's second child is on top, its first under it.
+    done = []
+
+    def subtree(lo, hi):
+        if hi - lo == 1:
+            return sides[lo]
+        if done and done[-1][:2] == (lo, hi):
+            return done.pop()[2:]
+        return None
+
+    for speaker, lo, mid, hi in splits.tolist():
+        if speaker not in (0, 1) or not 0 <= lo < mid < hi <= cells:
+            return False
+        second = subtree(mid, hi)
+        first = None if second is None else subtree(lo, mid)
+        if first is None:
+            return False
+        (a1, b1), (a2, b2) = first, second
+        if speaker == 0:
+            if b1 != b2 or a1 & a2:
+                return False
+            done.append((lo, hi, a1 | a2, b1))
+        else:
+            if a1 != a2 or b1 & b2:
+                return False
+            done.append((lo, hi, a1, b1 | b2))
+    full = (1 << alice.shape[1]) - 1
+    return subtree(0, cells) == (full, full) and not done
+
+
 class RectanglePartition:
     """A deterministic protocol of cost c as a partition of the input
     square into at most 2^c rectangles.
@@ -372,6 +429,15 @@ class RectanglePartition:
     masks, and entry i of the int8 vector ``outputs`` its output.  ``Cell``
     is the input type of the constructor and the type of the ``cells``
     views; the samplers and built-in partitions hand over stacked masks.
+
+    A partition drawn as a protocol tree also hands over the tree's shape,
+    and is validated by it in time linear in the tree: at a node where
+    Alice speaks, the children's rectangles are A1 x B and A2 x B with A1
+    and A2 disjoint, so the node's rectangle (A1 | A2) x B is their disjoint
+    union, and likewise for Bob.  By induction each node's rectangle is the
+    disjoint union of its leaves' rectangles, so leaves under a root that
+    is the full square partition it.  Every other partition is checked
+    pairwise.
     """
 
     def __init__(self, n: int, cost: int, cells: Sequence[Cell],
@@ -386,17 +452,19 @@ class RectanglePartition:
 
     @classmethod
     def _from_masks(cls, n: int, cost: int, alice: np.ndarray, bob: np.ndarray,
-                    outputs, window: Sequence[int] | None = None
-                    ) -> RectanglePartition:
+                    outputs, window: Sequence[int] | None = None,
+                    splits=None) -> RectanglePartition:
         """The partition whose cell i has masks ``alice[i]``, ``bob[i]`` and
-        output ``outputs[i]``, checked as the constructor checks cells.  The
-        mask arrays become the partition's own, read-only."""
+        output ``outputs[i]``, checked as the constructor checks cells, or,
+        given the shape ``splits`` of the tree whose leaves the cells are
+        (see :func:`_tree_certified`), by that shape.  The mask arrays
+        become the partition's own, read-only."""
         p = cls.__new__(cls)
         p._set_masks(n, cost, _checked_window(n, cost, window), alice, bob,
-                     outputs)
+                     outputs, splits)
         return p
 
-    def _set_masks(self, n, cost, window, alice, bob, outputs):
+    def _set_masks(self, n, cost, window, alice, bob, outputs, splits=None):
         outputs = np.asarray(outputs)
         for mask in (alice, bob):
             if (mask.dtype != np.bool_ or
@@ -417,7 +485,7 @@ class RectanglePartition:
         self.outputs = outputs.astype(np.int8)
         for array in (alice, bob, self.outputs):
             array.flags.writeable = False
-        self._validate()
+        self._validate(splits)
 
     @property
     def cells(self) -> list[Cell]:
@@ -425,7 +493,22 @@ class RectanglePartition:
         return [Cell(a, b, out) for a, b, out in
                 zip(self.alice, self.bob, self.outputs.tolist())]
 
-    def _validate(self):
+    def _validate(self, splits=None):
+        """Raise ``PartitionError`` unless the cells partition the window
+        square.  A tree shape ``splits`` that certifies the cells settles
+        it: each node's rectangle is, by induction from the leaves up, the
+        disjoint union of its leaves' rectangles, and the root's is the
+        whole square.  Otherwise the pairwise check runs and raises its own
+        error; cells that pass it under a shape that failed raise that the
+        shape does not match them."""
+        if splits is not None and _tree_certified(self.alice, self.bob,
+                                                  splits):
+            return
+        self._check_pairwise()
+        if splits is not None:
+            raise PartitionError("the tree's shape does not match its leaves")
+
+    def _check_pairwise(self):
         # Pairwise-disjoint rectangles plus full total measure is exactly
         # the partition property.  Two cells overlap when both their Alice
         # sides and their Bob sides meet, which an AND of the bit-packed
@@ -474,9 +557,9 @@ def trivial_partition(n: int, output: int = 1) -> RectanglePartition:
 
 def _audit_rows(k: int) -> int:
     """Cells per stacked transform at window size k: as many as fit in
-    ``AUDIT_BYTES`` of float64 Alice and Bob tables, and at least
+    ``TRANSFORM_BYTES`` of float64 Alice and Bob tables, and at least
     AUDIT_BLOCK, which bounds memory at a window of DENSE_CAP coordinates."""
-    return max(AUDIT_BLOCK, AUDIT_BYTES // (16 << k))
+    return max(AUDIT_BLOCK, TRANSFORM_BYTES // (16 << k))
 
 
 def _row_chunks(counts: Sequence[int], step: int):
@@ -658,8 +741,9 @@ def random_protocol_partition(n: int, cost: int, seed: int) -> RectanglePartitio
     if n > DENSE_CAP:
         raise ResourceLimitError(f"random dense partitions need n <= {DENSE_CAP}")
     check_partition_size(n, cost)
-    return RectanglePartition._from_masks(n, cost,
-                                          *_random_tree_masks(n, cost, seed))
+    alice, bob, outputs, splits = _random_tree_masks(n, cost, seed)
+    return RectanglePartition._from_masks(n, cost, alice, bob, outputs,
+                                          splits=splits)
 
 
 def check_partition_size(n: int, cost: int) -> None:
@@ -675,12 +759,15 @@ def check_partition_size(n: int, cost: int) -> None:
             f"{quantum_sim.MAX_STATE_BYTES}")
 
 
-def _random_tree_masks(n: int, cost: int,
-                       seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _random_tree_masks(n: int, cost: int, seed: int) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The leaves of a random depth-``cost`` tree over 2^n points per side
     as stacked Alice masks, Bob masks and int8 outputs, in depth-first
     order: at each split, the part of the speaker's set inside the message
-    before the part outside it.
+    before the part outside it; and the tree's shape, as the rows
+    (speaker, lo, mid, hi) of an int array, one per node with two nonempty
+    children, in post-order: the speaker (0 is Alice) and the leaf ranges
+    [lo, mid) and [mid, hi) of its two children.
 
     The tree reads substream (seed, 0) one uint32 word at a time in stream
     order: a node's message takes ceil(2^n / 4) words whose bytes' top bits
@@ -688,9 +775,11 @@ def _random_tree_masks(n: int, cost: int,
     Alice); a leaf takes one word whose top bit picks the sign (0 is +1).
     Those are the words and bits that per-node ``integers(0, 2, size=2^n,
     dtype=uint8)`` and ``integers(2)`` draws and per-leaf ``integers(2)``
-    draws consume, but the words are read in refills of at least
-    ``TREE_WORDS``, so the stream is touched once per refill rather than up
-    to three times per node.  A part of a split that is empty is pruned.
+    draws consume, but the words are read in refills of ``TREE_WORDS``, or
+    of the most words the tree can read if that is fewer, so the stream is
+    touched once per refill rather than up to three times per node.  A
+    part of a split that is empty is pruned, and its node is left out of
+    the shape.
 
     Each leaf's masks are written once, into arrays with a row for every
     leaf the tree could have: at most 2^cost, and at most 4^n, since the
@@ -703,20 +792,35 @@ def _random_tree_masks(n: int, cost: int,
     words = np.empty(0, dtype="<u4")
     pos = 0
     rows = 1 << min(cost, 2 * n)
+    # The most words the tree can read: a message and a speaker word for
+    # each internal node, of which there are at most 2^cost - 1 up to cost
+    # 2n and at most cost above each of the ``rows`` leaves past it, and one
+    # word for each leaf.
+    nodes = rows - 1 if cost <= 2 * n else rows * cost
+    most = nodes * (msg_words + 1) + rows
     alice = np.empty((rows, points), dtype=bool)
     bob = np.empty((rows, points), dtype=bool)
     outputs = np.empty(rows, dtype=np.int8)
     leaves = 0
+    splits = []
     full = np.ones(points, dtype=bool)
     # Pending subtrees, the next one on top, with the point counts of
-    # their sides.
-    stack = [(full, full, points, points, 0)]
+    # their sides and, for the second part of a split, the split's row
+    # [speaker, lo], which popping the part extends by mid.  Under both
+    # parts sits an entry with no masks that extends the row by hi and
+    # closes it.
+    stack = [(full, full, points, points, 0, None)]
     while stack:
-        amask, bmask, asize, bsize, depth = stack.pop()
+        amask, bmask, asize, bsize, depth, split = stack.pop()
+        if split is not None:
+            split.append(leaves)
+            if amask is None:
+                splits += split
+                continue
         need = 1 if depth == cost else msg_words + 1
         if pos + need > words.size:
             fresh = gen.integers(0, 1 << 32, dtype=np.uint32,
-                                 size=max(need, TREE_WORDS))
+                                 size=max(need, min(most, TREE_WORDS)))
             words = np.concatenate([words[pos:], fresh]).astype("<u4",
                                                                copy=False)
             # The top bit of each byte; bits[4 w + 3] is that of word w.
@@ -735,13 +839,19 @@ def _random_tree_masks(n: int, cost: int,
         side, size = (amask, asize) if alice_speaks else (bmask, bsize)
         inside = side & msg
         within = np.count_nonzero(inside)
+        split = None
+        if 0 < within < size:
+            split = [0 if alice_speaks else 1, leaves]
+            stack.append((None, None, 0, 0, 0, split))
         # The part inside the message pops first.
-        for part, count in ((side ^ inside, size - within), (inside, within)):
+        for part, count, opens in ((side ^ inside, size - within, split),
+                                   (inside, within, None)):
             if count:
-                stack.append((part, bmask, count, bsize, depth + 1)
+                stack.append((part, bmask, count, bsize, depth + 1, opens)
                              if alice_speaks else
-                             (amask, part, asize, count, depth + 1))
-    return alice[:leaves], bob[:leaves], outputs[:leaves]
+                             (amask, part, asize, count, depth + 1, opens))
+    return (alice[:leaves], bob[:leaves], outputs[:leaves],
+            np.array(splits, dtype=np.intp).reshape(-1, 4))
 
 
 def pair_parity_partition(n: int, m: int) -> RectanglePartition:

@@ -21,6 +21,7 @@ from forrlab.boolean_fourier import (
     _level_characters,
     _level_weights,
     _random_indicators,
+    _subcube_blocks,
     SignVector,
     character_table,
     convolve,
@@ -209,9 +210,30 @@ class TestBatchedLevelWeights:
         for row, weight in zip(members, weights):
             assert weight == level_weight(spectrum(indicator_table(n, row)), k)
 
-    @pytest.mark.parametrize("n, k", [(4, 2), (6, 2), (6, 3)])
+    # At n = 8 a block of 128 tables ends inside the 256 subcubes of the
+    # full mask.
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 2), (6, 3), (7, 2), (8, 2)])
     def test_subcubes_match_per_table(self, n, k):
         assert subcube_violations(n, k) == subcube_violations_per_table(n, k)
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (8, 2)])
+    def test_subcube_blocks_pair_each_table_with_its_bound(self, n, k):
+        # No subcube breaks the bound, so the violation counts above would
+        # not notice a row checked against another mask's bound.
+        codes = np.arange(1 << n)
+        tables, bounds = [], []
+        for mask in range(1, 1 << n):
+            alpha = 2.0 ** -mask.bit_count()
+            if k > 2 * math.log(1 / alpha):
+                continue
+            for want in codes[(codes & ~mask) == 0]:
+                tables.append((codes & mask) == want)
+                bounds.append(level_k_bound(alpha, k) + 1e-12)
+        # Each block is a view of one buffer, so copy it before the next.
+        blocks = [(t.copy(), b.copy()) for t, b in _subcube_blocks(n, k)]
+        assert len(blocks) > 1
+        assert np.array_equal(np.concatenate([t for t, _ in blocks]), tables)
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), bounds)
 
     @pytest.mark.parametrize("count", [1, AUDIT_BLOCK - 1, AUDIT_BLOCK,
                                        AUDIT_BLOCK + 1, 2 * AUDIT_BLOCK + 1])

@@ -509,6 +509,10 @@ PINNED_PARTITION_CSVS = {
         "ab807b4898eb1890f57d51b8698fbc24d2280abbbe54da05d74a79cf8d9272d0",
     ("fourier-audit", "--n", "4", "--partitions", "200", "--seed", "0"):
         "5b786f40fad8447bbae0edcac24e1db5d38eaed140ab9c25623ac4e11932aca2",
+    # Costs up to 14: a cost-14 tree of 8,818 cells, validated by its shape.
+    ("fourier-audit", "--n", "4", "--partitions", "14", "--max-cost", "14",
+     "--seed", "0"):
+        "3a5bd998cff334f6f278487aecd8865133b4a190480d651767bdd6f7763ea5cc",
     # 16-coordinate windows: masks of 65,536 points.
     ("fourier-audit", "--n", "8", "--partitions", "8", "--max-cost", "6",
      "--seed", "5"):

@@ -418,7 +418,7 @@ class TestRandomTreeReader:
             for seed in range(20):
                 assert_same_cells(
                     [Cell(*leaf) for leaf in
-                     zip(*protocol._random_tree_masks(n, cost, seed))],
+                     zip(*protocol._random_tree_masks(n, cost, seed)[:3])],
                     scalar_tree_cells(n, cost, seed))
 
     def test_partition_keeps_the_tree(self):
@@ -719,16 +719,22 @@ class TestStackedMasks:
     FULL = np.ones(4, dtype=bool)
     HALF = np.arange(4) < 2
 
-    @pytest.mark.parametrize("alice, bob, message", [
-        # FULL x FULL and FULL x HALF share HALF x HALF.
-        ([FULL, FULL], [FULL, HALF], "cells overlap on the input square"),
-        ([HALF], [HALF], "cells cover 4 of 16 input pairs"),
+    @pytest.mark.parametrize("alice, bob, splits, message", [
+        # FULL x FULL and FULL x HALF share HALF x HALF; as children of an
+        # Alice node they disagree on Bob's side.
+        ([FULL, FULL], [FULL, HALF], [[0, 0, 1, 2]],
+         "cells overlap on the input square"),
+        # A root leaf that is not the full square.
+        ([HALF], [HALF], np.zeros((0, 4), dtype=np.intp),
+         "cells cover 4 of 16 input pairs"),
     ], ids=["overlap", "gap"])
-    def test_sampled_masks_are_validated(self, alice, bob, message,
+    def test_sampled_masks_are_validated(self, alice, bob, splits, message,
                                          monkeypatch):
+        # The shapes claim a tree the cells do not form, so the certificate
+        # fails and the pairwise check reports what is wrong.
         def tree(n, cost, seed):
             return (np.array(alice), np.array(bob),
-                    np.ones(len(alice), dtype=np.int8))
+                    np.ones(len(alice), dtype=np.int8), np.array(splits))
         monkeypatch.setattr(protocol, "_random_tree_masks", tree)
         with pytest.raises(PartitionError, match=f"^{message}$"):
             random_protocol_partition(2, 1, seed=0)
@@ -760,6 +766,115 @@ class TestStackedMasks:
         for array in (p.alice, p.bob, p.outputs, p.cells[0].alice):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
+
+
+class TestTreeCertificate:
+    """A random tree's shape proves that its leaves partition the window
+    square; changed leaves or a changed shape prove nothing."""
+
+    N, COST, SEED = 4, 6, 1
+
+    def tree(self):
+        alice, bob, outputs, splits = protocol._random_tree_masks(
+            self.N, self.COST, self.SEED)
+        assert len(splits) == len(outputs) - 1 > 8
+        return alice, bob, outputs, splits
+
+    def build(self, alice, bob, outputs, splits):
+        return RectanglePartition._from_masks(self.N, self.COST, alice, bob,
+                                              outputs, splits=splits)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_certificate_and_pairwise_check_agree(self, n):
+        for cost in range(11):
+            for seed in range(20):
+                alice, bob, outputs, splits = protocol._random_tree_masks(
+                    n, cost, seed)
+                assert protocol._tree_certified(alice, bob, splits)
+                # Without a shape, the pairwise check runs.
+                RectanglePartition._from_masks(n, cost, alice, bob, outputs)
+
+    def test_tree_partition_skips_pairwise_check(self, monkeypatch):
+        calls = []
+        check = RectanglePartition._check_pairwise
+
+        def counted(p):
+            calls.append(len(p.outputs))
+            check(p)
+        monkeypatch.setattr(RectanglePartition, "_check_pairwise", counted)
+        assert len(random_protocol_partition(8, 14, 0).outputs) == 8818
+        assert calls == []
+        # Cells carry no shape, so they are checked pairwise.
+        cells = random_protocol_partition(4, 3, 0).cells
+        RectanglePartition(4, 3, cells)
+        assert calls == [len(cells)]
+
+    def test_flipped_bit_fails_both_checks(self):
+        alice, bob, outputs, splits = self.tree()
+        last = len(alice) - 1
+        for cell, point in ((0, 0), (last // 2, 5), (last, 15)):
+            for side in ("alice", "bob"):
+                masks = {"alice": alice.copy(), "bob": bob.copy()}
+                masks[side][cell, point] ^= True
+                assert not protocol._tree_certified(masks["alice"],
+                                                    masks["bob"], splits)
+                with pytest.raises(PartitionError,
+                                   match="^cells (overlap|cover)"):
+                    self.build(masks["alice"], masks["bob"], outputs, splits)
+
+    def test_dropped_leaf_fails_both_checks(self):
+        alice, bob, outputs, splits = self.tree()
+        for cell in (0, len(alice) // 2, len(alice) - 1):
+            keep = np.arange(len(alice)) != cell
+            assert not protocol._tree_certified(alice[keep], bob[keep],
+                                                splits)
+            with pytest.raises(PartitionError, match="^cells cover"):
+                self.build(alice[keep], bob[keep], outputs[keep], splits)
+
+    def test_range_cut_short_fails_the_certificate(self):
+        alice, bob, outputs, splits = self.tree()
+        for row in range(len(splits)):
+            cut = splits.copy()
+            cut[row, 3] -= 1
+            assert not protocol._tree_certified(alice, bob, cut)
+            # The cells are a partition; only the shape is wrong.
+            with pytest.raises(
+                    PartitionError,
+                    match="^the tree's shape does not match its leaves$"):
+                self.build(alice, bob, outputs, cut)
+
+    @pytest.mark.parametrize("change", [
+        lambda s, c: np.vstack([[[0, -1, 0, 1]], s]),
+        lambda s, c: np.vstack([s, [[0, c - 1, c, c + 1]]]),
+        lambda s, c: np.vstack([[[1, 10 ** 6, 10 ** 6 + 1, 10 ** 6 + 2]], s]),
+        lambda s, c: np.vstack([s[:-1], [[s[-1, 0], 0, c, c]]]),
+        lambda s, c: np.vstack([s[:-1], [[s[-1, 0], 0, 0, c]]]),
+        lambda s, c: np.vstack([s[:-1], [[s[-1, 0], 0, c - 1, c - 2]]]),
+        lambda s, c: np.vstack([[[0, -10 ** 6, 1 - 10 ** 6, 2 - 10 ** 6]], s]),
+        # Bob's nodes relabelled, so a check that took every speaker but
+        # Alice for Bob would pass them.
+        lambda s, c: np.column_stack([np.where(s[:, 0] == 1, 2, 0), s[:, 1:]]),
+        lambda s, c: np.column_stack([np.where(s[:, 0] == 1, -1, 0),
+                                      s[:, 1:]]),
+        lambda s, c: np.vstack([s, s[-1:]]),
+        # A second copy of the first node is left over under the root.
+        lambda s, c: np.vstack([s[:1], s]),
+        lambda s, c: s[::-1],
+        lambda s, c: s[1:],
+        lambda s, c: np.vstack([s[:-1], [[s[-1, 0], 0, 1, 3]], s[-1:]]),
+        lambda s, c: s[:0],
+        lambda s, c: s[:, :3],
+        lambda s, c: s.ravel(),
+        lambda s, c: s.astype(np.float64),
+    ], ids=["negative-lo", "hi-past-end", "far-out", "empty-second",
+            "empty-first", "mid-past-hi", "far-negative", "speaker-2",
+            "speaker-minus-1", "repeated-root", "repeated-first", "reversed",
+            "first-dropped", "not-nesting", "no-splits", "three-columns",
+            "flat", "float"])
+    def test_malformed_shape_fails_without_raising(self, change):
+        alice, bob, _, splits = self.tree()
+        assert protocol._tree_certified(alice, bob,
+                                        change(splits, len(alice))) is False
 
 
 class TestWindowValidation:
