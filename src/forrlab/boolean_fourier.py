@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -336,36 +337,52 @@ def _level_weights(members: np.ndarray, k: int) -> np.ndarray:
     return np.square(level.astype(np.float64) / size).sum(axis=1)
 
 
+def _row_chunks(counts: Sequence[int], step: int):
+    """Chunks of ``step`` rows, the last one ragged, of runs of ``counts``
+    rows laid end to end: each chunk is the list of (run, first row, end
+    row) pieces it takes from consecutive runs, in order."""
+    chunk, fill = [], 0
+    for run, count in enumerate(counts):
+        lo = 0
+        while lo < count:
+            hi = min(count, lo + step - fill)
+            chunk.append((run, lo, hi))
+            fill += hi - lo
+            lo = hi
+            if fill == step:
+                yield chunk
+                chunk, fill = [], 0
+    if chunk:
+        yield chunk
+
+
 def _subcube_blocks(n: int, k: int):
     """Yield (tables, bounds) blocks of the 0/1 subcube indicators on n
     variables that the level-k bound applies to, each row with its own
     bound plus 1e-12.  The fixed-coordinate masks are walked in order, and
-    the subcubes of consecutive masks fill one buffer of about
-    TRANSFORM_BYTES of float64 tables, so a mask's subcubes may span two
-    blocks; each block is a view of that buffer, overwritten by the next."""
+    the 2^popcount(mask) subcubes of consecutive masks fill one buffer of
+    about TRANSFORM_BYTES of float64 tables, so a mask's subcubes may span
+    two blocks; each block is a view of that buffer, overwritten by the
+    next."""
     codes = np.arange(1 << n)
     rows = max(1, TRANSFORM_BYTES // (8 << n))
     tables = np.empty((rows, 1 << n))
     bounds = np.empty(rows)
-    fill = 0
+    masks = []
     for mask in range(1, 1 << n):
         alpha = 2.0 ** -mask.bit_count()
         if k > 2 * math.log(1 / alpha):
             continue
-        fixed = codes & mask
-        wants = codes[(codes & ~mask) == 0]
-        start = 0
-        while start < len(wants):
-            take = min(len(wants) - start, rows - fill)
-            np.equal(fixed, wants[start:start + take, None],
-                     out=tables[fill:fill + take])
-            bounds[fill:fill + take] = level_k_bound(alpha, k) + 1e-12
-            start += take
-            fill += take
-            if fill == rows:
-                yield tables, bounds
-                fill = 0
-    if fill:
+        masks.append((mask, level_k_bound(alpha, k) + 1e-12))
+    for chunk in _row_chunks([1 << m.bit_count() for m, _ in masks], rows):
+        fill = 0
+        for i, lo, hi in chunk:
+            mask, bound = masks[i]
+            wants = codes[(codes & ~mask) == 0][lo:hi]
+            np.equal(codes & mask, wants[:, None],
+                     out=tables[fill:fill + hi - lo])
+            bounds[fill:fill + hi - lo] = bound
+            fill += hi - lo
         yield tables[:fill], bounds[:fill]
 
 

@@ -36,6 +36,7 @@ from .boolean_fourier import (
     FourierSpectrum,
     FunctionTable,
     SignVector,
+    _row_chunks,
     fwht,
     inverse_spectrum,
     level_transform,
@@ -68,7 +69,6 @@ __all__ = [
     "build_copy_circuit",
     "run_quantum_protocol",
     "default_copies",
-    "Cell",
     "RectanglePartition",
     "protocol_spectrum",
     "protocol_H",
@@ -303,26 +303,6 @@ def majority_amplify(base_error: float, reps: int) -> float:
 # ---------------------------------------------------------------------------
 # Rectangle partitions
 
-@dataclass(frozen=True)
-class Cell:
-    """One rectangle A x B with a fixed +-1 output: what a caller hands to
-    ``RectanglePartition``, and what its ``cells`` views are.
-
-    ``alice`` / ``bob`` are boolean membership masks over the 2^|R| points
-    of the partition's coordinate window R: entry c is the membership of
-    every input whose window coordinates have point code c, with bit b of c
-    encoding coordinate R[b].
-    """
-
-    alice: np.ndarray
-    bob: np.ndarray
-    output: int
-
-    def __post_init__(self):
-        if self.output not in (-1, 1):
-            raise ValueError(f"cell output must be +-1, got {self.output}")
-
-
 def _checked_window(n: int, cost: int,
                     window: Sequence[int] | None) -> np.ndarray:
     """A partition's window R as an index array, after the checks on n,
@@ -344,18 +324,6 @@ def _checked_window(n: int, cost: int,
             f"a window of {window.size} coordinates exceeds the mask cap "
             f"{DENSE_CAP}")
     return window
-
-
-def _stack(masks: list, width: int) -> np.ndarray:
-    """One side's cell masks as a (cells, width) array of their own dtype;
-    masks of unequal shapes fail the same check as a wrong length."""
-    if not masks:
-        return np.zeros((0, width), dtype=bool)
-    try:
-        return np.stack(masks)
-    except ValueError:
-        raise ValueError(
-            "cells need boolean masks of length 2^|window|") from None
 
 
 def _tree_certified(alice: np.ndarray, bob: np.ndarray, splits) -> bool:
@@ -424,50 +392,34 @@ class RectanglePartition:
     the protocol is a partition of the 2^|R| x 2^|R| window square and is
     validated exactly on it.
 
-    The cells are stored stacked: row i of the read-only boolean arrays
-    ``alice`` and ``bob``, each of shape (cells, 2^|R|), holds cell i's
-    masks, and entry i of the int8 vector ``outputs`` its output.  ``Cell``
-    is the input type of the constructor and the type of the ``cells``
-    views; the samplers and built-in partitions hand over stacked masks.
+    The cells are given stacked: cell i has the Alice mask ``alice[i]``,
+    the Bob mask ``bob[i]`` and the +-1 output ``outputs[i]``, where
+    ``alice`` and ``bob`` are boolean arrays of shape (cells, 2^|R|) and
+    ``outputs`` is one-dimensional.  Entry c of a mask is the membership of
+    every input whose window coordinates have point code c, with bit b of c
+    encoding coordinate R[b].  The mask arrays become the partition's own
+    and are made read-only, and the outputs are kept as a read-only int8
+    vector.
 
-    A partition drawn as a protocol tree also hands over the tree's shape,
-    and is validated by it in time linear in the tree: at a node where
-    Alice speaks, the children's rectangles are A1 x B and A2 x B with A1
-    and A2 disjoint, so the node's rectangle (A1 | A2) x B is their disjoint
-    union, and likewise for Bob.  By induction each node's rectangle is the
-    disjoint union of its leaves' rectangles, so leaves under a root that
-    is the full square partition it.  Every other partition is checked
-    pairwise.
+    A partition drawn as a protocol tree also hands over the tree's shape
+    ``splits`` (see :func:`_tree_certified`), and is validated by it in
+    time linear in the tree: at a node where Alice speaks, the children's
+    rectangles are A1 x B and A2 x B with A1 and A2 disjoint, so the node's
+    rectangle (A1 | A2) x B is their disjoint union, and likewise for Bob.
+    By induction each node's rectangle is the disjoint union of its leaves'
+    rectangles, so leaves under a root that is the full square partition
+    it.  Every other partition is checked pairwise.
     """
 
-    def __init__(self, n: int, cost: int, cells: Sequence[Cell],
-                 window: Sequence[int] | None = None):
+    def __init__(self, n: int, cost: int, alice: np.ndarray, bob: np.ndarray,
+                 outputs, window: Sequence[int] | None = None, splits=None):
         window = _checked_window(n, cost, window)
-        cells = list(cells)
-        width = 1 << window.size
-        self._set_masks(n, cost, window,
-                        _stack([c.alice for c in cells], width),
-                        _stack([c.bob for c in cells], width),
-                        [c.output for c in cells])
-
-    @classmethod
-    def _from_masks(cls, n: int, cost: int, alice: np.ndarray, bob: np.ndarray,
-                    outputs, window: Sequence[int] | None = None,
-                    splits=None) -> RectanglePartition:
-        """The partition whose cell i has masks ``alice[i]``, ``bob[i]`` and
-        output ``outputs[i]``, checked as the constructor checks cells, or,
-        given the shape ``splits`` of the tree whose leaves the cells are
-        (see :func:`_tree_certified`), by that shape.  The mask arrays
-        become the partition's own, read-only."""
-        p = cls.__new__(cls)
-        p._set_masks(n, cost, _checked_window(n, cost, window), alice, bob,
-                     outputs, splits)
-        return p
-
-    def _set_masks(self, n, cost, window, alice, bob, outputs, splits=None):
         outputs = np.asarray(outputs)
+        if outputs.ndim != 1:
+            raise ValueError(
+                f"outputs must be one-dimensional, got shape {outputs.shape}")
         for mask in (alice, bob):
-            if (mask.dtype != np.bool_ or
+            if (not isinstance(mask, np.ndarray) or mask.dtype != np.bool_ or
                     mask.shape != (len(outputs), 1 << window.size)):
                 raise ValueError(
                     "cells need boolean masks of length 2^|window|")
@@ -486,12 +438,6 @@ class RectanglePartition:
         for array in (alice, bob, self.outputs):
             array.flags.writeable = False
         self._validate(splits)
-
-    @property
-    def cells(self) -> list[Cell]:
-        """The cells in order, as ``Cell`` views of the stacked masks."""
-        return [Cell(a, b, out) for a, b, out in
-                zip(self.alice, self.bob, self.outputs.tolist())]
 
     def _validate(self, splits=None):
         """Raise ``PartitionError`` unless the cells partition the window
@@ -513,11 +459,18 @@ class RectanglePartition:
         # the partition property.  Two cells overlap when both their Alice
         # sides and their Bob sides meet, which an AND of the bit-packed
         # masks tests for AUDIT_BLOCK cells against all at a time: exact,
-        # and in one thread.  The masks are packed along the points, so
-        # byte j of every cell is one contiguous row and the test reduces
-        # over whole rows.  The zero pad bits of packing never meet.
-        alice_bits = np.packbits(self.alice.T, axis=0)
-        bob_bits = np.packbits(self.bob.T, axis=0)
+        # and in one thread.  Each side is packed into 64-bit words, zero
+        # padded, and laid out (words, cells), so word j of every cell is
+        # one contiguous row and the test reduces over whole rows.  The
+        # zero pad bits never meet.
+        def words(masks):
+            packed = np.packbits(masks, axis=1)
+            padded = np.zeros((len(masks), -(-packed.shape[1] // 8) * 8),
+                              dtype=np.uint8)
+            padded[:, :packed.shape[1]] = packed
+            return padded.view(np.uint64).T.copy()
+
+        alice_bits, bob_bits = words(self.alice), words(self.bob)
         for start in range(0, len(self.outputs), AUDIT_BLOCK):
             rows = slice(start, start + AUDIT_BLOCK)
             overlap = ((alice_bits[:, rows, None] & alice_bits[:, None]
@@ -551,8 +504,7 @@ def trivial_partition(n: int, output: int = 1) -> RectanglePartition:
     """The cost-0 protocol that always answers ``output``; it reads no
     coordinate, so its one cell has one-point sides."""
     full = np.ones((1, 1), dtype=bool)
-    return RectanglePartition._from_masks(n, 0, full, full, [output],
-                                          window=())
+    return RectanglePartition(n, 0, full, full, [output], window=())
 
 
 def _audit_rows(k: int) -> int:
@@ -560,25 +512,6 @@ def _audit_rows(k: int) -> int:
     ``TRANSFORM_BYTES`` of float64 Alice and Bob tables, and at least
     AUDIT_BLOCK, which bounds memory at a window of DENSE_CAP coordinates."""
     return max(AUDIT_BLOCK, TRANSFORM_BYTES // (16 << k))
-
-
-def _row_chunks(counts: Sequence[int], step: int):
-    """Chunks of ``step`` rows, the last one ragged, of runs of ``counts``
-    rows laid end to end: each chunk is the list of (run, first row, end
-    row) pieces it takes from consecutive runs, in order."""
-    chunk, fill = [], 0
-    for run, count in enumerate(counts):
-        lo = 0
-        while lo < count:
-            hi = min(count, lo + step - fill)
-            chunk.append((run, lo, hi))
-            fill += hi - lo
-            lo = hi
-            if fill == step:
-                yield chunk
-                chunk, fill = [], 0
-    if chunk:
-        yield chunk
 
 
 def _cell_sums(ps: Sequence[RectanglePartition],
@@ -742,8 +675,7 @@ def random_protocol_partition(n: int, cost: int, seed: int) -> RectanglePartitio
         raise ResourceLimitError(f"random dense partitions need n <= {DENSE_CAP}")
     check_partition_size(n, cost)
     alice, bob, outputs, splits = _random_tree_masks(n, cost, seed)
-    return RectanglePartition._from_masks(n, cost, alice, bob, outputs,
-                                          splits=splits)
+    return RectanglePartition(n, cost, alice, bob, outputs, splits=splits)
 
 
 def check_partition_size(n: int, cost: int) -> None:
@@ -874,10 +806,10 @@ def pair_parity_partition(n: int, m: int) -> RectanglePartition:
     # Bit i of pair_bits is 1 where pair i's product is -1.
     pair_bits = sum((((codes >> (2 * i)) ^ (codes >> (2 * i + 1))) & 1) << i
                     for i in range(m))
-    # Cell a 2^m + b: Alice announced products a, Bob products b.
+    # In cell a 2^m + b, Alice announced products a and Bob products b.
     a, b = np.divmod(np.arange(1 << (2 * m)), 1 << m)
     minus = np.bitwise_count(a ^ b)
-    return RectanglePartition._from_masks(
+    return RectanglePartition(
         n, 2 * m, pair_bits == a[:, None], pair_bits == b[:, None],
         np.where(2 * minus > m, -1, 1), window=range(2 * m))
 
@@ -897,9 +829,9 @@ def forrelation_probe_partition(params: ForrParams, i: int = 0,
         raise ValueError(f"probe coordinates must lie in [0, {params.N})")
     w = int(f2_inner_sign(np.uint64(i), np.uint64(j)))
     # Window (i, N + j): code bit 0 is coordinate i, bit 1 is N + j, and
-    # the product of the two signs is +1 on codes 0 and 3.  Cell (s, t),
-    # for s, t in (1, -1), has sides[s < 0] x sides[t < 0] and output w s t.
+    # the product of the two signs is +1 on codes 0 and 3.  For s, t in
+    # (1, -1), cell (s, t) has sides[s < 0] x sides[t < 0] and output w s t.
     sides = np.array([[True, False, False, True], [False, True, True, False]])
-    return RectanglePartition._from_masks(
+    return RectanglePartition(
         params.input_length, 2, sides[[0, 0, 1, 1]], sides[[0, 1, 0, 1]],
         w * np.array([1, -1, -1, 1]), window=(i, params.N + j))

@@ -37,7 +37,6 @@ from forrlab.forrelation_dist import (
 )
 from forrlab.protocol import (
     DENSE_CAP,
-    Cell,
     QuantumProtocolConfig,
     RectanglePartition,
     advantage,
@@ -311,9 +310,9 @@ def product_sign_partition(n: int, coord: int,
     window = list(range(n) if window is None else window)
     codes = np.arange(1 << len(window))
     sign = 1 - 2 * ((codes >> window.index(coord)) & 1)
-    cells = [Cell(sign == s, sign == t, int(s * t))
-             for s in (1, -1) for t in (1, -1)]
-    return RectanglePartition(n, 2, cells, window=window)
+    s, t = np.repeat([1, -1], 2), np.tile([1, -1], 2)  # cells (s, t) in order
+    return RectanglePartition(n, 2, sign == s[:, None], sign == t[:, None],
+                              s * t, window=window)
 
 
 class TestPartitions:
@@ -326,9 +325,9 @@ class TestPartitions:
         n = 4
         codes = np.arange(1 << n)
         sign = 1 - 2 * (codes & 1)
-        cells = [Cell(sign == s, np.ones(1 << n, dtype=bool), int(s))
-                 for s in (1, -1)]
-        p = RectanglePartition(n, 1, cells)
+        s = np.array([1, -1])
+        p = RectanglePartition(n, 1, sign == s[:, None],
+                               np.ones((2, 1 << n), dtype=bool), s)
         for code in range(1 << n):
             x = codes_to_signs(np.array([code]), n)[0]
             y = codes_to_signs(np.array([code ^ 5]), n)[0]
@@ -340,49 +339,50 @@ class TestPartitions:
         pts = codes_to_signs(np.arange(1 << n), n)
         for xc in range(1 << n):
             for yc in range(1 << n):
-                hits = [c.output for c in p.cells
-                        if c.alice[xc] and c.bob[yc]]
+                hits = p.outputs[p.alice[:, xc] & p.bob[:, yc]].tolist()
                 assert len(hits) == 1
                 assert int(p.evaluate_rows(pts[xc], pts[yc])[0]) == hits[0]
 
     def test_overlapping_cells_rejected(self):
         n = 2
-        full = np.ones(4, dtype=bool)
+        full = np.ones((2, 4), dtype=bool)
         with pytest.raises(PartitionError):
-            RectanglePartition(n, 1, [Cell(full, full, 1), Cell(full, full, -1)])
+            RectanglePartition(n, 1, full, full, [1, -1])
 
     def test_incomplete_cover_rejected(self):
         n = 2
-        half = np.zeros(4, dtype=bool)
-        half[:2] = True
+        half = np.zeros((1, 4), dtype=bool)
+        half[:, :2] = True
         with pytest.raises(PartitionError):
-            RectanglePartition(n, 1, [Cell(half, half, 1)])
+            RectanglePartition(n, 1, half, half, [1])
 
     def test_cell_budget_enforced(self):
         n = 2
         codes = np.arange(4)
-        cells = [Cell(codes == c, np.ones(4, dtype=bool), 1) for c in range(4)]
+        alice, bob = codes == codes[:, None], np.ones((4, 4), dtype=bool)
         with pytest.raises(PartitionError):
-            RectanglePartition(n, 1, cells)
-        RectanglePartition(n, 2, cells)  # fits at cost 2
+            RectanglePartition(n, 1, alice, bob, [1] * 4)
+        RectanglePartition(n, 2, alice, bob, [1] * 4)  # fits at cost 2
 
     def test_random_partitions_are_valid_and_bounded(self):
         for seed in range(20):
             cost = 1 + seed % 4
             p = random_protocol_partition(8, cost, seed)
-            assert len(p.cells) <= 1 << cost
+            assert len(p.outputs) <= 1 << cost
 
 
-def scalar_tree_cells(n: int, cost: int, seed: int) -> list[Cell]:
+def scalar_tree_cells(n: int, cost: int, seed: int) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray]:
     """The slow reference for the random tree: per-node ``integers`` draws
-    from substream (seed, 0), recursing depth first."""
+    from substream (seed, 0), recursing depth first.  Returns the leaves'
+    stacked Alice masks, Bob masks and outputs."""
     gen = substream(seed, 0)
     points = 1 << n
     cells = []
 
     def grow(amask, bmask, depth):
         if depth == cost:
-            cells.append(Cell(amask, bmask, int(1 - 2 * gen.integers(2))))
+            cells.append((amask, bmask, int(1 - 2 * gen.integers(2))))
             return
         msg = gen.integers(0, 2, size=points, dtype=np.uint8).astype(bool)
         alice_speaks = gen.integers(2) == 0
@@ -396,15 +396,18 @@ def scalar_tree_cells(n: int, cost: int, seed: int) -> list[Cell]:
 
     full = np.ones(points, dtype=bool)
     grow(full, full, 0)
-    return cells
+    return tuple(np.array(side) for side in zip(*cells))
+
+
+def stacked(p: RectanglePartition) -> tuple:
+    return p.alice, p.bob, p.outputs
 
 
 def assert_same_cells(got, want):
-    assert len(got) == len(want)
+    """Equal stacked (alice, bob, outputs) arrays, cell for cell."""
+    assert len(got) == len(want) == 3
     for a, b in zip(got, want):
-        assert np.array_equal(a.alice, b.alice)
-        assert np.array_equal(a.bob, b.bob)
-        assert a.output == b.output
+        assert np.array_equal(a, b)
 
 
 class TestRandomTreeReader:
@@ -417,14 +420,13 @@ class TestRandomTreeReader:
         for cost in range(8):
             for seed in range(20):
                 assert_same_cells(
-                    [Cell(*leaf) for leaf in
-                     zip(*protocol._random_tree_masks(n, cost, seed)[:3])],
+                    protocol._random_tree_masks(n, cost, seed)[:3],
                     scalar_tree_cells(n, cost, seed))
 
     def test_partition_keeps_the_tree(self):
         for n, cost, seed in ((4, 3, 0), (8, 6, 1), (10, 2, 2)):
-            assert_same_cells(random_protocol_partition(n, cost, seed).cells,
-                              scalar_tree_cells(n, cost, seed))
+            p = random_protocol_partition(n, cost, seed)
+            assert_same_cells(stacked(p), scalar_tree_cells(n, cost, seed))
 
     @pytest.mark.parametrize("n, cost", [(2, 40), (3, 30), (4, 24)])
     def test_deep_tree_reads_what_it_uses(self, n, cost):
@@ -438,7 +440,7 @@ class TestRandomTreeReader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert_same_cells(p.cells, scalar_tree_cells(n, cost, 1))
+        assert_same_cells(stacked(p), scalar_tree_cells(n, cost, 1))
         assert elapsed < 1.0
         assert peak < 1 << 20
 
@@ -482,10 +484,9 @@ class TestProtocolH:
         for seed in range(3):
             p = random_protocol_partition(8, cost, seed)
             want = np.zeros(1 << 8)
-            for cell in p.cells:
-                want += cell.output * convolve(
-                    indicator_table(8, cell.alice),
-                    indicator_table(8, cell.bob)).values
+            for alice, bob, out in zip(p.alice, p.bob, p.outputs.tolist()):
+                want += out * convolve(indicator_table(8, alice),
+                                       indicator_table(8, bob)).values
             assert np.array_equal(protocol_H(p).values, want)
 
     @pytest.mark.parametrize("n, cost", [(8, c) for c in range(1, 7)] +
@@ -495,18 +496,17 @@ class TestProtocolH:
         for seed in range(3):
             p = random_protocol_partition(n, cost, seed)
             want = np.zeros(1 << n)
-            for cell in p.cells:
-                want += cell.output * convolve(
-                    indicator_table(n, cell.alice),
-                    indicator_table(n, cell.bob)).values
+            for alice, bob, out in zip(p.alice, p.bob, p.outputs.tolist()):
+                want += out * convolve(indicator_table(n, alice),
+                                       indicator_table(n, bob)).values
             assert np.array_equal(protocol_spectrum(p).coeffs,
                                   spectrum(FunctionTable(n, want)).coeffs)
 
     def test_per_cell_fourier_factorization(self):
         p = random_protocol_partition(8, 3, seed=6)
-        for cell in p.cells:
-            fa = indicator_table(8, cell.alice)
-            fb = indicator_table(8, cell.bob)
+        for alice, bob in zip(p.alice, p.bob):
+            fa = indicator_table(8, alice)
+            fb = indicator_table(8, bob)
             lhs = spectrum(convolve(fa, fb)).coeffs
             rhs = spectrum(fa).coeffs * spectrum(fb).coeffs
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
@@ -567,7 +567,7 @@ class TestBlockAudit:
         # group's last cell, and past it.
         block = mixed_block()
         want = [l2_audit(p) for p in block]
-        edge = sum(len(p.cells) for p in block if p.window.size == 8)
+        edge = sum(len(p.outputs) for p in block if p.window.size == 8)
         rows = 1 if edge_offset is None else edge + edge_offset
         monkeypatch.setattr(protocol, "_audit_rows", lambda k: rows)
         assert l2_audit(block) == want
@@ -578,7 +578,7 @@ class TestBlockAudit:
         # stacked transform at their window.
         ps = [random_protocol_partition(8, 1 + s % 4, 100 + s)
               for s in range(40)]
-        filled = np.cumsum([len(p.cells) for p in ps])
+        filled = np.cumsum([len(p.outputs) for p in ps])
         edge = 1 + int(np.argmax(filled >= protocol._audit_rows(8)))
         extras = mixed_block()[1::5]
         for length in (1, edge - 1, edge, edge + 1):
@@ -596,7 +596,7 @@ class TestBlockAudit:
             return exact(values, k)
         monkeypatch.setattr(protocol, "level_transform", spy)
         assert l2_audit(ps) == want
-        cells, rows = sum(len(p.cells) for p in ps), protocol._audit_rows(8)
+        cells, rows = sum(len(p.outputs) for p in ps), protocol._audit_rows(8)
         full, rest = divmod(cells, rows)
         assert shapes == [rows] * full + [rest] * (rest > 0)
 
@@ -653,7 +653,7 @@ class TestL2AuditFastPath:
 
     def test_mass_across_block_boundary(self):
         p = random_protocol_partition(8, 7, seed=1)
-        assert len(p.cells) > 2 * AUDIT_BLOCK
+        assert len(p.outputs) > 2 * AUDIT_BLOCK
         assert l2_audit(p).l2_mass == level_mass(protocol_spectrum(p), 2)
 
 
@@ -663,25 +663,25 @@ class TestDenseValidation:
 
     def test_overlap_rejected_with_message(self):
         with pytest.raises(PartitionError, match="overlap"):
-            RectanglePartition(2, 1, [Cell(self.FULL, self.HALF, 1),
-                                      Cell(self.HALF, self.FULL, -1)])
+            RectanglePartition(2, 1, np.array([self.FULL, self.HALF]),
+                               np.array([self.HALF, self.FULL]), [1, -1])
 
     def test_missing_coverage_rejected_with_message(self):
         with pytest.raises(PartitionError, match="cover 4 of 16 input pairs"):
-            RectanglePartition(2, 1, [Cell(self.HALF, self.HALF, 1)])
+            RectanglePartition(2, 1, self.HALF[None], self.HALF[None], [1])
 
     def test_overlap_reported_before_coverage(self):
         # 16 + 8 pairs covered, and the cells share HALF x HALF.
         with pytest.raises(PartitionError, match="overlap"):
-            RectanglePartition(2, 1, [Cell(self.FULL, self.FULL, 1),
-                                      Cell(self.FULL, self.HALF, -1)])
+            RectanglePartition(2, 1, np.array([self.FULL, self.FULL]),
+                               np.array([self.FULL, self.HALF]), [1, -1])
 
     def test_overlap_on_one_side_only_accepted(self):
-        for alice_side in (True, False):
-            cells = [Cell(self.FULL, side, s) if alice_side
-                     else Cell(side, self.FULL, s)
-                     for side, s in ((self.HALF, 1), (~self.HALF, -1))]
-            assert len(RectanglePartition(2, 1, cells).cells) == 2
+        full = np.array([self.FULL, self.FULL])
+        sides = np.array([self.HALF, ~self.HALF])
+        for alice, bob in ((full, sides), (sides, full)):
+            p = RectanglePartition(2, 1, alice, bob, [1, -1])
+            assert len(p.outputs) == 2
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_overlap_at_last_point_of_short_window(self, k):
@@ -690,31 +690,32 @@ class TestDenseValidation:
         # so the total measure is right and only the overlap test fails.
         last = np.arange(1 << k) == (1 << k) - 1
         first = np.arange(1 << k) == 0
-        full = np.ones(1 << k, dtype=bool)
+        full = np.ones((2, 1 << k), dtype=bool)
         with pytest.raises(PartitionError, match="overlap"):
-            RectanglePartition(k, 1, [Cell(~first, full, 1),
-                                      Cell(last, full, -1)])
-        assert len(RectanglePartition(k, 1, [Cell(~last, full, 1),
-                                             Cell(last, full, -1)]).cells) == 2
+            RectanglePartition(k, 1, np.array([~first, last]), full, [1, -1])
+        assert len(RectanglePartition(k, 1, np.array([~last, last]), full,
+                                      [1, -1]).outputs) == 2
 
     def test_overlap_found_in_a_later_block(self):
-        cells = random_protocol_partition(8, 6, seed=0).cells
-        assert len(cells) > AUDIT_BLOCK + 4
-        dup = cells[AUDIT_BLOCK + 4]
+        p = random_protocol_partition(8, 6, seed=0)
+        assert len(p.outputs) > AUDIT_BLOCK + 4
+        dup = AUDIT_BLOCK + 4
         with pytest.raises(PartitionError, match="overlap"):
-            RectanglePartition(8, 7, cells + [Cell(dup.alice, dup.bob, 1)])
+            RectanglePartition(8, 7, np.vstack([p.alice, p.alice[dup]]),
+                               np.vstack([p.bob, p.bob[dup]]),
+                               np.append(p.outputs, 1))
 
     def test_cost_ten_partition_validates(self):
         p = random_protocol_partition(8, 10, seed=2)
-        assert AUDIT_BLOCK < len(p.cells) <= 1 << 10
-        alice = np.array([c.alice for c in p.cells], dtype=np.float64)
-        bob = np.array([c.bob for c in p.cells], dtype=np.float64)
+        assert AUDIT_BLOCK < len(p.outputs) <= 1 << 10
+        alice = p.alice.astype(np.float64)
+        bob = p.bob.astype(np.float64)
         assert np.array_equal(alice.T @ bob, np.ones((1 << 8, 1 << 8)))
 
 
 class TestStackedMasks:
-    """Partitions built from stacked masks are checked and behave as ones
-    built from cells."""
+    """Partitions built from stacked masks are checked, and a built-in
+    partition rebuilt from its own arrays behaves as the original."""
 
     FULL = np.ones(4, dtype=bool)
     HALF = np.arange(4) < 2
@@ -749,7 +750,9 @@ class TestStackedMasks:
     ], ids=["tree-n4", "tree-n8", "tree-n10", "pairs1", "pairs3", "probe"])
     def test_cells_rebuild_the_same_partition(self, make):
         p = make()
-        q = RectanglePartition(p.n, p.cost, p.cells, window=p.window)
+        # No shape is handed over, so the pairwise check must accept it.
+        q = RectanglePartition(p.n, p.cost, p.alice.copy(), p.bob.copy(),
+                               p.outputs.copy(), window=p.window)
         assert np.array_equal(q.alice, p.alice)
         assert np.array_equal(q.bob, p.bob)
         assert np.array_equal(q.outputs, p.outputs)
@@ -763,9 +766,23 @@ class TestStackedMasks:
 
     def test_masks_are_read_only(self):
         p = random_protocol_partition(4, 3, 0)
-        for array in (p.alice, p.bob, p.outputs, p.cells[0].alice):
+        for array in (p.alice, p.bob, p.outputs):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
+
+    @pytest.mark.parametrize("mask", [[[True] * 4], np.ones((1, 4), np.int8)],
+                             ids=["list", "int8"])
+    def test_masks_must_be_boolean_arrays(self, mask):
+        full = np.ones((1, 4), dtype=bool)
+        for alice, bob in ((mask, full), (full, mask)):
+            with pytest.raises(ValueError, match="boolean masks of length"):
+                RectanglePartition(2, 0, alice, bob, [1])
+
+    @pytest.mark.parametrize("outputs", [[[1]], 1], ids=["2d", "scalar"])
+    def test_outputs_must_be_one_dimensional(self, outputs):
+        full = np.ones((1, 4), dtype=bool)
+        with pytest.raises(ValueError, match="must be one-dimensional"):
+            RectanglePartition(2, 0, full, full, outputs)
 
 
 class TestTreeCertificate:
@@ -781,8 +798,8 @@ class TestTreeCertificate:
         return alice, bob, outputs, splits
 
     def build(self, alice, bob, outputs, splits):
-        return RectanglePartition._from_masks(self.N, self.COST, alice, bob,
-                                              outputs, splits=splits)
+        return RectanglePartition(self.N, self.COST, alice, bob, outputs,
+                                  splits=splits)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_certificate_and_pairwise_check_agree(self, n):
@@ -792,7 +809,7 @@ class TestTreeCertificate:
                     n, cost, seed)
                 assert protocol._tree_certified(alice, bob, splits)
                 # Without a shape, the pairwise check runs.
-                RectanglePartition._from_masks(n, cost, alice, bob, outputs)
+                RectanglePartition(n, cost, alice, bob, outputs)
 
     def test_tree_partition_skips_pairwise_check(self, monkeypatch):
         calls = []
@@ -804,10 +821,10 @@ class TestTreeCertificate:
         monkeypatch.setattr(RectanglePartition, "_check_pairwise", counted)
         assert len(random_protocol_partition(8, 14, 0).outputs) == 8818
         assert calls == []
-        # Cells carry no shape, so they are checked pairwise.
-        cells = random_protocol_partition(4, 3, 0).cells
-        RectanglePartition(4, 3, cells)
-        assert calls == [len(cells)]
+        # Masks handed over without a shape are checked pairwise.
+        p = random_protocol_partition(4, 3, 0)
+        RectanglePartition(4, 3, p.alice, p.bob, p.outputs)
+        assert calls == [len(p.outputs)]
 
     def test_flipped_bit_fails_both_checks(self):
         alice, bob, outputs, splits = self.tree()
@@ -885,22 +902,22 @@ class TestWindowValidation:
 
     @pytest.mark.parametrize("n", [20, 128])
     def test_split_window_accepted(self, n):
-        cells = [Cell(side, self.FULL, s)
-                 for side, s in ((self.HALF, 1), (~self.HALF, -1))]
-        p = RectanglePartition(n, 1, cells, window=(3, n - 1))
+        p = RectanglePartition(n, 1, np.array([self.HALF, ~self.HALF]),
+                               np.array([self.FULL, self.FULL]), [1, -1],
+                               window=(3, n - 1))
         assert p.window.tolist() == [3, n - 1]
 
     @pytest.mark.parametrize("n", [20, 128])
     def test_overlap_rejected(self, n):
         with pytest.raises(PartitionError, match="overlap"):
-            RectanglePartition(n, 1, [Cell(self.FULL, self.FULL, 1),
-                                      Cell(self.FULL, self.HALF, -1)],
+            RectanglePartition(n, 1, np.array([self.FULL, self.FULL]),
+                               np.array([self.FULL, self.HALF]), [1, -1],
                                window=(3, n - 1))
 
     @pytest.mark.parametrize("n", [20, 128])
     def test_gap_rejected(self, n):
         with pytest.raises(PartitionError, match="cover"):
-            RectanglePartition(n, 1, [Cell(self.HALF, self.HALF, 1)],
+            RectanglePartition(n, 1, self.HALF[None], self.HALF[None], [1],
                                window=(3, n - 1))
 
     @pytest.mark.parametrize("n", [20, 128])
@@ -910,17 +927,17 @@ class TestWindowValidation:
         window = {"unsorted": (7, 3), "duplicate": (3, 3),
                   "negative": (-1, 3), "past-end": (3, n)}[window]
         with pytest.raises(ValueError, match="window"):
-            RectanglePartition(n, 2, [Cell(self.FULL, self.FULL, 1)],
+            RectanglePartition(n, 2, self.FULL[None], self.FULL[None], [1],
                                window=window)
 
     @pytest.mark.parametrize("n", [20, 128])
     def test_window_over_cap_rejected_before_allocation(self, n):
-        point = np.ones(1, dtype=bool)
+        point = np.ones((1, 1), dtype=bool)
         tracemalloc.start()
         try:
             for window in (range(DENSE_CAP + 1), None):  # None: all n
                 with pytest.raises(ResourceLimitError):
-                    RectanglePartition(n, 0, [Cell(point, point, 1)],
+                    RectanglePartition(n, 0, point, point, [1],
                                        window=window)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -930,12 +947,13 @@ class TestWindowValidation:
     def test_empty_partition_rejected(self):
         with pytest.raises(PartitionError,
                            match="cells cover 0 of 256 input pairs"):
-            RectanglePartition(4, 0, [])
+            empty = np.zeros((0, 16), dtype=bool)
+            RectanglePartition(4, 0, empty, empty, [])
 
     @pytest.mark.parametrize("n", [20, 128])
     def test_mask_length_must_match_window(self, n):
         with pytest.raises(ValueError, match="masks of length"):
-            RectanglePartition(n, 0, [Cell(self.FULL, self.FULL, 1)],
+            RectanglePartition(n, 0, self.FULL[None], self.FULL[None], [1],
                                window=(3,))
 
 
@@ -965,8 +983,8 @@ class TestWindowCells:
         probe = forrelation_probe_partition(ForrParams(4), 1, 3)
         codes = signs_to_codes(codes_to_signs(np.arange(1 << n), n)
                                [:, probe.window])
-        full = RectanglePartition(n, 2, [Cell(c.alice[codes], c.bob[codes],
-                                              c.output) for c in probe.cells])
+        full = RectanglePartition(n, 2, probe.alice[:, codes],
+                                  probe.bob[:, codes], probe.outputs)
         coeffs = protocol_spectrum(probe).coeffs
         assert np.array_equal(coeffs, protocol_spectrum(full).coeffs)
         assert np.flatnonzero(coeffs).tolist() == [130]
@@ -991,7 +1009,7 @@ class TestPairParityAdversary:
                                             (10, 5, 1.875)])
     def test_level_two_mass_is_known(self, n, m, want):
         p = pair_parity_partition(n, m)
-        assert p.cost == 2 * m and len(p.cells) == 1 << (2 * m)
+        assert p.cost == 2 * m and len(p.outputs) == 1 << (2 * m)
         assert pair_parity_mass(m) == want
         mass = l2_audit(p).l2_mass
         assert abs(mass - want) <= 1e-12
@@ -1016,7 +1034,7 @@ class TestPairParityAdversary:
     @pytest.mark.parametrize("m", [1, 3])
     def test_window_holds_the_pairs_at_any_length(self, n, m):
         p = pair_parity_partition(n, m)
-        assert p.n == n and len(p.cells) == 4 ** m
+        assert p.n == n and len(p.outputs) == 4 ** m
         assert p.window.tolist() == list(range(2 * m))
         assert l2_audit(p).l2_mass == l2_audit(
             pair_parity_partition(8, m)).l2_mass
