@@ -326,61 +326,45 @@ def _checked_window(n: int, cost: int,
     return window
 
 
-def _tree_certified(alice: np.ndarray, bob: np.ndarray, splits) -> bool:
-    """Whether the tree shape ``splits`` proves that the cells with stacked
-    masks ``alice`` and ``bob`` partition the full window square.
+def _leaves_merge(alice: np.ndarray, bob: np.ndarray) -> bool:
+    """Whether the cells with stacked masks ``alice`` and ``bob``, in
+    order, merge into the full window square, which proves that they
+    partition it.
 
-    ``splits`` holds one row (speaker, lo, mid, hi) per node with two
-    children, in post-order: the speaker (0 is Alice, 1 is Bob) and the
-    cell ranges [lo, mid) and [mid, hi) of its children, each one cell or a
-    node checked earlier.  Going bottom up on the masks as Python-int
-    bitsets, each node's children must agree on the listener's side, have
-    disjoint speaker sides, and the node's rectangle is their union; the
-    ranges must nest exactly, ending in one root over every cell, whose
-    rectangle is the full square.  That is O(nodes) big-int operations.  A
-    malformed shape (wrong layout, indices out of range or not nesting)
-    is not a proof and gives False."""
-    splits = np.asarray(splits)
-    if (splits.ndim != 2 or splits.shape[1] != 4 or
-            splits.dtype.kind not in "iu"):
-        return False
-    cells = len(alice)
-
+    The cells are pushed in order onto a stack of rectangles, as pairs of
+    Python-int bitsets.  While the top two entries agree exactly on one
+    side and have disjoint other sides, they are replaced by their union.
+    Each merge joins two disjoint rectangles A1 x B and A2 x B (or A x B1
+    and A x B2) into the rectangle (A1 | A2) x B, so by induction every
+    entry is the disjoint union of the cells pushed into it, and a single
+    entry left that is the full square proves the partition.  Each cell is
+    pushed once and each merge pops one entry, so that is O(cells) big-int
+    operations.  Sibling leaves of a protocol tree share the listener's
+    side and split the speaker's, so leaves written depth first are meant
+    to merge back up to the root; False proves nothing, and the caller
+    then checks the cells pair by pair."""
     def bitsets(masks):
-        packed = np.packbits(masks, axis=1, bitorder="little")
+        # packbits keeps a column-major input's layout (a fancy-indexed
+        # view), and the row view below needs C order.
+        packed = np.ascontiguousarray(
+            np.packbits(masks, axis=1, bitorder="little"))
         rows = packed.view(f"V{packed.shape[1]}")[:, 0].tolist()
         return [int.from_bytes(row, "little") for row in rows]
 
-    sides = list(zip(bitsets(alice), bitsets(bob)))
-    # Checked nodes not yet joined to a parent, as (lo, hi, alice, bob);
-    # in post-order a node's second child is on top, its first under it.
-    done = []
-
-    def subtree(lo, hi):
-        if hi - lo == 1:
-            return sides[lo]
-        if done and done[-1][:2] == (lo, hi):
-            return done.pop()[2:]
-        return None
-
-    for speaker, lo, mid, hi in splits.tolist():
-        if speaker not in (0, 1) or not 0 <= lo < mid < hi <= cells:
-            return False
-        second = subtree(mid, hi)
-        first = None if second is None else subtree(lo, mid)
-        if first is None:
-            return False
-        (a1, b1), (a2, b2) = first, second
-        if speaker == 0:
-            if b1 != b2 or a1 & a2:
-                return False
-            done.append((lo, hi, a1 | a2, b1))
-        else:
-            if a1 != a2 or b1 & b2:
-                return False
-            done.append((lo, hi, a1, b1 | b2))
+    stack = []
+    for a, b in zip(bitsets(alice), bitsets(bob)):
+        while stack:
+            top_a, top_b = stack[-1]
+            if top_b == b and not top_a & a:
+                a |= top_a
+            elif top_a == a and not top_b & b:
+                b |= top_b
+            else:
+                break
+            stack.pop()
+        stack.append((a, b))
     full = (1 << alice.shape[1]) - 1
-    return subtree(0, cells) == (full, full) and not done
+    return stack == [(full, full)]
 
 
 class RectanglePartition:
@@ -401,18 +385,14 @@ class RectanglePartition:
     and are made read-only, and the outputs are kept as a read-only int8
     vector.
 
-    A partition drawn as a protocol tree also hands over the tree's shape
-    ``splits`` (see :func:`_tree_certified`), and is validated by it in
-    time linear in the tree: at a node where Alice speaks, the children's
-    rectangles are A1 x B and A2 x B with A1 and A2 disjoint, so the node's
-    rectangle (A1 | A2) x B is their disjoint union, and likewise for Bob.
-    By induction each node's rectangle is the disjoint union of its leaves'
-    rectangles, so leaves under a root that is the full square partition
-    it.  Every other partition is checked pairwise.
+    Every partition is first offered to :func:`_leaves_merge`, which
+    proves in time linear in the cells that the leaves of a protocol tree,
+    written depth first, partition the square.  Cells it cannot merge are
+    checked pairwise.
     """
 
     def __init__(self, n: int, cost: int, alice: np.ndarray, bob: np.ndarray,
-                 outputs, window: Sequence[int] | None = None, splits=None):
+                 outputs, window: Sequence[int] | None = None):
         window = _checked_window(n, cost, window)
         outputs = np.asarray(outputs)
         if outputs.ndim != 1:
@@ -437,22 +417,8 @@ class RectanglePartition:
         self.outputs = outputs.astype(np.int8)
         for array in (alice, bob, self.outputs):
             array.flags.writeable = False
-        self._validate(splits)
-
-    def _validate(self, splits=None):
-        """Raise ``PartitionError`` unless the cells partition the window
-        square.  A tree shape ``splits`` that certifies the cells settles
-        it: each node's rectangle is, by induction from the leaves up, the
-        disjoint union of its leaves' rectangles, and the root's is the
-        whole square.  Otherwise the pairwise check runs and raises its own
-        error; cells that pass it under a shape that failed raise that the
-        shape does not match them."""
-        if splits is not None and _tree_certified(self.alice, self.bob,
-                                                  splits):
-            return
-        self._check_pairwise()
-        if splits is not None:
-            raise PartitionError("the tree's shape does not match its leaves")
+        if not _leaves_merge(alice, bob):
+            self._check_pairwise()
 
     def _check_pairwise(self):
         # Pairwise-disjoint rectangles plus full total measure is exactly
@@ -674,8 +640,7 @@ def random_protocol_partition(n: int, cost: int, seed: int) -> RectanglePartitio
     if n > DENSE_CAP:
         raise ResourceLimitError(f"random dense partitions need n <= {DENSE_CAP}")
     check_partition_size(n, cost)
-    alice, bob, outputs, splits = _random_tree_masks(n, cost, seed)
-    return RectanglePartition(n, cost, alice, bob, outputs, splits=splits)
+    return RectanglePartition(n, cost, *_random_tree_masks(n, cost, seed))
 
 
 def check_partition_size(n: int, cost: int) -> None:
@@ -692,14 +657,12 @@ def check_partition_size(n: int, cost: int) -> None:
 
 
 def _random_tree_masks(n: int, cost: int, seed: int) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        np.ndarray, np.ndarray, np.ndarray]:
     """The leaves of a random depth-``cost`` tree over 2^n points per side
     as stacked Alice masks, Bob masks and int8 outputs, in depth-first
     order: at each split, the part of the speaker's set inside the message
-    before the part outside it; and the tree's shape, as the rows
-    (speaker, lo, mid, hi) of an int array, one per node with two nonempty
-    children, in post-order: the speaker (0 is Alice) and the leaf ranges
-    [lo, mid) and [mid, hi) of its two children.
+    before the part outside it.  In that order the leaves merge back into
+    the full square (see :func:`_leaves_merge`).
 
     The tree reads substream (seed, 0) one uint32 word at a time in stream
     order: a node's message takes ceil(2^n / 4) words whose bytes' top bits
@@ -710,8 +673,7 @@ def _random_tree_masks(n: int, cost: int, seed: int) -> tuple[
     draws consume, but the words are read in refills of ``TREE_WORDS``, or
     of the most words the tree can read if that is fewer, so the stream is
     touched once per refill rather than up to three times per node.  A
-    part of a split that is empty is pruned, and its node is left out of
-    the shape.
+    part of a split that is empty is pruned.
 
     Each leaf's masks are written once, into arrays with a row for every
     leaf the tree could have: at most 2^cost, and at most 4^n, since the
@@ -734,21 +696,12 @@ def _random_tree_masks(n: int, cost: int, seed: int) -> tuple[
     bob = np.empty((rows, points), dtype=bool)
     outputs = np.empty(rows, dtype=np.int8)
     leaves = 0
-    splits = []
     full = np.ones(points, dtype=bool)
     # Pending subtrees, the next one on top, with the point counts of
-    # their sides and, for the second part of a split, the split's row
-    # [speaker, lo], which popping the part extends by mid.  Under both
-    # parts sits an entry with no masks that extends the row by hi and
-    # closes it.
-    stack = [(full, full, points, points, 0, None)]
+    # their sides.
+    stack = [(full, full, points, points, 0)]
     while stack:
-        amask, bmask, asize, bsize, depth, split = stack.pop()
-        if split is not None:
-            split.append(leaves)
-            if amask is None:
-                splits += split
-                continue
+        amask, bmask, asize, bsize, depth = stack.pop()
         need = 1 if depth == cost else msg_words + 1
         if pos + need > words.size:
             fresh = gen.integers(0, 1 << 32, dtype=np.uint32,
@@ -771,19 +724,13 @@ def _random_tree_masks(n: int, cost: int, seed: int) -> tuple[
         side, size = (amask, asize) if alice_speaks else (bmask, bsize)
         inside = side & msg
         within = np.count_nonzero(inside)
-        split = None
-        if 0 < within < size:
-            split = [0 if alice_speaks else 1, leaves]
-            stack.append((None, None, 0, 0, 0, split))
         # The part inside the message pops first.
-        for part, count, opens in ((side ^ inside, size - within, split),
-                                   (inside, within, None)):
+        for part, count in ((side ^ inside, size - within), (inside, within)):
             if count:
-                stack.append((part, bmask, count, bsize, depth + 1, opens)
+                stack.append((part, bmask, count, bsize, depth + 1)
                              if alice_speaks else
-                             (amask, part, asize, count, depth + 1, opens))
-    return (alice[:leaves], bob[:leaves], outputs[:leaves],
-            np.array(splits, dtype=np.intp).reshape(-1, 4))
+                             (amask, part, asize, count, depth + 1))
+    return alice[:leaves], bob[:leaves], outputs[:leaves]
 
 
 def pair_parity_partition(n: int, m: int) -> RectanglePartition:

@@ -420,7 +420,7 @@ class TestRandomTreeReader:
         for cost in range(8):
             for seed in range(20):
                 assert_same_cells(
-                    protocol._random_tree_masks(n, cost, seed)[:3],
+                    protocol._random_tree_masks(n, cost, seed),
                     scalar_tree_cells(n, cost, seed))
 
     def test_partition_keeps_the_tree(self):
@@ -720,22 +720,20 @@ class TestStackedMasks:
     FULL = np.ones(4, dtype=bool)
     HALF = np.arange(4) < 2
 
-    @pytest.mark.parametrize("alice, bob, splits, message", [
-        # FULL x FULL and FULL x HALF share HALF x HALF; as children of an
-        # Alice node they disagree on Bob's side.
-        ([FULL, FULL], [FULL, HALF], [[0, 0, 1, 2]],
-         "cells overlap on the input square"),
+    @pytest.mark.parametrize("alice, bob, message", [
+        # FULL x FULL and FULL x HALF share HALF x HALF, so they agree on
+        # Alice's side but do not split Bob's.
+        ([FULL, FULL], [FULL, HALF], "cells overlap on the input square"),
         # A root leaf that is not the full square.
-        ([HALF], [HALF], np.zeros((0, 4), dtype=np.intp),
-         "cells cover 4 of 16 input pairs"),
+        ([HALF], [HALF], "cells cover 4 of 16 input pairs"),
     ], ids=["overlap", "gap"])
-    def test_sampled_masks_are_validated(self, alice, bob, splits, message,
+    def test_sampled_masks_are_validated(self, alice, bob, message,
                                          monkeypatch):
-        # The shapes claim a tree the cells do not form, so the certificate
-        # fails and the pairwise check reports what is wrong.
+        # The cells do not merge into the square, so the pairwise check
+        # runs and reports what is wrong.
         def tree(n, cost, seed):
             return (np.array(alice), np.array(bob),
-                    np.ones(len(alice), dtype=np.int8), np.array(splits))
+                    np.ones(len(alice), dtype=np.int8))
         monkeypatch.setattr(protocol, "_random_tree_masks", tree)
         with pytest.raises(PartitionError, match=f"^{message}$"):
             random_protocol_partition(2, 1, seed=0)
@@ -750,7 +748,7 @@ class TestStackedMasks:
     ], ids=["tree-n4", "tree-n8", "tree-n10", "pairs1", "pairs3", "probe"])
     def test_cells_rebuild_the_same_partition(self, make):
         p = make()
-        # No shape is handed over, so the pairwise check must accept it.
+        # Copies of its own arrays make the same partition again.
         q = RectanglePartition(p.n, p.cost, p.alice.copy(), p.bob.copy(),
                                p.outputs.copy(), window=p.window)
         assert np.array_equal(q.alice, p.alice)
@@ -786,32 +784,23 @@ class TestStackedMasks:
 
 
 class TestTreeCertificate:
-    """A random tree's shape proves that its leaves partition the window
-    square; changed leaves or a changed shape prove nothing."""
+    """Leaves written depth first merge into the window square, which
+    proves the partition; changed leaves merge into nothing, and every
+    partition that merges also passes the pairwise check."""
 
     N, COST, SEED = 4, 6, 1
 
     def tree(self):
-        alice, bob, outputs, splits = protocol._random_tree_masks(
+        alice, bob, outputs = protocol._random_tree_masks(
             self.N, self.COST, self.SEED)
-        assert len(splits) == len(outputs) - 1 > 8
-        return alice, bob, outputs, splits
+        assert len(outputs) > 9
+        return alice, bob, outputs
 
-    def build(self, alice, bob, outputs, splits):
-        return RectanglePartition(self.N, self.COST, alice, bob, outputs,
-                                  splits=splits)
+    def build(self, alice, bob, outputs):
+        return RectanglePartition(self.N, self.COST, alice, bob, outputs)
 
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_certificate_and_pairwise_check_agree(self, n):
-        for cost in range(11):
-            for seed in range(20):
-                alice, bob, outputs, splits = protocol._random_tree_masks(
-                    n, cost, seed)
-                assert protocol._tree_certified(alice, bob, splits)
-                # Without a shape, the pairwise check runs.
-                RectanglePartition(n, cost, alice, bob, outputs)
-
-    def test_tree_partition_skips_pairwise_check(self, monkeypatch):
+    @pytest.fixture
+    def pairwise_calls(self, monkeypatch):
         calls = []
         check = RectanglePartition._check_pairwise
 
@@ -819,79 +808,102 @@ class TestTreeCertificate:
             calls.append(len(p.outputs))
             check(p)
         monkeypatch.setattr(RectanglePartition, "_check_pairwise", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_certificate_and_pairwise_check_agree(self, n):
+        for cost in range(11):
+            for seed in range(20):
+                alice, bob, outputs = protocol._random_tree_masks(
+                    n, cost, seed)
+                assert protocol._leaves_merge(alice, bob)
+                RectanglePartition(n, cost, alice, bob,
+                                   outputs)._check_pairwise()
+
+    def test_tree_partition_skips_pairwise_check(self, pairwise_calls):
         assert len(random_protocol_partition(8, 14, 0).outputs) == 8818
-        assert calls == []
-        # Masks handed over without a shape are checked pairwise.
-        p = random_protocol_partition(4, 3, 0)
-        RectanglePartition(4, 3, p.alice, p.bob, p.outputs)
-        assert calls == [len(p.outputs)]
+        assert pairwise_calls == []
+        # A pinwheel of five rectangles partitions the square, but no
+        # protocol tree yields it and no two of its cells merge, so it is
+        # checked pairwise.
+        codes = np.arange(4)
+        sides = [([0], [0, 1]), ([0, 1], [2, 3]), ([2, 3], [1, 2, 3]),
+                 ([1, 2, 3], [0]), ([1], [1])]
+        alice = np.array([np.isin(codes, a) for a, _ in sides])
+        bob = np.array([np.isin(codes, b) for _, b in sides])
+        assert not protocol._leaves_merge(alice, bob)
+        RectanglePartition(2, 3, alice, bob, [1] * 5)
+        assert pairwise_calls == [5]
+
+    @pytest.mark.parametrize("make", [
+        lambda: trivial_partition(8),
+        lambda: forrelation_probe_partition(ForrParams(4), 1, 3),
+        lambda: forrelation_probe_partition(ForrParams(16), 5, 9),
+        lambda: pair_parity_partition(10, 1),
+        lambda: pair_parity_partition(10, 3),
+        lambda: pair_parity_partition(10, 5),
+    ], ids=["trivial", "probe4", "probe16", "pairs1", "pairs3", "pairs5"])
+    def test_builders_skip_pairwise_check(self, make, pairwise_calls):
+        make()
+        assert pairwise_calls == []
 
     def test_flipped_bit_fails_both_checks(self):
-        alice, bob, outputs, splits = self.tree()
+        alice, bob, outputs = self.tree()
         last = len(alice) - 1
         for cell, point in ((0, 0), (last // 2, 5), (last, 15)):
             for side in ("alice", "bob"):
                 masks = {"alice": alice.copy(), "bob": bob.copy()}
                 masks[side][cell, point] ^= True
-                assert not protocol._tree_certified(masks["alice"],
-                                                    masks["bob"], splits)
+                assert not protocol._leaves_merge(masks["alice"],
+                                                  masks["bob"])
                 with pytest.raises(PartitionError,
                                    match="^cells (overlap|cover)"):
-                    self.build(masks["alice"], masks["bob"], outputs, splits)
+                    self.build(masks["alice"], masks["bob"], outputs)
 
     def test_dropped_leaf_fails_both_checks(self):
-        alice, bob, outputs, splits = self.tree()
+        alice, bob, outputs = self.tree()
         for cell in (0, len(alice) // 2, len(alice) - 1):
             keep = np.arange(len(alice)) != cell
-            assert not protocol._tree_certified(alice[keep], bob[keep],
-                                                splits)
+            assert not protocol._leaves_merge(alice[keep], bob[keep])
             with pytest.raises(PartitionError, match="^cells cover"):
-                self.build(alice[keep], bob[keep], outputs[keep], splits)
+                self.build(alice[keep], bob[keep], outputs[keep])
 
-    def test_range_cut_short_fails_the_certificate(self):
-        alice, bob, outputs, splits = self.tree()
-        for row in range(len(splits)):
-            cut = splits.copy()
-            cut[row, 3] -= 1
-            assert not protocol._tree_certified(alice, bob, cut)
-            # The cells are a partition; only the shape is wrong.
-            with pytest.raises(
-                    PartitionError,
-                    match="^the tree's shape does not match its leaves$"):
-                self.build(alice, bob, outputs, cut)
-
-    @pytest.mark.parametrize("change", [
-        lambda s, c: np.vstack([[[0, -1, 0, 1]], s]),
-        lambda s, c: np.vstack([s, [[0, c - 1, c, c + 1]]]),
-        lambda s, c: np.vstack([[[1, 10 ** 6, 10 ** 6 + 1, 10 ** 6 + 2]], s]),
-        lambda s, c: np.vstack([s[:-1], [[s[-1, 0], 0, c, c]]]),
-        lambda s, c: np.vstack([s[:-1], [[s[-1, 0], 0, 0, c]]]),
-        lambda s, c: np.vstack([s[:-1], [[s[-1, 0], 0, c - 1, c - 2]]]),
-        lambda s, c: np.vstack([[[0, -10 ** 6, 1 - 10 ** 6, 2 - 10 ** 6]], s]),
-        # Bob's nodes relabelled, so a check that took every speaker but
-        # Alice for Bob would pass them.
-        lambda s, c: np.column_stack([np.where(s[:, 0] == 1, 2, 0), s[:, 1:]]),
-        lambda s, c: np.column_stack([np.where(s[:, 0] == 1, -1, 0),
-                                      s[:, 1:]]),
-        lambda s, c: np.vstack([s, s[-1:]]),
-        # A second copy of the first node is left over under the root.
-        lambda s, c: np.vstack([s[:1], s]),
-        lambda s, c: s[::-1],
-        lambda s, c: s[1:],
-        lambda s, c: np.vstack([s[:-1], [[s[-1, 0], 0, 1, 3]], s[-1:]]),
-        lambda s, c: s[:0],
-        lambda s, c: s[:, :3],
-        lambda s, c: s.ravel(),
-        lambda s, c: s.astype(np.float64),
-    ], ids=["negative-lo", "hi-past-end", "far-out", "empty-second",
-            "empty-first", "mid-past-hi", "far-negative", "speaker-2",
-            "speaker-minus-1", "repeated-root", "repeated-first", "reversed",
-            "first-dropped", "not-nesting", "no-splits", "three-columns",
-            "flat", "float"])
-    def test_malformed_shape_fails_without_raising(self, change):
-        alice, bob, _, splits = self.tree()
-        assert protocol._tree_certified(alice, bob,
-                                        change(splits, len(alice))) is False
+    def test_merged_mutants_pass_the_pairwise_check(self, monkeypatch):
+        # Soundness: mutants of random trees with a flipped bit, a dropped
+        # or a duplicated leaf, or the leaves permuted or reversed.  Each
+        # is checked pairwise alone; whenever the pairwise check rejects
+        # one, its leaves must not merge.
+        merge = protocol._leaves_merge
+        monkeypatch.setattr(protocol, "_leaves_merge", lambda a, b: False)
+        gen = substream(24, 0)
+        merged = 0
+        for trial in range(300):
+            n, cost = 1 + trial % 4, 1 + trial % 6
+            alice, bob, _ = protocol._random_tree_masks(n, cost, trial)
+            cells = len(alice)
+            kind = trial % 5
+            if kind == 0:
+                side = alice if gen.integers(2) else bob
+                side[gen.integers(cells), gen.integers(1 << n)] ^= True
+                order = np.arange(cells)
+            elif kind == 1:
+                order = np.delete(np.arange(cells), gen.integers(cells))
+            elif kind == 2:
+                order = np.insert(np.arange(cells), gen.integers(cells + 1),
+                                  gen.integers(cells))
+            elif kind == 3:
+                order = gen.permutation(cells)
+            else:
+                order = np.arange(cells)[::-1]
+            alice, bob = alice[order], bob[order]
+            try:
+                RectanglePartition(n, cost + 1, alice, bob,
+                                   np.ones(len(order), dtype=np.int8))
+            except PartitionError:
+                assert not merge(alice, bob)
+            else:
+                merged += merge(alice, bob)
+        assert merged > 60
 
 
 class TestWindowValidation:
