@@ -868,6 +868,61 @@ class TestTreeCertificate:
             with pytest.raises(PartitionError, match="^cells cover"):
                 self.build(alice[keep], bob[keep], outputs[keep])
 
+    @staticmethod
+    def with_row(masks, row, value):
+        masks = masks.copy()
+        masks[row] = value
+        return masks
+
+    @pytest.mark.parametrize("change", [
+        lambda a, b: (a[1:], b[1:]),
+        lambda a, b: (a[:-1], b[:-1]),
+        lambda a, b: (np.vstack([a[:1], a]), np.vstack([b[:1], b])),
+        lambda a, b: (np.vstack([a, a[-1:]]), np.vstack([b, b[-1:]])),
+        lambda a, b: (a[:0], b[:0]),
+        lambda a, b: (a[:1], b[:1]),
+        lambda a, b: (np.vstack([a, np.ones_like(a[:1])]),
+                      np.vstack([b, np.ones_like(b[:1])])),
+        lambda a, b: (TestTreeCertificate.with_row(a, 0, False), b),
+        lambda a, b: (a, TestTreeCertificate.with_row(b, len(b) // 2, True)),
+        lambda a, b: (TestTreeCertificate.with_row(a, 0, b[0]),
+                      TestTreeCertificate.with_row(b, 0, a[0])),
+        lambda a, b: (TestTreeCertificate.with_row(
+            a, len(a) // 2, np.roll(a[len(a) // 2], 1)), b),
+        lambda a, b: (a, TestTreeCertificate.with_row(b, -1, ~b[-1])),
+    ], ids=["first-dropped", "last-dropped", "repeated-first",
+            "repeated-last", "no-leaves", "one-leaf", "full-leaf-added",
+            "alice-cleared", "bob-filled", "sides-swapped", "alice-rolled",
+            "bob-complemented"])
+    def test_broken_leaves_fail_without_raising(self, change):
+        alice, bob = change(*self.tree()[:2])
+        assert protocol._leaves_merge(alice, bob) is False
+        with pytest.raises(PartitionError, match="^cells (overlap|cover)"):
+            self.build(alice, bob, np.ones(len(alice), dtype=np.int8))
+
+    @pytest.mark.parametrize("change, merges", [
+        (lambda a, b: (a[::-1], b[::-1]), True),
+        (lambda a, b: (b, a), True),
+        # Leaf 0 split in two on Alice's side: the halves merge first.
+        (lambda a, b: (np.vstack([a[0] & (np.arange(16) < 8),
+                                  a[0] & (np.arange(16) >= 8), a[1:]]),
+                       np.vstack([b[:1], b])), True),
+        (lambda a, b: (np.roll(a, -1, 0), np.roll(b, -1, 0)), False),
+        (lambda a, b: (np.roll(a, len(a) // 2, 0),
+                       np.roll(b, len(b) // 2, 0)), False),
+        (lambda a, b: (np.vstack([a, np.zeros_like(a[:1])]),
+                       np.vstack([b, np.zeros_like(b[:1])])), False),
+    ], ids=["reversed", "transposed", "leaf-split", "first-moved-last",
+            "rotated-half", "empty-leaf-added"])
+    def test_reordered_leaves_still_build(self, change, merges,
+                                          pairwise_calls):
+        # A partition whose leaves do not merge is still valid; it only
+        # costs the pairwise check.
+        alice, bob = change(*self.tree()[:2])
+        assert protocol._leaves_merge(alice, bob) is merges
+        self.build(alice, bob, np.ones(len(alice), dtype=np.int8))
+        assert pairwise_calls == ([] if merges else [len(alice)])
+
     def test_merged_mutants_pass_the_pairwise_check(self, monkeypatch):
         # Soundness: mutants of random trees with a flipped bit, a dropped
         # or a duplicated leaf, or the leaves permuted or reversed.  Each
