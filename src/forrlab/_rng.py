@@ -151,6 +151,18 @@ def chunk_sizes(total: int) -> list[int]:
     return [CHUNK] * full + ([rest] if rest else [])
 
 
+def bernoulli_bits(gen: np.random.Generator, p: float,
+                   count: int) -> np.ndarray:
+    """``count`` uint8 bits, bit t 1 when uniform t of ``gen`` falls below
+    ``p``: those of ``gen.uniform(size=count) < p``, drawn ``CHUNK`` at a
+    time, so memory stays near one byte per bit."""
+    bits = np.empty(count, dtype=np.uint8)
+    for start in range(0, count, CHUNK):
+        out = bits[start:start + CHUNK]
+        np.less(gen.random(out.size), p, out=out)
+    return bits
+
+
 def row_blocks(rows: int, width: int) -> list[slice]:
     """Consecutive slices covering ``rows`` rows of ``width`` float64 values,
     each about ``BLOCK_BYTES`` (at least one row)."""

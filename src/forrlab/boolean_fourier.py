@@ -54,8 +54,8 @@ __all__ = [
 # Random indicators drawn and transformed per block, cells per block of the
 # pairwise partition check, and the fewest cells per protocol-audit transform.
 AUDIT_BLOCK = 16
-# Bytes of float64 tables per stacked level-k transform of the subcube and
-# protocol audits: wide enough that per-call overhead does not dominate.
+# Eight times the boolean table entries per stacked level-k transform of the
+# subcube and protocol audits: enough that per-call overhead does not dominate.
 TRANSFORM_BYTES = 1 << 18
 
 
@@ -227,37 +227,40 @@ def _level_masks(n: int, k: int) -> np.ndarray:
 
 
 @functools.cache
-def _level_characters(n: int, k: int, dtype=np.float64) -> np.ndarray:
-    """The (2^n, C(n, k)) matrix of +-1 characters chi_S(x), float64 unless
-    ``dtype`` says otherwise, one column per size-k subset S in ascending
-    mask order.  Cached per dtype: about 60 MiB at (16, 2) in float64, and
-    read-only since every caller shares it."""
+def _level_characters(n: int, k: int) -> np.ndarray:
+    """The (2^n, C(n, k)) float32 matrix of +-1 characters chi_S(x), one
+    column per size-k subset S in ascending mask order.  Cached: about
+    30 MiB at (16, 2), and read-only since every caller shares it."""
     codes = np.arange(1 << n, dtype=np.uint32)
     subsets = codes[np.bitwise_count(codes) == k]
     odd = np.bitwise_count(codes[:, None] & subsets) & 1
-    characters = np.where(odd, dtype(-1), dtype(1))
+    characters = np.where(odd, np.float32(-1), np.float32(1))
     characters.flags.writeable = False
     return characters
 
 
 def level_transform(values: np.ndarray, k: int) -> np.ndarray:
-    """The level-k columns of the unnormalized transform along the last
-    axis, in ascending subset-mask order: ``fwht(values)[..., level-k
-    masks]``, as one matrix product with the cached +-1 characters.
+    """The level-k columns of the transform along the last axis, in
+    ascending subset-mask order: ``fwht(values)[..., level-k masks]`` bit
+    for bit, as float64, from one float32 product with cached characters.
 
-    Exact only for integer-valued input (0/1 indicators, +-1 signs): every
-    partial sum is then an integer below 2^53, so any summation order gives
-    the same bits as :func:`fwht`.  Other floats may differ from it in the
-    last bits; use :func:`fwht` or :func:`fwht_columns` for them.
+    Only bool and int8 tables over at most 2^17 points are taken: every
+    partial sum is then an integer of magnitude at most 128 * 2^17 = 2^24,
+    which float32 holds exactly, whatever the summation order.  Use
+    :func:`fwht` or :func:`fwht_columns` for other values.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
     size = values.shape[-1]
     if not is_power_of_two(size):
         raise ValueError(f"fwht length must be a power of two, got {size}")
+    if values.dtype not in (np.bool_, np.int8) or size > 1 << 17:
+        raise ValueError("level_transform takes bool or int8 tables of at "
+                         f"most 2^17 points, got {values.dtype} of {size}")
     n = size.bit_length() - 1
     if not 0 <= k <= n:
         raise ValueError(f"level k must satisfy 0 <= k <= {n}, got {k}")
-    return values @ _level_characters(n, k)
+    product = values.astype(np.float32) @ _level_characters(n, k)
+    return product.astype(np.float64)
 
 
 def level_mass(s: FourierSpectrum, k: int) -> float:
@@ -323,18 +326,11 @@ def level_k_bound(alpha: float, k: int) -> float:
 
 
 def _level_weights(members: np.ndarray, k: int) -> np.ndarray:
-    """Level-k weight of each row's 0/1 indicator, from one level-k
-    transform of the (rows, 2^n) block; row r equals
-    ``level_weight(spectrum(indicator_table(n, members[r])), k)``.
-
-    Every partial sum of a 0/1 row's level-k columns is an integer of
-    magnitude at most 2^n, exact in float32 up to n = 24, so the product
-    runs in float32, on half the bytes, with the values of the float64
-    :func:`level_transform`."""
-    size = members.shape[-1]
-    level = (members.astype(np.float32) @
-             _level_characters(size.bit_length() - 1, k, np.float32))
-    return np.square(level.astype(np.float64) / size).sum(axis=1)
+    """Level-k weight of each row's 0/1 indicator, from one
+    :func:`level_transform` of the boolean (rows, 2^n) block; row r equals
+    ``level_weight(spectrum(indicator_table(n, members[r])), k)``."""
+    level = level_transform(members, k)
+    return np.square(level / members.shape[-1]).sum(axis=1)
 
 
 def _row_chunks(counts: Sequence[int], step: int):
@@ -358,15 +354,14 @@ def _row_chunks(counts: Sequence[int], step: int):
 
 def _subcube_blocks(n: int, k: int):
     """Yield (tables, bounds) blocks of the 0/1 subcube indicators on n
-    variables that the level-k bound applies to, each row with its own
-    bound plus 1e-12.  The fixed-coordinate masks are walked in order, and
-    the 2^popcount(mask) subcubes of consecutive masks fill one buffer of
-    about TRANSFORM_BYTES of float64 tables, so a mask's subcubes may span
-    two blocks; each block is a view of that buffer, overwritten by the
-    next."""
+    variables that the level-k bound applies to, each row with its own bound
+    plus 1e-12.  The fixed-coordinate masks are walked in order, and the
+    2^popcount(mask) subcubes of consecutive masks fill one boolean buffer
+    of about TRANSFORM_BYTES / 8 entries, so a mask's subcubes may span two
+    blocks; each block is a view of that buffer, overwritten by the next."""
     codes = np.arange(1 << n)
     rows = max(1, TRANSFORM_BYTES // (8 << n))
-    tables = np.empty((rows, 1 << n))
+    tables = np.empty((rows, 1 << n), dtype=bool)
     bounds = np.empty(rows)
     masks = []
     for mask in range(1, 1 << n):
@@ -391,7 +386,7 @@ def subcube_violations(n: int, k: int) -> tuple[int, int]:
     indicator on n variables with at least ceil(k / (2 ln 2)) fixed
     coordinates (so the bound applies).  The subcubes of consecutive
     fixed-coordinate masks are transformed together, in blocks of about
-    TRANSFORM_BYTES of float64 tables (128 tables at n = 8)."""
+    TRANSFORM_BYTES / 8 table entries (128 tables at n = 8)."""
     checked = violations = 0
     for tables, bounds in _subcube_blocks(n, k):
         violations += int(np.count_nonzero(_level_weights(tables, k) > bounds))

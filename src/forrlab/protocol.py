@@ -29,7 +29,7 @@ import numpy as np
 
 from . import quantum_sim
 from ._bits import codes_to_signs, f2_inner_sign, signs_to_codes
-from ._rng import Estimate, chunk_sizes, mc_mean, substream
+from ._rng import Estimate, bernoulli_bits, mc_mean, substream
 from .boolean_fourier import (
     AUDIT_BLOCK,
     TRANSFORM_BYTES,
@@ -204,11 +204,10 @@ def run_quantum_protocol(x: SignVector | np.ndarray, y: SignVector | np.ndarray,
     to the swap-test measurement is deterministic, so the accept
     probability is computed once; copy t of an instance then accepts when
     uniform t of substream (its seed, 0) falls below it, exactly as
-    simulating the copies in order on that stream would.  The uniforms are
-    drawn in blocks of ``CHUNK`` copies, so memory stays near one byte per
-    copy and a shorter run's bits are a prefix of a longer run's.  Bits are
-    i.i.d. with P[1] = 1/2 + forr(x . y)/2.  Cost accounting is taken from
-    the full single-copy circuit, which depends only on N.
+    simulating the copies in order on that stream would, so a shorter run's
+    bits are a prefix of a longer run's.  Bits are i.i.d. with P[1] = 1/2 +
+    forr(x . y)/2.  Cost accounting is taken from the full single-copy
+    circuit, which depends only on N.
     """
     single = isinstance(cfg, QuantumProtocolConfig)
     cfgs = [cfg] if single else list(cfg)
@@ -234,12 +233,7 @@ def run_quantum_protocol(x: SignVector | np.ndarray, y: SignVector | np.ndarray,
 
     out = []
     for c, p_one in zip(cfgs, p_ones):
-        gen = substream(c.seed, 0)
-        bits = np.empty(c.copies, dtype=np.uint8)
-        start = 0
-        for k in chunk_sizes(c.copies):
-            np.less(gen.random(k), p_one, out=bits[start:start + k])
-            start += k
+        bits = bernoulli_bits(substream(c.seed, 0), p_one, c.copies)
         # A Python float, so the CSV keeps repr(float) of count / copies.
         ones_fraction = int(np.count_nonzero(bits)) / c.copies
         decision = Label.YES if ones_fraction > c.decision_threshold else Label.NO
@@ -421,14 +415,14 @@ class RectanglePartition:
             self._check_pairwise()
 
     def _check_pairwise(self):
-        # Pairwise-disjoint rectangles plus full total measure is exactly
-        # the partition property.  Two cells overlap when both their Alice
-        # sides and their Bob sides meet, which an AND of the bit-packed
-        # masks tests for AUDIT_BLOCK cells against all at a time: exact,
-        # and in one thread.  Each side is packed into 64-bit words, zero
-        # padded, and laid out (words, cells), so word j of every cell is
-        # one contiguous row and the test reduces over whole rows.  The
-        # zero pad bits never meet.
+        # Pairwise-disjoint rectangles plus full total measure is exactly the
+        # partition property.  Two cells overlap when both their Alice sides
+        # and their Bob sides meet.  An AND of the bit-packed masks tests
+        # AUDIT_BLOCK cells at a time against themselves and the later cells,
+        # the Bob sides only where the Alice sides meet: exact, and in one
+        # thread.  Sides are packed into zero-padded 64-bit words laid out
+        # (words, cells), so word j of every cell is one contiguous row; the
+        # pad bits never meet.
         def words(masks):
             packed = np.packbits(masks, axis=1)
             padded = np.zeros((len(masks), -(-packed.shape[1] // 8) * 8),
@@ -439,13 +433,12 @@ class RectanglePartition:
         alice_bits, bob_bits = words(self.alice), words(self.bob)
         for start in range(0, len(self.outputs), AUDIT_BLOCK):
             rows = slice(start, start + AUDIT_BLOCK)
-            overlap = ((alice_bits[:, rows, None] & alice_bits[:, None]
-                        ).any(axis=0) &
-                       (bob_bits[:, rows, None] & bob_bits[:, None]
-                        ).any(axis=0))
-            block = np.arange(overlap.shape[0])
-            overlap[block, start + block] = False
-            if overlap.any():
+            meet = (alice_bits[:, rows, None] & alice_bits[:, None, start:]
+                    ).any(axis=0)
+            np.fill_diagonal(meet, False)
+            cols = np.flatnonzero(meet.any(axis=0))
+            bob = bob_bits[:, rows, None] & bob_bits[:, None, start + cols]
+            if (bob.any(axis=0) & meet[:, cols]).any():
                 raise PartitionError("cells overlap on the input square")
         total = int(self.alice.sum(axis=1) @ self.bob.sum(axis=1))
         pairs = 1 << (2 * self.window.size)
@@ -474,8 +467,8 @@ def trivial_partition(n: int, output: int = 1) -> RectanglePartition:
 
 
 def _audit_rows(k: int) -> int:
-    """Cells per stacked transform at window size k: as many as fit in
-    ``TRANSFORM_BYTES`` of float64 Alice and Bob tables, and at least
+    """Cells per stacked transform at window size k: as many as fill
+    ``TRANSFORM_BYTES`` / 8 entries of Alice and Bob tables, and at least
     AUDIT_BLOCK, which bounds memory at a window of DENSE_CAP coordinates."""
     return max(AUDIT_BLOCK, TRANSFORM_BYTES // (16 << k))
 
@@ -489,16 +482,16 @@ def _cell_sums(ps: Sequence[RectanglePartition],
     partition's cell sides.
 
     The cells of all the partitions, in order, are transformed
-    ``_audit_rows`` at a time: a chunk's tables are filled from row slices
-    of the stacked masks of the partitions it spans, and its terms are
-    summed per partition.  Every term is an integer below 2^53, so every
+    ``_audit_rows`` at a time: a chunk's boolean tables are filled from row
+    slices of the stacked masks of the partitions it spans, and its terms
+    are summed per partition.  Every term is an integer below 2^53, so every
     sum is exact in any order, and a partition's sums do not depend on its
     chunks."""
     k = ps[0].window.size
     counts = [len(p.outputs) for p in ps]
     step = _audit_rows(k)
     # One table buffer serves every chunk, so no two are alive at once.
-    buffer = np.empty((2, min(step, sum(counts)), 1 << k))
+    buffer = np.empty((2, min(step, sum(counts)), 1 << k), dtype=bool)
     out_buffer = np.empty((buffer.shape[1], 1))
     sums = densest = None
     for chunk in _row_chunks(counts, step):
@@ -564,7 +557,7 @@ class L2Audit(NamedTuple):
 def _level2(tables: np.ndarray) -> np.ndarray:
     """Level-2 columns of the window transform; none below two coordinates."""
     if tables.shape[-1] < 4:
-        return tables[..., :0]
+        return np.empty(tables.shape[:-1] + (0,))
     return level_transform(tables, 2)
 
 

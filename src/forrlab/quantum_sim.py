@@ -43,6 +43,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ._rng import bernoulli_bits
 from .boolean_fourier import SignVector
 from .errors import InvariantError, ResourceLimitError
 
@@ -439,8 +440,7 @@ def swap_test_shots(state: StateVector, control: int, shots: int,
     Bernoulli draws at the exact circuit probability; one uniform variate is
     consumed per shot, as a one-shot run would.
     """
-    p = swap_test_probability(state, control)
-    return (rng.uniform(size=shots) < p).astype(np.uint8)
+    return bernoulli_bits(rng, swap_test_probability(state, control), shots)
 
 
 def bell_prep_gates(m: int) -> list:

@@ -455,7 +455,7 @@ class TestLevelTransform:
 
     @pytest.fixture(autouse=True)
     def _drop_cached_characters(self):
-        # The (16, 3) matrix alone is about 290 MiB.
+        # The (16, 3) matrix alone is about 140 MiB.
         yield
         _level_characters.cache_clear()
 
@@ -464,12 +464,12 @@ class TestLevelTransform:
     def test_equals_full_transform_columns(self, n, k):
         if k > n:
             with pytest.raises(ValueError, match="level k"):
-                level_transform(np.ones(1 << n), k)
+                level_transform(np.ones(1 << n, dtype=bool), k)
             return
         mask = popcount(np.arange(1 << n)) == k
         draws = np.random.default_rng(17 * n + k).uniform(size=(3, 1 << n))
-        indicators = (draws < 0.3).astype(np.float64)
-        signs = np.where(draws < 0.5, -1.0, 1.0)
+        indicators = draws < 0.3
+        signs = np.where(draws < 0.5, -1, 1).astype(np.int8)
         for values in (indicators, signs, indicators[0], signs[1]):
             got = level_transform(values, k)
             assert got.shape == values.shape[:-1] + (math.comb(n, k),)
@@ -481,10 +481,27 @@ class TestLevelTransform:
         want = np.array([[chi_direct(m, x, n) for m in masks]
                          for x in range(1 << n)])
         assert np.array_equal(_level_characters(n, k), want)
+        assert _level_characters(n, k).dtype == np.float32
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError, match="power of two"):
-            level_transform(np.ones(6), 1)
+            level_transform(np.ones(6, dtype=bool), 1)
+        # At 2^18 points an int8 row's partial sums may pass 2^24.
+        with pytest.raises(ValueError, match="at most 2\\^17"):
+            level_transform(np.ones(1 << 18, dtype=bool), 1)
+
+    def test_largest_int8_sums_are_exact(self):
+        # 2^17 entries of -128 sum to -2^24, the float32 limit.
+        values = np.full(1 << 17, -128, dtype=np.int8)
+        assert level_transform(values, 0)[0] == -(1 << 24)
+        values[::3] = 127
+        mask = popcount(np.arange(1 << 17)) == 1
+        assert np.array_equal(level_transform(values, 1), fwht(values)[mask])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
+    def test_rejects_wider_values(self, dtype):
+        with pytest.raises(ValueError, match="bool or int8"):
+            level_transform(np.ones(8, dtype=dtype), 1)
 
 
 def scalar_random_indicators(n, k, count, seed):

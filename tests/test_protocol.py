@@ -820,6 +820,19 @@ class TestTreeCertificate:
                 RectanglePartition(n, cost, alice, bob,
                                    outputs)._check_pairwise()
 
+    @pytest.mark.parametrize("cell", [1, AUDIT_BLOCK - 1, AUDIT_BLOCK, 31])
+    def test_pairwise_check_finds_overlaps_across_blocks(self, cell):
+        # Alice's 32 one-point sides against Bob's full side, with ``cell``
+        # moved onto cell 0's point: the cover stays full, so only the
+        # overlap test can reject it, in or after cell 0's block.
+        points = np.arange(32)
+        points[cell] = 0
+        alice = points[:, None] == np.arange(32)
+        bob = np.ones((32, 32), dtype=bool)
+        assert not protocol._leaves_merge(alice, bob)
+        with pytest.raises(PartitionError, match="^cells overlap"):
+            RectanglePartition(5, 5, alice, bob, np.ones(32, dtype=np.int8))
+
     def test_tree_partition_skips_pairwise_check(self, pairwise_calls):
         assert len(random_protocol_partition(8, 14, 0).outputs) == 8818
         assert pairwise_calls == []

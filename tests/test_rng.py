@@ -13,6 +13,7 @@ from forrlab._rng import (
     CHUNK,
     PURPOSES,
     ahead,
+    bernoulli_bits,
     chunk_sizes,
     derive,
     mc_mean,
@@ -40,6 +41,15 @@ def test_protocol_copies_read_one_stream_in_order():
     want = substream(2**64 + 5, 0).uniform(size=CHUNK + 37) < p_one
     assert np.array_equal(runs[0], want)
     assert np.array_equal(runs[0][:CHUNK - 3], runs[1])
+
+
+@pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1])
+def test_bernoulli_bits_equal_one_unblocked_draw(count):
+    for p in (0.0, 0.3, 1.0):
+        bits = bernoulli_bits(substream(9, 0), p, count)
+        want = substream(9, 0).uniform(size=count) < p
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, want)
 
 
 TRIPLE_PARTS = (st.integers(0, 2**64 - 1), st.sampled_from(sorted(PURPOSES)),
