@@ -16,19 +16,17 @@ releases the interpreter lock in its array loops) and adds the per-chunk sums
 in chunk order on the calling thread.  It is the one sample floor: an
 estimate from fewer than ``MIN_SAMPLES`` samples is refused.  Within a
 chunk, draws may be taken in row blocks of about ``BLOCK_BYTES`` to bound
-memory; uniforms are consumed row by row, so a block sees the same stream
-values as an unblocked draw.  Where one draw interleaves two runs of words,
+memory; values are consumed row by row, so a block sees the same stream
+values as an unblocked draw.  Where one draw reads two runs of words,
 ``ahead`` opens a second reader at a word offset of the same stream, so each
 block can take its words from both runs without holding the whole draw.  No
 result depends on the pool size or on the row blocking.
 
 ``BLOCK_BYTES`` is 512 KiB: the buffers a draw keeps for a block then fit
 in a core's 2 MiB L2 cache, where 1 MiB blocks spilled out of it.  For the
-sign sampler these are the Gaussian uniforms, which Box-Muller overwrites
-with their normals (half a block), its radius, angle and trig scratch (a
-quarter block each) and the rounding uniforms (a block), besides the half
-block that the transform returns.  Smaller blocks pay more numpy call
-overhead per row than they save.
+sign sampler these are the block's normals (half a block), the half block
+that their transform returns and the rounding uniforms (a block).  Smaller
+blocks pay more numpy call overhead per row than they save.
 """
 
 from __future__ import annotations

@@ -130,81 +130,36 @@ def truncate(v: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(v, dtype=np.float64), -1.0, 1.0)
 
 
-def _box_muller(u: np.ndarray, scratch: Sequence[np.ndarray]) -> np.ndarray:
-    """Overwrite (rows, n) uniforms ``u`` (n even) with their standard
-    normals, and return ``u``.
-
-    Pair p has radius r = sqrt(-2 log(1 - u[:, p])) and angle
-    a = 2 pi u[:, n/2 + p]; column c < n/2 becomes r cos(a) of pair c and
-    column c >= n/2 r sin(a) of pair c - n/2.  1 - u stays in (0, 1],
-    keeping the log finite.  ``scratch`` is the radius, angle and trig
-    buffers: three C-contiguous float64 arrays of at least rows * n/2
-    values each, which the caller makes once for all its blocks.  Each is
-    used as one contiguous (rows, n/2) array, so log1p, cos and sin only
-    ever see contiguous arrays: numpy's vector and scalar loops for them
-    may differ in the last bit, and this way a normal has the same bits in
-    any block and whichever pairs it is transformed with.
-    """
-    rows, n = u.shape
-    half = n // 2
-    radius, angle, trig = (buf.reshape(-1)[:rows * half].reshape(rows, half)
-                           for buf in scratch)
-    np.negative(u[:, :half], out=radius)
-    np.log1p(radius, out=radius)
-    np.multiply(radius, -2.0, out=radius)
-    np.sqrt(radius, out=radius)
-    np.multiply(u[:, half:], 2.0 * np.pi, out=angle)
-    np.cos(angle, out=trig)
-    np.multiply(radius, trig, out=u[:, :half])
-    np.sin(angle, out=trig)
-    np.multiply(radius, trig, out=u[:, half:])
-    return u
-
-
 def _buffer(blocks: list[slice], *shape: int) -> np.ndarray:
     """An empty float64 buffer for the rows of the largest (the first) of
     ``blocks``, each row of ``shape``."""
     return np.empty((blocks[0].stop if blocks else 0, *shape))
 
 
-def _normal_blocks(gen: np.random.Generator, blocks: list[slice], n: int,
-                   pairs: np.ndarray | None = None):
-    """Yield (block, normals) for each row block of ``blocks``: the
-    standard normals of that block's (rows, n) uniforms, which are read
-    from ``gen`` row by row, so no row depends on the blocking.  With
-    ``pairs`` (distinct pairs in [0, n/2)), a block yields only the
-    normals of those m pairs, (rows, 2m): their cosines, then their sines.
+def _normal_blocks(gen: np.random.Generator, blocks: list[slice], n: int):
+    """Yield (block, normals) for each row block of ``blocks``: that
+    block's (rows, n) standard normals, read from ``gen`` row by row, so no
+    row depends on the blocking.
 
-    The uniforms come from ``gen.random``, which gives the doubles of
-    ``gen.uniform()`` (0 + 1 * u) without uniform's scaling pass.  One set
-    of buffers, made on the call and sized to the first block, serves every
-    block: a block's normals are overwritten by the next block's, and calls
-    share nothing, so draws may run on several threads at once.
+    The normals are numpy's ziggurat draws (``gen.standard_normal``).  They
+    use only integer and table arithmetic, with a scalar C-library exp or
+    log1p in the rare rejection branches, so their bits do not depend on
+    which SIMD kernels numpy picks for the CPU.  One buffer, made on the
+    call and sized to the first block, serves every block: a block's
+    normals are overwritten by the next block's, and calls share nothing,
+    so draws may run on several threads at once.
     """
-    uniforms = _buffer(blocks, n)
-    if pairs is not None:
-        gather = np.concatenate([pairs, n // 2 + pairs])
-        picked = _buffer(blocks, gather.size)
-    half = n // 2 if pairs is None else pairs.size
-    scratch = [_buffer(blocks, half) for _ in range(3)]
+    normals = _buffer(blocks, n)
     for block in blocks:
-        u = uniforms[:block.stop - block.start]
-        gen.random(out=u)
-        if pairs is not None:
-            # mode "clip" writes straight into out; every index is in range.
-            u = np.take(u, gather, axis=1, out=picked[:len(u)], mode="clip")
-        yield block, _box_muller(u, scratch)
+        out = normals[:block.stop - block.start]
+        gen.standard_normal(out=out)
+        yield block, out
 
 
 def standard_normal_rows(gen: np.random.Generator, k: int, n: int) -> np.ndarray:
-    """(k, n) standard normals by Box-Muller on counter-based uniforms
-    (n must be even).
-
-    Each row consumes its own n uniforms in order, so row contents do not
-    depend on the batch size.  Column c < n/2 is the cosine normal of pair
-    c and column c >= n/2 the sine normal of pair c - n/2 (see
-    ``_box_muller``, which every sampler here shares).
-    """
+    """(k, n) standard normals from ``gen`` (n must be even): the values of
+    ``gen.standard_normal(size=(k, n))``, drawn by the row blocks every
+    sampler here shares (``_normal_blocks``)."""
     if n % 2:
         raise ValueError(f"n must be even, got {n}")
     out = np.empty((k, n))
@@ -264,36 +219,35 @@ def round_rows(gen: np.random.Generator, rows: np.ndarray) -> np.ndarray:
 
 def forrelation_rows(gen: np.random.Generator, params: ForrParams,
                      k: int) -> np.ndarray:
-    """k forrelation-distributed sign rows of length 2N, drawn from ``gen``:
-    ``round_rows(gen, gaussian_rows(gen, params, k))``, bit for bit, with
-    ``gen`` left at the same word.
+    """k forrelation-distributed sign rows of length 2N, drawn from ``gen``.
 
-    That draw reads 3Nk words of ``gen``: row r's N Gaussian uniforms start
-    at word rN and its 2N rounding uniforms at word kN + 2Nr.  Both runs
-    are consecutive in r, so each row block of ``row_blocks(k, 2N)`` reads
-    its Gaussian words from ``gen`` and its rounding words from one reader
-    opened kN words ahead (``ahead``), and is drawn, transformed and rounded
-    before the next block starts; ``gen`` then takes that reader's place at
-    word 3Nk.  A block's two halves are rounded where they are made: the
-    first in the normals' buffer, the second in its transform's output.
-    All blocks share one set of buffers, so memory stays near a few blocks
-    besides the int8 output.
+    The rounding uniforms come first: words [0, 2Nk) of ``gen``, row r's 2N
+    from word 2Nr.  The Gaussians come after them, from a reader opened 2Nk
+    words ahead (``ahead``), since a ziggurat normal reads a varying number
+    of words.  So the rows are ``round_rows(gen, gaussian_rows(gaussians,
+    params, k))`` for ``gaussians = ahead(gen, 2Nk)``, bit for bit, and
+    ``gen`` then takes that reader's place, so successive draws never share
+    words.  Each row block of ``row_blocks(k, 2N)`` is drawn, transformed
+    and rounded before the next block starts.  A block's two halves are
+    rounded where they are made: the first in the normals' buffer, the
+    second in its transform's output.  All blocks share one set of buffers,
+    so memory stays near a few blocks besides the int8 output.
     """
     N = params.N
-    rounding = ahead(gen, k * N)
+    gaussians = ahead(gen, 2 * N * k)
     out = np.empty((k, params.input_length), dtype=np.int8)
     blocks = row_blocks(k, params.input_length)
     uniforms = _buffer(blocks, params.input_length)
-    for block, first in _normal_blocks(gen, blocks, N):
+    for block, first in _normal_blocks(gaussians, blocks, N):
         u = uniforms[:len(first)]
-        rounding.random(out=u)
+        gen.random(out=u)
         np.multiply(first, math.sqrt(params.eps), out=first)
         second = fwht(first)
         second /= math.sqrt(N)
         _round(first, u[:, :N], out[block, :N], first)
         _round(second, u[:, N:], out[block, N:], second)
         del second  # so the next block's transform does not overlap it
-    gen.bit_generator.state = rounding.bit_generator.state
+    gen.bit_generator.state = gaussians.bit_generator.state
     return out
 
 
@@ -374,15 +328,13 @@ def moment_draw(params: ForrParams, s_set: Iterable[int],
 
     S indexes the first half, T the second half, both 0-based in [0, N).
     The values equal ``gaussian_rows(gen, params, k)[:, cols].prod(axis=1)``
-    for cols = S followed by N + T, bit for bit, but only what the product
-    reads is computed.  Each row block draws the same (rows, N) uniforms as
-    ``gaussian_rows``.  With T empty only the normals of S's Box-Muller
-    pairs are made.  Otherwise each column of the transform reads every
-    first-half value, so all N normals are made, scaled in place, and only
-    the T columns of their transform are taken (``fwht_columns``).  The
-    factors are multiplied into the output column by column, in the order
-    ``prod`` takes them.  A draw makes one set of block buffers (blocks are
-    about 512 KiB of full rows), so memory stays near one block.
+    for cols = S followed by N + T, bit for bit, but the second half is not
+    made in full.  Each row block draws the N normals of ``gaussian_rows``
+    and scales them in place.  Each column of the transform reads every
+    first-half value, so only the T columns are taken (``fwht_columns``).
+    The factors are multiplied into the output column by column, in the
+    order ``prod`` takes them.  A draw makes one set of block buffers
+    (blocks are about 512 KiB of full rows), so memory stays near one block.
     """
     s_idx = np.fromiter(s_set, dtype=np.int64)
     t_idx = np.fromiter(t_set, dtype=np.int64)
@@ -391,19 +343,13 @@ def moment_draw(params: ForrParams, s_set: Iterable[int],
             raise ValueError(f"{name} indices must lie in [0, {params.N})")
     scale = math.sqrt(params.eps)
     root_n = math.sqrt(params.N)
-    half = params.N // 2
-    pairs, s_cols = None, s_idx
-    if not t_idx.size:
-        # Column c is the cosine (c < N/2) or sine normal of pair c % (N/2).
-        pairs, which = np.unique(s_idx % half, return_inverse=True)
-        s_cols = np.where(s_idx < half, which, pairs.size + which)
 
     def draw(gen, k):
         out = np.empty(k)
         blocks = row_blocks(k, params.input_length)
-        for block, normals in _normal_blocks(gen, blocks, params.N, pairs):
+        for block, normals in _normal_blocks(gen, blocks, params.N):
             np.multiply(normals, scale, out=normals)
-            factors = [normals[:, c] for c in s_cols]
+            factors = [normals[:, c] for c in s_idx]
             if t_idx.size:
                 hadamard = fwht_columns(normals, t_idx)
                 hadamard /= root_n

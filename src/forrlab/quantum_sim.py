@@ -438,8 +438,12 @@ def swap_test_shots(state: StateVector, control: int, shots: int,
 
     The pre-measurement evolution is deterministic, so the shots are i.i.d.
     Bernoulli draws at the exact circuit probability; one uniform variate is
-    consumed per shot, as a one-shot run would.
+    consumed per shot, as a one-shot run would.  A batch of states is
+    refused: its probabilities would pair shot t with state t.
     """
+    if state.amps.ndim != 1:
+        raise ValueError("swap test shots need one state, got a batch of "
+                         f"{len(state.amps)}")
     return bernoulli_bits(rng, swap_test_probability(state, control), shots)
 
 

@@ -458,6 +458,33 @@ class TestVerifyMoments:
             outputs.append(out.read_bytes())
         assert outputs[0] and outputs[0] == outputs[1]
 
+    def test_mean_forrelation_under_override_has_no_verdict(self, tmp_path):
+        # At eps = 1 truncation is common (2 Phi(-1) is about 0.32), so the
+        # eps/2 lower bound does not apply; the moment rows keep theirs.
+        out = tmp_path / "moments.csv"
+        code = run(["verify-moments", "--n", "4", "--samples", "10000",
+                    "--eps-override", "1", "--out", str(out)])
+        assert code == EXIT_PASS
+        with open(out) as fh:
+            rows = {r["metric"]: r for r in csv.DictReader(fh)}
+        assert rows.pop("mean_forrelation")["passed"] == ""
+        assert rows and all(r["passed"] == "True" for r in rows.values())
+
+    def test_override_whose_moments_underflow_is_refused(self, tmp_path,
+                                                         capsys):
+        # eps^6, the square scale of the degree-6 moment_cap products, is
+        # below the smallest normal double: the standard errors would be 0.
+        out = tmp_path / "moments.csv"
+        code = run(["verify-moments", "--n", "4", "--samples", "10000",
+                    "--eps-override", "1e-300", "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --eps-override 1e-300 is too small: moments of degree 6 "
+            "square to below 2.23e-308, so their standard errors underflow"]
+        assert not out.exists()
+
 
 class TestFourierAudit:
     def test_default_run_passes(self, tmp_path):
@@ -506,7 +533,7 @@ class TestFourierAudit:
 PINNED_PARTITION_CSVS = {
     ("advantage", "--n", "16", "--n", "64", "--samples", "20000",
      "--seed", "2"):
-        "ab807b4898eb1890f57d51b8698fbc24d2280abbbe54da05d74a79cf8d9272d0",
+        "385fb362a9b807c0b1ad47e57c2a92a20be027d3382cf10f690d85e4ee217eab",
     ("fourier-audit", "--n", "4", "--partitions", "200", "--seed", "0"):
         "5b786f40fad8447bbae0edcac24e1db5d38eaed140ab9c25623ac4e11932aca2",
     # Costs up to 14: a cost-14 tree of 8,818 cells, validated by its shape.
@@ -671,7 +698,7 @@ PINNED_PROTOCOL_CSVS = {
         "38c744e4026dc0f5cda5a3fb124d415aa3fd79b77ac47d1aebb0d05b620c1f27",
     ("--n", "16", "--mode", "promise_yes", "--instances", "3",
      "--copies", "2000", "--seed", "1"):
-        "55f5100d5d09e8e6457d9ad979c4044e025ffe38f21f7c0d16810bf52263f247",
+        "a3eaaef913540d37f4719a29930ddb1e8fdbc0066b668967591b6ad94d78a2e9",
     # An 11-qubit state: every kernel, on amplitudes held as complex128 when
     # this digest was taken and as float64 since.
     ("--n", "1024", "--mode", "amplified", "--instances", "8",
@@ -682,7 +709,7 @@ PINNED_PROTOCOL_CSVS = {
 # as written when that count needed an explicit --slow.
 PINNED_PROMISE_CSVS = {
     ("--mode", "promise_yes", "--seed", "1"):
-        "f78b912d4607314bd7b79d16b879b7047fd21b886f0b3c9929755ec0f523f787",
+        "0f544d8d4003f6df329a0cb2281e5e8fb9a7f159f8ddc2d1deba1f9ab2d3d784",
     ("--mode", "promise_no", "--seed", "3"):
         "52185e770f9c2e4ee2984a03116af9f6e55c8c02a3b6b5cef46d8cd21b8d0acc",
 }
@@ -857,7 +884,7 @@ PINNED_GENERATOR_OUTPUTS = {
         "461087c52007299f8cf717b6642f811e3b979dfb30cc5ad61393bcc86c8bd5f7",
     ("gen-instances", "--mode", "promise_yes", "--n", "16", "--count", "10",
      "--seed", "4"):
-        "a0a8d71b584c590be232f8320149541d457d3776f4eff9e365ec21fae1c58ade",
+        "fda84ecfb90b848152477ad5904e4118d3e769a046f81d9c021d5985f44eb5b3",
     ("gen-instances", "--mode", "promise_no", "--n", "16", "--count", "10",
      "--seed", "5"):
         "dbda5cc8ac14395b76fb96582e550ed5ab1085d1633f470cb99b3215a9e7ea96",
@@ -891,18 +918,18 @@ def test_generator_output_pinned(args, digest, tmp_path, capsys):
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
-# SHA-256 of sampler outputs as written when Box-Muller made its normals in
-# fresh temporaries on every row block: the benchmark's verify-moments
-# configuration and sample-dist's Gaussian and sign samplers.
+# SHA-256 of sampler outputs as written when the normals became numpy's
+# ziggurat draws: the benchmark's verify-moments configuration and
+# sample-dist's Gaussian and sign samplers.
 PINNED_SAMPLER_OUTPUTS = {
     ("verify-moments", "--n", "16", "--samples", "16384", "--seed", "1"):
-        "cf23a30870eee76617434a7e7fed0597c77f677f75e5980267c58277feac4daa",
+        "3eec30c740c1800309b0a8b467ac8f7f4ddc8ebd3814e0756f02c80553d05948",
     ("sample-dist", "--n", "64", "--samples", "20000", "--dist", "gaussian",
      "--seed", "2"):
-        "df222566df04221b5b21e57f801e9ccc97317829219f43fea1394d35b03e344b",
+        "e5acdead83fe1014d1d6c789f4e6613f2495a858ce6b4c908aa791945366bfdd",
     ("sample-dist", "--n", "16", "--samples", "40000", "--dist", "signs",
      "--seed", "2"):
-        "23584995a97e062ee998ac19d854e27a0485127c08cc87cba5cf31db2dc56b0e",
+        "47882ac6822bebfe115fe359e7698818608bb357a245f71f48a6d4f30646efa0",
 }
 
 
@@ -913,6 +940,45 @@ def test_sampler_output_pinned(args, digest, tmp_path):
     out = tmp_path / "out"
     assert run([*args, "--out", str(out)]) == EXIT_PASS
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Switches off numpy's AVX-512 (X86_V4) and AVX2 (X86_V3) kernels, leaving
+# its x86-64-v2 baseline; numpy reads the variable when it is imported.
+BASELINE_ONLY = "X86_V4,AVX512_ICL,AVX512_SPR,X86_V3"
+
+
+@pytest.mark.parametrize("args, digest", PINNED_SAMPLER_OUTPUTS.items(),
+                         ids=lambda v: "-".join(v[::2]) if isinstance(v, tuple)
+                         else "")
+def test_sampler_output_same_on_every_cpu_path(args, digest, tmp_path):
+    # Each pinned command in a child process, with numpy's SIMD kernels and
+    # without them: the Gaussians must not depend on the path numpy takes.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items()
+           if key != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    baseline = {**env, "NPY_DISABLE_CPU_FEATURES": BASELINE_ONLY}
+    # numpy raises for a baseline feature and warns for one it does not
+    # dispatch (another CPU family or build): either way the run would not
+    # take the path this test means.
+    probe = subprocess.run(
+        [sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"],
+        env=baseline, capture_output=True, text=True)
+    if probe.returncode:
+        lines = probe.stderr.strip().splitlines()
+        start = max((i for i, line in enumerate(lines)
+                     if re.match(r"\w+(Error|Warning): ", line)), default=0)
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={BASELINE_ONLY}: "
+                    + " ".join(lines[start:]))
+    digests = []
+    for name, child_env in (("simd", env), ("baseline", baseline)):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "forrlab.cli", *args,
+                        "--out", str(out)], env=child_env,
+                       capture_output=True, check=True)
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == [digest, digest]
 
 
 def attempt_counts(capsys) -> tuple[int, int]:

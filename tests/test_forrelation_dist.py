@@ -388,12 +388,14 @@ class TestBlockedSampler:
             gen.random(skip)
             ref.random(skip)
             got = forrelation_rows(gen, params, k)
-            want = round_rows(ref, gaussian_rows(ref, params, k))
+            # The rounding uniforms first, then the Gaussians after them.
+            gauss = ahead(ref, 2 * N * k)
+            want = round_rows(ref, gaussian_rows(gauss, params, k))
             assert got.dtype == np.int8
             assert np.array_equal(got, want), k
             assert (gen.integers(0, 2, dtype=np.int8) ==
-                    ref.integers(0, 2, dtype=np.int8))
-            assert gen.random() == ref.random()
+                    gauss.integers(0, 2, dtype=np.int8))
+            assert gen.random() == gauss.random()
 
     @pytest.mark.parametrize("N", [4, 8, 16, 64])
     def test_uniform_sign_rows_row_offsets(self, N):
@@ -452,13 +454,10 @@ class TestMomentFastPath:
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_standard_normal_rows_equals_reference(self, n):
-        # Box-Muller written out on gen.uniform draws: cosines, then sines.
-        u = substream(45, n).uniform(size=(257, n))
-        radius = np.sqrt(-2.0 * np.log1p(-u[:, :n // 2]))
-        angle = 2.0 * np.pi * u[:, n // 2:]
-        want = np.concatenate([radius * np.cos(angle),
-                               radius * np.sin(angle)], axis=1)
-        got = standard_normal_rows(substream(45, n), 257, n)
+        # One unblocked draw; k rows span three blocks and part of a fourth.
+        k = 3 * (BLOCK_BYTES // (8 * n)) + 5
+        want = substream(45, n).standard_normal(size=(k, n))
+        got = standard_normal_rows(substream(45, n), k, n)
         assert np.array_equal(got, want)
 
     def test_standard_normal_rows_refuses_odd_n(self):

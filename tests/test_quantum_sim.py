@@ -322,6 +322,17 @@ class TestSwapTest:
         assert abs(np.mean(single) - p) <= 4 * se
         assert abs(batch.mean() - p) <= 4 * se
 
+    @pytest.mark.parametrize("shots", [1, 3, 500])
+    def test_shots_refuse_a_batch(self, shots):
+        # Three states; with three shots, shot t would read state t.
+        amps = np.zeros((3, 8))
+        amps[:, 0] = 1.0
+        batch = StateVector(3, amps)
+        with pytest.raises(ValueError,
+                           match="^swap test shots need one state, got a "
+                                 "batch of 3$"):
+            swap_test_shots(batch, 2, shots, substream(16, 0))
+
 
 class TestBellPairs:
     def test_single_pair(self):
