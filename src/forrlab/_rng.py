@@ -13,14 +13,19 @@ Monte Carlo estimates are built from fixed-size chunks: chunk i of an
 experiment draws from substream(seed, i).  ``mc_means`` runs independent
 chunks at the same time on a thread pool sized to the usable cores (numpy
 releases the interpreter lock in its array loops) and adds the per-chunk sums
-in chunk order on the calling thread.  It is the one sample floor: an
-estimate from fewer than ``MIN_SAMPLES`` samples is refused.  Within a
-chunk, draws may be taken in row blocks of about ``BLOCK_BYTES`` to bound
-memory; values are consumed row by row, so a block sees the same stream
-values as an unblocked draw.  Where one draw reads two runs of words,
-``ahead`` opens a second reader at a word offset of the same stream, so each
-block can take its words from both runs without holding the whole draw.  No
-result depends on the pool size or on the row blocking.
+in chunk order on the calling thread.  A chunk's draw returns either its
+values, which ``mc_means`` sums, or ``Sums`` for several estimates at once,
+so that one draw of rows can serve many statistics without holding all of
+their values.  ``mc_means`` is the one sample floor: an estimate from
+fewer than ``MIN_SAMPLES`` samples is refused.  Within a chunk, draws may be
+taken in row blocks of about ``BLOCK_BYTES`` to bound memory; values are
+consumed row by row, so a block sees the same stream values as an
+unblocked draw.  Where one draw reads two runs of words, ``ahead`` opens a
+second reader at a word offset of the same stream, so each block can take
+its words from both runs without holding the whole draw.  No value depends
+on the pool size or on the row blocking; a draw that returns ``Sums`` adds
+its values block by block, so those sums follow the fixed blocks of
+``row_blocks``.
 
 ``BLOCK_BYTES`` is 512 KiB: the buffers a draw keeps for a block then fit
 in a core's 2 MiB L2 cache, where 1 MiB blocks spilled out of it.  For the
@@ -176,17 +181,28 @@ class Estimate(NamedTuple):
     standard_error: float
 
 
-def mc_means(jobs: list[tuple[Callable[[np.random.Generator, int], np.ndarray],
-                              int]],
+class Sums(NamedTuple):
+    """What a draw that makes several estimates returns for one chunk: per
+    estimate, the sum of its values and the sum of their squares."""
+
+    total: list[float]
+    squares: list[float]
+
+
+def mc_means(jobs: list[tuple[Callable[[np.random.Generator, int],
+                                       np.ndarray | Sums], int]],
              samples: int) -> list[Estimate]:
     """Mean and standard error of ``samples`` values for each (draw, seed)
-    job, where chunk i of the fixed chunking contributes
-    ``draw(substream(seed, i), k)``, k values.
+    job, where chunk i of the fixed chunking calls ``draw(substream(seed,
+    i), k)`` for its k values.
 
-    Every (job, chunk) pair runs on one pool of ``WORKERS`` threads, so a draw
-    must not share mutable state between calls.  Each chunk returns its sum
-    and sum of squares, and the calling thread adds them per job in chunk
-    order, so every estimate is a pure function of (draw, samples, seed).
+    A draw returns either those k values, for one estimate, or ``Sums``
+    that it reduced itself, for one estimate per entry; the estimates come
+    back flat, in job order.  Every (job, chunk) pair runs on one pool of
+    ``WORKERS`` threads, so a draw must not share mutable state between
+    calls.  Each chunk gives its sums and sums of squares, and the calling
+    thread adds them per estimate in chunk order, so every estimate is a
+    pure function of (draw, samples, seed).
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"Monte Carlo estimation needs at least {MIN_SAMPLES} "
@@ -200,7 +216,9 @@ def mc_means(jobs: list[tuple[Callable[[np.random.Generator, int], np.ndarray],
     def run(task):
         draw, seed, i = task
         vals = draw(substream(seed, i), sizes[i])
-        return float(vals.sum()), float(np.square(vals).sum())
+        if isinstance(vals, Sums):
+            return list(zip(vals.total, vals.squares))
+        return [(float(vals.sum()), float(np.square(vals).sum()))]
 
     tasks = [(draw, seed, i) for draw, seed in jobs for i in range(len(sizes))]
     pool = ThreadPoolExecutor(max(1, min(WORKERS, len(tasks))))
@@ -210,13 +228,15 @@ def mc_means(jobs: list[tuple[Callable[[np.random.Generator, int], np.ndarray],
         pool.shutdown(cancel_futures=True)
     out = []
     for j in range(len(jobs)):
-        total = total_sq = 0.0
-        for s, sq in sums[j * len(sizes):(j + 1) * len(sizes)]:
-            total += s
-            total_sq += sq
-        mean = total / samples
-        var = max(total_sq / samples - mean * mean, 0.0)
-        out.append(Estimate(mean, math.sqrt(var / samples)))
+        chunks = sums[j * len(sizes):(j + 1) * len(sizes)]
+        for pairs in zip(*chunks):  # one estimate's sums, in chunk order
+            total = total_sq = 0.0
+            for s, sq in pairs:
+                total += s
+                total_sq += sq
+            mean = total / samples
+            var = max(total_sq / samples - mean * mean, 0.0)
+            out.append(Estimate(mean, math.sqrt(var / samples)))
     return out
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "FourierSpectrum",
     "fwht",
     "fwht_columns",
+    "fwht_inplace",
     "level_transform",
     "spectrum",
     "inverse_spectrum",
@@ -145,26 +146,43 @@ def fwht(values: np.ndarray) -> np.ndarray:
     multiplies by the length.  Leading axes are treated as a batch.  The
     butterfly stages run in a fixed order with elementwise numpy ops only,
     so results are bit-for-bit reproducible regardless of BLAS threading.
-    Internally the transform axis is moved to the front, so each stage works
-    on contiguous (pairs, 2, half, batch) blocks; every element still sees
-    the same adds in the same order, so the output is bit-for-bit the same
-    as a row-by-row transform, and it comes back C-contiguous.
+    Internally the transform axis is moved to the front of a copy, which
+    ``fwht_inplace`` transforms; every element still sees the same adds in
+    the same order, so the output is bit-for-bit the same as a row-by-row
+    transform, and it comes back C-contiguous.
     """
     values = np.asarray(values, dtype=np.float64)
     size = values.shape[-1]
     if not is_power_of_two(size):
         raise ValueError(f"fwht length must be a power of two, got {size}")
-    out = values.reshape(-1, size).T.copy()
-    batch = out.shape[1]
+    out = fwht_inplace(values.reshape(-1, size).T.copy())
+    return np.ascontiguousarray(out.T).reshape(values.shape)
+
+
+def fwht_inplace(table: np.ndarray) -> np.ndarray:
+    """``fwht`` along the first axis of ``table``, a C-contiguous float64
+    array, in place; returns ``table``.
+
+    Column j gets the bits of ``fwht(table[:, j])``.  Each butterfly stage
+    works on contiguous (pairs, 2, half, batch) blocks: it adds the pairs
+    into one temporary of half the table, subtracts them in place, then
+    copies the sums back.
+    """
+    size = table.shape[0]
+    if not is_power_of_two(size):
+        raise ValueError(f"fwht length must be a power of two, got {size}")
+    if table.dtype != np.float64 or not table.flags.c_contiguous:
+        raise ValueError("fwht_inplace needs a C-contiguous float64 table")
+    batch = table[0].size
     half = 1
     while half < size:
-        view = out.reshape(size // (2 * half), 2, half, batch)
-        top = view[:, 0] + view[:, 1]
-        bot = view[:, 0] - view[:, 1]
-        view[:, 0] = top
-        view[:, 1] = bot
+        view = table.reshape(size // (2 * half), 2, half, batch)
+        lo, hi = view[:, 0], view[:, 1]
+        top = lo + hi
+        np.subtract(lo, hi, out=hi)
+        lo[...] = top
         half *= 2
-    return np.ascontiguousarray(out.T).reshape(values.shape)
+    return table
 
 
 def fwht_columns(values: np.ndarray, cols) -> np.ndarray:
@@ -175,7 +193,8 @@ def fwht_columns(values: np.ndarray, cols) -> np.ndarray:
     lo - hi by the matching bit of t, halving the length, until one entry
     is left: size - 1 adds per column instead of size log2(size) for the
     whole transform.  Every add takes the operands of the matching
-    :func:`fwht` butterfly in the same order, so the bits agree.
+    :func:`fwht` butterfly in the same order, so the bits agree.  The pairs
+    are strided views, so a column-major ``values`` is never copied.
     """
     values = np.asarray(values, dtype=np.float64)
     size = values.shape[-1]
@@ -188,9 +207,8 @@ def fwht_columns(values: np.ndarray, cols) -> np.ndarray:
     for j, col in enumerate(cols.tolist()):
         acc = values
         while acc.shape[-1] > 1:
-            pairs = acc.reshape(acc.shape[:-1] + (-1, 2))
             combine = np.subtract if col & 1 else np.add
-            acc = combine(pairs[..., 0], pairs[..., 1])
+            acc = combine(acc[..., 0::2], acc[..., 1::2])
             col >>= 1
         out[..., j] = acc[..., 0]
     return out

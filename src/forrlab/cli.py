@@ -36,7 +36,7 @@ from .forrelation_dist import (
     generate_instance,
     instance_rows,
     lifted_rows,
-    moment_draw,
+    moment_sums,
 )
 from .protocol import (
     AUDIT_BYTES,
@@ -63,7 +63,9 @@ LOW_POWER_SAMPLES = 100_000
 PAIR_PARITY_PAIRS = (1, 3)  # fourier-audit adversaries, 4 and 64 cells
 EXACT_TOL = 1e-12
 AMPLIFIED_THRESHOLD = 0.7  # midpoint of per-copy rates ~0.5 (uniform) and ~0.9 (planted)
-Z_FLAG = 5.0  # run-protocol summary flags a copy fraction this many se off
+# Chance that run-protocol flags a run whose copy bits follow their exact
+# accept probabilities (see z_flag).
+FLAG_PROBABILITY = 1e-6
 
 RESULT_COLUMNS = ["experiment", "subcommand", "N", "eps", "seed", "samples",
                   "copies", "mode", "metric", "estimate", "standard_error",
@@ -157,23 +159,21 @@ def cmd_verify_moments(args) -> int:
         "verify-moments", N=params.N, eps=params.eps, seed=args.seed,
         samples=args.samples,
         flags="low_power" if args.samples < LOW_POWER_SAMPLES else "")
-    # Every check is collected first; one mc_means call estimates them all.
-    jobs, checks, degrees = [], [], []
+    # Every moment check is collected first; one shared Gaussian draw
+    # estimates them all, and one mc_means call runs it with the
+    # mean-forrelation check.
+    sets, checks = [], []
 
-    def check(metric, draw, bound, ok):
-        jobs.append((draw, derive(args.seed, "moment", len(jobs))))
+    def check(metric, s_set, t_set, bound, ok):
+        sets.append((s_set, t_set))
         checks.append((metric, bound, ok))
-
-    def moment(s_set, t_set):
-        degrees.append(len(s_set) + len(t_set))
-        return moment_draw(params, s_set, t_set)
 
     # Pair moments: value eps N^{-1/2} (-1)^{<i,j>} for 20 random pairs.
     for _ in range(20):
         i = int(gen.integers(params.N))
         j = int(gen.integers(params.N))
         want = params.eps * f2_inner_sign(i, j) / math.sqrt(params.N)
-        check(f"pair_moment[i={i},j={j}]", moment([i], [j]),
+        check(f"pair_moment[i={i},j={j}]", [i], [j],
               f"|est - {want:.3e}| <= 5 se",
               lambda est, want=want:
                   abs(est.estimate - want) <= 5 * est.standard_error)
@@ -184,8 +184,8 @@ def cmd_verify_moments(args) -> int:
         t_size = int((s_size + 1 + gen.integers(3)) % 4)
         s_set = list(map(int, gen.choice(params.N, size=s_size, replace=False)))
         t_set = list(map(int, gen.choice(params.N, size=t_size, replace=False)))
-        check(f"unequal_moment[|S|={s_size},|T|={t_size}]",
-              moment(s_set, t_set), "|est| <= 5 se",
+        check(f"unequal_moment[|S|={s_size},|T|={t_size}]", s_set, t_set,
+              "|est| <= 5 se",
               lambda est: abs(est.estimate) <= 5 * est.standard_error)
 
     # Magnitude cap |moment| <= eps^|S| for equal sizes up to 3.
@@ -193,28 +193,39 @@ def cmd_verify_moments(args) -> int:
         s_set = list(map(int, gen.choice(params.N, size=size, replace=False)))
         t_set = list(map(int, gen.choice(params.N, size=size, replace=False)))
         limit = params.eps ** size
-        check(f"moment_cap[|S|=|T|={size}]", moment(s_set, t_set),
+        check(f"moment_cap[|S|=|T|={size}]", s_set, t_set,
               f"|est| <= {limit:.3e} + 5 se",
               lambda est, limit=limit:
                   abs(est.estimate) <= limit + 5 * est.standard_error)
 
+    # The moment rows share one draw, so they are dependent, and a set
+    # picked twice gets the same row twice.  Each row alone is still the
+    # mean of i.i.d. products with its own se, and the union bound
+    # P(some row fails) <= sum of P(row fails) holds under any dependence,
+    # so a correct sampler fails a run with no more than the probability
+    # bound it had when every check drew its own rows.
+    jobs = [(moment_sums(params, sets), derive(args.seed, "moment", 0))]
+
     # Mean forrelation of the sign distribution is at least eps/2.  The
     # bound needs small eps: truncation is common at an override near 1,
-    # so an override run gets no verdict, as in advantage.
-    check("mean_forrelation",
-          lambda gen, k: forr(forrelation_rows(gen, params, k)),
-          f"est >= eps/2 = {params.eps / 2:.3e} - 3 se",
-          None if args.eps_override is not None else
-          lambda est: est.estimate >= params.eps / 2 - 3 * est.standard_error)
+    # so an override run gets no verdict, as in advantage.  Stream index
+    # len(sets), 46, is the stream this row has always read.
+    jobs.append((lambda gen, k: forr(forrelation_rows(gen, params, k)),
+                 derive(args.seed, "moment", len(sets))))
+    checks.append((
+        "mean_forrelation", f"est >= eps/2 = {params.eps / 2:.3e} - 3 se",
+        None if args.eps_override is not None else
+        lambda est: est.estimate >= params.eps / 2 - 3 * est.standard_error))
 
     # A product of d factors of variance eps squares to about eps^d.  Below
     # the smallest normal double the sums of squares underflow, so every
     # standard error would read 0 and the rows fail however close they are.
     tiny = np.finfo(float).tiny
-    if params.eps ** max(degrees) < tiny:
+    degree = max(len(s_set) + len(t_set) for s_set, t_set in sets)
+    if params.eps ** degree < tiny:
         raise ValueError(
             f"--eps-override {params.eps:g} is too small: moments of degree "
-            f"{max(degrees)} square to below {tiny:.3g}, so their standard "
+            f"{degree} square to below {tiny:.3g}, so their standard "
             f"errors underflow")
     for (metric, bound, ok), est in zip(checks, mc_means(jobs, args.samples)):
         add(metric, metric, est.estimate, standard_error=est.standard_error,
@@ -238,6 +249,25 @@ def _copy_z(fraction: float, p: float, copies: int) -> float:
     if se == 0.0:
         return 0.0 if fraction == p else math.inf
     return abs(fraction - p) / se
+
+
+def z_flag(instances: int) -> float:
+    """The |z| past which a run of ``instances`` is flagged:
+    Phi^{-1}(1 - FLAG_PROBABILITY / (2 instances)), so that by the union
+    bound over instances, and the normal approximation within each, a
+    correct run flags with probability at most FLAG_PROBABILITY.  Found by
+    bisection on ``math.erfc``: importing ``statistics`` for its inverse
+    would add to the start-up of every run."""
+    tail = FLAG_PROBABILITY / instances  # two-sided: P(|Z| > z)
+    lo, hi = 0.0, 40.0
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return hi
+        if math.erfc(mid / math.sqrt(2.0)) > tail:
+            lo = mid
+        else:
+            hi = mid
 
 
 def cmd_run_protocol(args) -> int:
@@ -303,12 +333,14 @@ def cmd_run_protocol(args) -> int:
         "gate_count_per_instance": total_gates // args.instances,
         "seed": args.seed,
         "max_abs_z": max_abs_z,
-        "z_flagged": max_abs_z > Z_FLAG,
+        "z_flagged": max_abs_z > z_flag(args.instances),
     }
     print(json.dumps(summary))
     print(f"# success {correct}/{args.instances} in "
           f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return EXIT_PASS
+    # A flag is a failed self-check: the simulator disagrees with the exact
+    # accept probabilities.  The CSV is written all the same.
+    return EXIT_AUDIT_FAILURE if summary["z_flagged"] else EXIT_PASS
 
 
 # ---------------------------------------------------------------------------

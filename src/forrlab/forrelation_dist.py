@@ -33,8 +33,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._bits import is_power_of_two
-from ._rng import Estimate, ahead, chunk_sizes, mc_mean, row_blocks, substream
-from .boolean_fourier import SignVector, fwht, fwht_columns
+from ._rng import (Estimate, Sums, ahead, chunk_sizes, mc_mean, row_blocks,
+                   substream)
+from .boolean_fourier import SignVector, fwht, fwht_columns, fwht_inplace
 from .errors import SamplingFailureError
 
 __all__ = [
@@ -51,7 +52,9 @@ __all__ = [
     "sample_gaussian",
     "sample_forrelation",
     "sample_lifted",
+    "moment_products",
     "moment_draw",
+    "moment_sums",
     "gaussian_moment",
     "Label",
     "InstanceMode",
@@ -321,44 +324,118 @@ def sample_lifted(params: ForrParams, seed: int,
     return out[:, 0, :], out[:, 1, :]
 
 
-def moment_draw(params: ForrParams, s_set: Iterable[int],
-                t_set: Iterable[int]):
-    """The draw ``(gen, k) -> products`` whose mean is the moment
-    E[prod_{i in S} x_i prod_{j in T} y_j], for ``mc_means``.
+def moment_products(params: ForrParams,
+                    sets: Sequence[tuple[Iterable[int], Iterable[int]]]):
+    """The row products of many moments from one Gaussian draw: a function
+    ``(gen, k) -> iterator of (block, m, products)``.
 
-    S indexes the first half, T the second half, both 0-based in [0, N).
-    The values equal ``gaussian_rows(gen, params, k)[:, cols].prod(axis=1)``
-    for cols = S followed by N + T, bit for bit, but the second half is not
-    made in full.  Each row block draws the N normals of ``gaussian_rows``
-    and scales them in place.  Each column of the transform reads every
-    first-half value, so only the T columns are taken (``fwht_columns``).
-    The factors are multiplied into the output column by column, in the
-    order ``prod`` takes them.  A draw makes one set of block buffers
-    (blocks are about 512 KiB of full rows), so memory stays near one block.
+    Set m = (S, T) has the products prod_{i in S} x_i prod_{j in T} y_j of k
+    coupled-Gaussian rows drawn from ``gen``; S indexes the first half, T
+    the second half, both 0-based in [0, N).  For each row block of
+    ``row_blocks(k, 2N)`` in order, the iterator yields every set's products
+    in set order, each equal to ``gaussian_rows(gen, params, k)[block,
+    cols].prod(axis=1)`` for cols = S followed by N + T, bit for bit.
+
+    The second half is not made in full.  Each row block draws the N
+    normals of ``gaussian_rows`` and scales them into a column-major copy,
+    so that every factor is a contiguous column.  Each column of the
+    transform reads every first-half value, so only the columns in the
+    union of the T sets are taken (``fwht_columns``); past n/2 of them
+    (N = 2^n), the whole transform, in place (``fwht_inplace``), is
+    cheaper, and its columns have the same bits.  The normals are spent by
+    then, so the T columns go into their buffer.  A set's factors are
+    multiplied into one block-length buffer column by column, in the order
+    ``prod`` takes them.  That buffer is reused for every set and block, so
+    a consumer must reduce or copy ``products`` before taking the next
+    item.  Each call makes its own block buffers, so memory stays near one
+    block whatever the number of sets, and calls may run on several
+    threads at once.
     """
-    s_idx = np.fromiter(s_set, dtype=np.int64)
-    t_idx = np.fromiter(t_set, dtype=np.int64)
-    for name, idx in (("S", s_idx), ("T", t_idx)):
-        if idx.size and (idx.min() < 0 or idx.max() >= params.N):
-            raise ValueError(f"{name} indices must lie in [0, {params.N})")
+    columns = []
+    for s_set, t_set in sets:
+        s_idx = np.fromiter(s_set, dtype=np.int64)
+        t_idx = np.fromiter(t_set, dtype=np.int64)
+        for name, idx in (("S", s_idx), ("T", t_idx)):
+            if idx.size and (idx.min() < 0 or idx.max() >= params.N):
+                raise ValueError(f"{name} indices must lie in [0, {params.N})")
+        columns.append((s_idx.tolist(), t_idx.tolist()))
+    # Sorted in Python: numpy's sort would page in its SIMD sort kernels,
+    # about 1 MiB of resident memory, for a few dozen indices.
+    t_union = sorted({t for _, t_idx in columns for t in t_idx})
+    full = 2 * len(t_union) > params.n
+    if not full:  # a T index names its column of fwht_columns' output
+        position = {t: j for j, t in enumerate(t_union)}
+        columns = [(s_idx, [position[t] for t in t_idx])
+                   for s_idx, t_idx in columns]
+    width = params.N if full else len(t_union)
     scale = math.sqrt(params.eps)
     root_n = math.sqrt(params.N)
 
+    def products(gen, k):
+        blocks = row_blocks(k, params.input_length)
+        first = _buffer(blocks, params.N).T
+        buffer = _buffer(blocks)
+        for block, normals in _normal_blocks(gen, blocks, params.N):
+            rows = len(normals)
+            x = np.multiply(normals.T, scale, out=first[:, :rows])
+            if width:  # y[j] is transform column j, or column t_union[j]
+                y = normals.reshape(-1)[:width * rows].reshape(width, rows)
+                if full:
+                    np.copyto(y, x)
+                    fwht_inplace(y)
+                else:
+                    np.copyto(y, fwht_columns(x.T, t_union).T)
+                y /= root_n
+            product = buffer[:rows]
+            for m, (s_idx, t_pos) in enumerate(columns):
+                factors = [x[c] for c in s_idx] + [y[c] for c in t_pos]
+                # 1 times the first factor is that factor, bit for bit.
+                if factors:
+                    np.copyto(product, factors[0])
+                else:
+                    product.fill(1.0)
+                for factor in factors[1:]:
+                    np.multiply(product, factor, out=product)
+                yield block, m, product
+    return products
+
+
+def moment_draw(params: ForrParams, s_set: Iterable[int],
+                t_set: Iterable[int]):
+    """The draw ``(gen, k) -> products`` whose mean is the moment
+    E[prod_{i in S} x_i prod_{j in T} y_j], for ``mc_means``: the k
+    products of ``moment_products`` for the one set (S, T)."""
+    products = moment_products(params, [(s_set, t_set)])
+
     def draw(gen, k):
         out = np.empty(k)
-        blocks = row_blocks(k, params.input_length)
-        for block, normals in _normal_blocks(gen, blocks, params.N):
-            np.multiply(normals, scale, out=normals)
-            factors = [normals[:, c] for c in s_idx]
-            if t_idx.size:
-                hadamard = fwht_columns(normals, t_idx)
-                hadamard /= root_n
-                factors.extend(hadamard.T)
-            product = out[block]
-            product.fill(1.0)
-            for factor in factors:
-                np.multiply(product, factor, out=product)
+        for block, _, product in products(gen, k):
+            out[block] = product
         return out
+    return draw
+
+
+def moment_sums(params: ForrParams,
+                sets: Sequence[tuple[Iterable[int], Iterable[int]]]):
+    """The draw ``(gen, k) -> Sums`` that estimates every moment of
+    ``sets`` from one Gaussian draw, for ``mc_means``: per set, the sum of
+    its k ``moment_products`` and the sum of their squares.
+
+    Each block's products are reduced as they are made, so no (sets, k)
+    array is held.  A set's estimate is the mean of k i.i.d. products, as
+    from its own ``moment_draw``, but the sets share their rows, so their
+    estimates are dependent, and a set given twice gets the same estimate
+    twice.
+    """
+    products = moment_products(params, sets)
+    count = len(sets)
+
+    def draw(gen, k):
+        total, squares = [0.0] * count, [0.0] * count
+        for _, m, product in products(gen, k):
+            total[m] += float(product.sum())
+            squares[m] += float(np.square(product).sum())
+        return Sums(total, squares)
     return draw
 
 

@@ -27,6 +27,7 @@ from forrlab.boolean_fourier import (
     convolve,
     fwht,
     fwht_columns,
+    fwht_inplace,
     indicator_table,
     inverse_spectrum,
     level_k_bound,
@@ -166,6 +167,36 @@ class TestFwhtColumns:
         for cols in ([8], [-1]):
             with pytest.raises(ValueError, match="columns"):
                 fwht_columns(np.ones(8), cols)
+
+    @pytest.mark.parametrize("size", [4, 16, 64])
+    def test_column_major_input(self, size):
+        # The transposed view of a (size, rows) table, as the moment draw
+        # passes it: same columns, bit for bit.
+        table = np.random.default_rng(size).normal(size=(size, 9))
+        every = list(range(size))
+        assert np.array_equal(fwht_columns(table.T, every), fwht(table.T))
+
+
+class TestFwhtInplace:
+    """fwht_inplace transforms along the first axis, in place, with the
+    bits of fwht on each column."""
+
+    @pytest.mark.parametrize("size", [1, 2, 16, 256])
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (2, 3)])
+    def test_equals_fwht_of_each_column(self, size, batch):
+        table = np.random.default_rng(size).normal(size=(size,) + batch)
+        want = np.moveaxis(fwht(np.moveaxis(table, 0, -1)), -1, 0)
+        got = fwht_inplace(table)
+        assert got is table
+        assert np.array_equal(table, want)
+
+    def test_rejects_bad_length(self):
+        with pytest.raises(ValueError, match="power of two"):
+            fwht_inplace(np.ones((6, 2)))
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            fwht_inplace(np.ones((2, 4)).T)
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            fwht_inplace(np.ones(4, dtype=np.float32))
 
 
 def subcube_violations_per_table(n: int, k: int) -> tuple[int, int]:

@@ -470,6 +470,35 @@ class TestVerifyMoments:
         assert rows.pop("mean_forrelation")["passed"] == ""
         assert rows and all(r["passed"] == "True" for r in rows.values())
 
+    def test_repeated_pairs_share_their_row(self, tmp_path):
+        # The moment checks share one Gaussian draw, so a pair picked twice
+        # gets the same estimate and se twice; seed 1 picks three pairs
+        # twice each.
+        out = tmp_path / "moments.csv"
+        assert run(["verify-moments", "--n", "16", "--samples", "16384",
+                    "--seed", "1", "--out", str(out)]) == EXIT_PASS
+        pairs = {}
+        with open(out) as fh:
+            for row in csv.DictReader(fh):
+                if row["metric"].startswith("pair_moment"):
+                    pairs.setdefault(row["metric"], []).append(
+                        (row["estimate"], row["standard_error"]))
+        repeated = {m: rows for m, rows in pairs.items() if len(rows) > 1}
+        assert sorted(repeated) == ["pair_moment[i=11,j=8]",
+                                    "pair_moment[i=14,j=11]",
+                                    "pair_moment[i=8,j=5]"]
+        assert all(len(set(rows)) == 1 for rows in repeated.values())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_readme_configuration_passes(self, seed, tmp_path):
+        out = tmp_path / "moments.csv"
+        assert run(["verify-moments", "--n", "16", "--samples", "1000000",
+                    "--seed", str(seed), "--out", str(out)]) == EXIT_PASS
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 47
+        assert all(row["passed"] == "True" for row in rows)
+
     def test_override_whose_moments_underflow_is_refused(self, tmp_path,
                                                          capsys):
         # eps^6, the square scale of the degree-6 moment_cap products, is
@@ -918,12 +947,13 @@ def test_generator_output_pinned(args, digest, tmp_path, capsys):
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
-# SHA-256 of sampler outputs as written when the normals became numpy's
-# ziggurat draws: the benchmark's verify-moments configuration and
-# sample-dist's Gaussian and sign samplers.
+# SHA-256 of sampler outputs: the benchmark's verify-moments configuration,
+# as written when its moment checks came to share one Gaussian draw, and
+# sample-dist's Gaussian and sign samplers, as written when the normals
+# became numpy's ziggurat draws.
 PINNED_SAMPLER_OUTPUTS = {
     ("verify-moments", "--n", "16", "--samples", "16384", "--seed", "1"):
-        "3eec30c740c1800309b0a8b467ac8f7f4ddc8ebd3814e0756f02c80553d05948",
+        "bfcd6373c0d98255eb584ecab2341a5720f952fd13f3193e829eecf784317975",
     ("sample-dist", "--n", "64", "--samples", "20000", "--dist", "gaussian",
      "--seed", "2"):
         "e5acdead83fe1014d1d6c789f4e6613f2495a858ce6b4c908aa791945366bfdd",
@@ -1029,12 +1059,21 @@ class TestRunProtocolSelfCheck:
         monkeypatch.setattr(protocol, "swap_test_probability",
                             lambda state, control: 1.0 - real(state, control))
         out = tmp_path / "runs.csv"
-        assert run(WORKLOAD + ["--seed", "0", "--out", str(out)]) == EXIT_PASS
+        # A flagged run is a failed self-check: exit 1, CSV still written.
+        assert run(WORKLOAD + ["--seed", "0", "--out", str(out)]) == 1
         summary = summary_of(capsys)
-        assert summary["max_abs_z"] > 5.0
+        assert summary["max_abs_z"] > cli.z_flag(40)
         assert summary["z_flagged"] is True
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 40
+
+    @pytest.mark.parametrize("instances", [1, 40, 200, 10 ** 6, 10 ** 9])
+    def test_flag_threshold_is_the_normal_quantile(self, instances):
+        # Phi^{-1}(1 - 1e-6 / (2 instances)), taken from the lower tail,
+        # where the quantile keeps its precision.
+        from statistics import NormalDist
+        want = -NormalDist().inv_cdf(1e-6 / (2 * instances))
+        assert cli.z_flag(instances) == pytest.approx(want, rel=1e-12)
 
     def test_zero_standard_error(self):
         from forrlab.cli import _copy_z

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forrlab import forrelation_dist
 from forrlab._rng import BLOCK_BYTES, CHUNK, ahead, mc_mean, substream
 from forrlab.boolean_fourier import (
     FourierSpectrum,
     fwht,
+    fwht_inplace,
     multilinear_eval,
     spectrum,
 )
@@ -38,6 +40,8 @@ from forrlab.forrelation_dist import (
     generate_instance,
     instance_rows,
     moment_draw,
+    moment_products,
+    moment_sums,
     planted_instance,
     round_rows,
     sample_forrelation,
@@ -474,6 +478,99 @@ class TestMomentFastPath:
         assert got.standard_error == want.standard_error
 
 
+def shared_sets(N: int, wide: bool) -> list[tuple[list[int], list[int]]]:
+    """Sets for the shared moment draw: S empty, T empty, |S| = |T| = 3,
+    both empty, and two repeats.  Their T union has three columns; ``wide``
+    adds pair moments that take it to 16."""
+    s3, t3 = moment_sets(N)["three_by_three"]
+    sets = [([], t3[:2]), (s3[:2], []), (s3, t3), ([], []), (s3, t3),
+            ([], t3[:2])]
+    if wide:
+        sets += [([j % 3], [j]) for j in range(0, N, N // 16)]
+    return sets
+
+
+def shared_rows(params: ForrParams, sets, gen, k: int) -> np.ndarray:
+    """Every set's k products from one moment_products draw, as an array."""
+    rows = np.empty((len(sets), k))
+    for block, m, product in moment_products(params, sets)(gen, k):
+        rows[m, block] = product
+    return rows
+
+
+class TestSharedMomentDraw:
+    """moment_products draws the Gaussian rows once for many sets; each
+    set's products must equal its own moment_draw, and moment_sums must
+    reduce them without holding a (sets, k) array."""
+
+    # Three T columns at N = 64 are at most n/2, so only they are
+    # transformed; every other case takes the whole transform in place.
+    @pytest.mark.parametrize("N, wide, whole", [(16, False, True),
+                                                (64, False, False),
+                                                (16, True, True),
+                                                (64, True, True)])
+    def test_rows_equal_one_set_draws(self, N, wide, whole, monkeypatch):
+        params = ForrParams(N)
+        sets = shared_sets(N, wide)
+        block = BLOCK_BYTES // (8 * params.input_length)
+        calls = []
+        monkeypatch.setattr(
+            forrelation_dist, "fwht_inplace",
+            lambda table: calls.append(1) or fwht_inplace(table))
+        for k in (block - 1, block, block + 1, CHUNK):
+            calls.clear()
+            rows = shared_rows(params, sets, substream(70, k), k)
+            assert bool(calls) is whole
+            for m, (s_set, t_set) in enumerate(sets):
+                want = moment_draw(params, s_set, t_set)(substream(70, k), k)
+                assert np.array_equal(rows[m], want), (k, m)
+            assert np.array_equal(rows[2], rows[4])  # repeated sets
+            assert np.array_equal(rows[0], rows[5])
+            assert np.all(rows[3] == 1.0)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_sums_match_exact_sums_of_rows(self, wide):
+        params = ForrParams(16)
+        sets = shared_sets(16, wide)
+        block = BLOCK_BYTES // (8 * params.input_length)
+        for k in (block - 1, block, block + 1, CHUNK):
+            rows = shared_rows(params, sets, substream(71, k), k)
+            total, squares = moment_sums(params, sets)(substream(71, k), k)
+            assert len(total) == len(squares) == len(sets)
+            for m, row in enumerate(rows):
+                want = math.fsum(row)
+                assert abs(total[m] - want) <= 1e-12 * abs(want), (k, m)
+                want_sq = math.fsum(row * row)
+                assert abs(squares[m] - want_sq) <= 1e-12 * want_sq, (k, m)
+
+    def test_refuses_indices_outside_the_half(self):
+        params = ForrParams(16)
+        with pytest.raises(ValueError, match=r"^T indices must lie in"):
+            moment_sums(params, [([0], [1]), ([2], [16])])
+        with pytest.raises(ValueError, match=r"^S indices must lie in"):
+            moment_products(params, [([-1], [])])
+
+    def test_memory_stays_near_one_block(self):
+        # 46 sets, as verify-moments checks, over a full chunk at N = 64:
+        # one block's buffers and transform temporaries, never a (46, k)
+        # array of products (12 MiB here).
+        params = ForrParams(64)
+        gen = np.random.default_rng(5)
+        sets = [(gen.choice(64, size=s, replace=False).tolist(),
+                 gen.choice(64, size=t, replace=False).tolist())
+                for s, t in gen.integers(0, 4, size=(46, 2))]
+        draw = moment_sums(params, sets)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            sums = draw(substream(1, 0), CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sums.total) == 46
+        assert peak <= 4 * BLOCK_BYTES
+
+
 class TestDrawScratch:
     """A draw makes its block buffers on each call: calls on several
     threads must not see each other's buffers, and the buffers stay near
@@ -489,6 +586,7 @@ class TestDrawScratch:
 
         draws = {"moments": moment_draw(params, [3], [5]),
                  "s_only": moment_draw(params, [3, 9], []),
+                 "shared": moment_sums(params, shared_sets(16, True)),
                  "signs": signs}
         k = 4 * BLOCK_BYTES // (8 * params.input_length) + 7
         jobs = [(name, draw, i) for i in range(4)
