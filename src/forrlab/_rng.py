@@ -11,21 +11,24 @@ results are independent of how work is scheduled across threads or chunks.
 
 Monte Carlo estimates are built from fixed-size chunks: chunk i of an
 experiment draws from substream(seed, i).  ``mc_means`` runs independent
-chunks at the same time on a thread pool sized to the usable cores (numpy
-releases the interpreter lock in its array loops) and adds the per-chunk sums
-in chunk order on the calling thread.  A chunk's draw returns either its
-values, which ``mc_means`` sums, or ``Sums`` for several estimates at once,
-so that one draw of rows can serve many statistics without holding all of
-their values.  ``mc_means`` is the one sample floor: an estimate from
-fewer than ``MIN_SAMPLES`` samples is refused.  Within a chunk, draws may be
-taken in row blocks of about ``BLOCK_BYTES`` to bound memory; values are
-consumed row by row, so a block sees the same stream values as an
-unblocked draw.  Where one draw reads two runs of words, ``ahead`` opens a
-second reader at a word offset of the same stream, so each block can take
-its words from both runs without holding the whole draw.  No value depends
-on the pool size or on the row blocking; a draw that returns ``Sums`` adds
-its values block by block, so those sums follow the fixed blocks of
-``row_blocks``.
+chunks at the same time: the calling thread and up to ``WORKERS - 1``
+started ``threading`` threads, one per usable core (numpy releases the
+interpreter lock in its array loops), take chunks from one shared iterator,
+and the calling thread adds the per-chunk sums in chunk order.
+``threading`` is loaded when the interpreter starts, so the fan-out costs
+no import, where ``concurrent.futures`` would load ``logging``.  A chunk's
+draw returns either its values, which ``mc_means`` sums, or ``Sums`` for
+several estimates at once, so that one draw of rows can serve many
+statistics without holding all of their values.  ``mc_means`` is the one
+sample floor: an estimate from fewer than ``MIN_SAMPLES`` samples is
+refused.  Within a chunk, draws may be taken in row blocks of about
+``BLOCK_BYTES`` to bound memory; values are consumed row by row, so a block
+sees the same stream values as an unblocked draw.  Where one draw reads two
+runs of words, ``ahead`` opens a second reader at a word offset of the same
+stream, so each block can take its words from both runs without holding the
+whole draw.  No value depends on the number of threads or on the row
+blocking; a draw that returns ``Sums`` adds its values block by block, so
+those sums follow the fixed blocks of ``row_blocks``.
 
 ``BLOCK_BYTES`` is 512 KiB: the buffers a draw keeps for a block then fit
 in a core's 2 MiB L2 cache, where 1 MiB blocks spilled out of it.  For the
@@ -39,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -189,6 +193,12 @@ class Sums(NamedTuple):
     squares: list[float]
 
 
+def fan_out(tasks: int) -> int:
+    """Threads ``mc_means`` runs ``tasks`` chunks on, the calling thread
+    included: one per task, at most ``WORKERS``, at least one."""
+    return max(1, min(WORKERS, tasks))
+
+
 def mc_means(jobs: list[tuple[Callable[[np.random.Generator, int],
                                        np.ndarray | Sums], int]],
              samples: int) -> list[Estimate]:
@@ -198,34 +208,55 @@ def mc_means(jobs: list[tuple[Callable[[np.random.Generator, int],
 
     A draw returns either those k values, for one estimate, or ``Sums``
     that it reduced itself, for one estimate per entry; the estimates come
-    back flat, in job order.  Every (job, chunk) pair runs on one pool of
-    ``WORKERS`` threads, so a draw must not share mutable state between
-    calls.  Each chunk gives its sums and sums of squares, and the calling
-    thread adds them per estimate in chunk order, so every estimate is a
-    pure function of (draw, samples, seed).
+    back flat, in job order.  The calling thread and ``fan_out(tasks) - 1``
+    started threads take the (job, chunk) tasks from one shared iterator and
+    store each chunk's sums and sums of squares under its task index, so a
+    draw must not share mutable state between calls.  On the first error,
+    or an interrupt, every thread stops before its next chunk; the threads
+    are joined and that first error is raised.  The calling thread then
+    adds the sums per estimate in chunk order, so every estimate is a pure
+    function of (draw, samples, seed).
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"Monte Carlo estimation needs at least {MIN_SAMPLES} "
                          f"samples, got {samples}")
-    # Imported here: concurrent.futures loads logging, which would otherwise
-    # add to the import time of every forrlab process.
-    from concurrent.futures import ThreadPoolExecutor
-
     sizes = chunk_sizes(samples)
-
-    def run(task):
-        draw, seed, i = task
-        vals = draw(substream(seed, i), sizes[i])
-        if isinstance(vals, Sums):
-            return list(zip(vals.total, vals.squares))
-        return [(float(vals.sum()), float(np.square(vals).sum()))]
-
     tasks = [(draw, seed, i) for draw, seed in jobs for i in range(len(sizes))]
-    pool = ThreadPoolExecutor(max(1, min(WORKERS, len(tasks))))
+    sums: list[list[tuple[float, float]]] = [[]] * len(tasks)
+    todo = iter(range(len(tasks)))
+    take = threading.Lock()
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def work():
+        while not stop.is_set():
+            with take:
+                t = next(todo, None)
+            if t is None:
+                return
+            draw, seed, i = tasks[t]
+            try:
+                vals = draw(substream(seed, i), sizes[i])
+                sums[t] = (list(zip(vals.total, vals.squares))
+                           if isinstance(vals, Sums) else
+                           [(float(vals.sum()), float(np.square(vals).sum()))])
+            except BaseException as exc:  # an interrupt stops the others too
+                errors.append(exc)
+                stop.set()
+                return
+
+    threads = [threading.Thread(target=work)
+               for _ in range(fan_out(len(tasks)) - 1)]
+    for thread in threads:
+        thread.start()
     try:
-        sums = list(pool.map(run, tasks))
-    finally:  # on an error or an interrupt, drop the chunks not yet started
-        pool.shutdown(cancel_futures=True)
+        work()
+    finally:  # all tasks are taken, or none may start: let the others end
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     out = []
     for j in range(len(jobs)):
         chunks = sums[j * len(sizes):(j + 1) * len(sizes)]

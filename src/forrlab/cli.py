@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import f2_inner_sign
-from ._rng import derive, mc_means, row_blocks, substream
+from ._rng import chunk_sizes, derive, fan_out, mc_means, row_blocks, substream
 from .boolean_fourier import random_indicator_violations, subcube_violations
 from .errors import ForrlabError, ResourceLimitError
 from .forrelation_dist import (
@@ -153,6 +153,7 @@ def _params(args) -> ForrParams:
 # verify-moments
 
 def cmd_verify_moments(args) -> int:
+    t0 = time.perf_counter()
     params = _params(args)
     gen = substream(derive(args.seed, "pick", 0), 0)
     records, add = recorder(
@@ -230,7 +231,12 @@ def cmd_verify_moments(args) -> int:
     for (metric, bound, ok), est in zip(checks, mc_means(jobs, args.samples)):
         add(metric, metric, est.estimate, standard_error=est.standard_error,
             bound=bound, passed=ok(est) if ok else None)
-    return finish(args, records)
+    code = finish(args, records)
+    chunks = len(jobs) * len(chunk_sizes(args.samples))
+    print(f"# checks: {len(checks)}, {len(jobs)} draws, {chunks} chunks on "
+          f"{fan_out(chunks)} threads in {time.perf_counter() - t0:.2f}s",
+          file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------

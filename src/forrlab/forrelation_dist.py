@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._bits import is_power_of_two
-from ._rng import (Estimate, Sums, ahead, chunk_sizes, mc_mean, row_blocks,
-                   substream)
+from ._rng import (BLOCK_BYTES, Estimate, Sums, ahead, chunk_sizes, mc_mean,
+                   row_blocks, substream)
 from .boolean_fourier import SignVector, fwht, fwht_columns, fwht_inplace
 from .errors import SamplingFailureError
 
@@ -327,29 +327,34 @@ def sample_lifted(params: ForrParams, seed: int,
 def moment_products(params: ForrParams,
                     sets: Sequence[tuple[Iterable[int], Iterable[int]]]):
     """The row products of many moments from one Gaussian draw: a function
-    ``(gen, k) -> iterator of (block, m, products)``.
+    ``(gen, k) -> iterator of (block, members, products)``.
 
     Set m = (S, T) has the products prod_{i in S} x_i prod_{j in T} y_j of k
     coupled-Gaussian rows drawn from ``gen``; S indexes the first half, T
     the second half, both 0-based in [0, N).  For each row block of
-    ``row_blocks(k, 2N)`` in order, the iterator yields every set's products
-    in set order, each equal to ``gaussian_rows(gen, params, k)[block,
-    cols].prod(axis=1)`` for cols = S followed by N + T, bit for bit.
+    ``row_blocks(k, 2N)`` in order, the iterator yields the sets in groups
+    of one degree |S| + |T|: ``products`` is a (len(members), rows) array
+    whose row r holds the products of set ``members[r]``, each equal to
+    ``gaussian_rows(gen, params, k)[block, cols].prod(axis=1)`` for cols = S
+    followed by N + T, bit for bit.  Every set appears once per block.
 
     The second half is not made in full.  Each row block draws the N
-    normals of ``gaussian_rows`` and scales them into a column-major copy,
-    so that every factor is a contiguous column.  Each column of the
-    transform reads every first-half value, so only the columns in the
-    union of the T sets are taken (``fwht_columns``); past n/2 of them
-    (N = 2^n), the whole transform, in place (``fwht_inplace``), is
-    cheaper, and its columns have the same bits.  The normals are spent by
-    then, so the T columns go into their buffer.  A set's factors are
-    multiplied into one block-length buffer column by column, in the order
-    ``prod`` takes them.  That buffer is reused for every set and block, so
-    a consumer must reduce or copy ``products`` before taking the next
-    item.  Each call makes its own block buffers, so memory stays near one
-    block whatever the number of sets, and calls may run on several
-    threads at once.
+    normals of ``gaussian_rows`` and scales them into the first N rows of
+    one (N + width, rows) column buffer, so that every factor is a
+    contiguous row of it.  Each column of the transform reads every
+    first-half value, so only the columns in the union of the T sets are
+    taken (``fwht_columns``) into the width rows after them; past n/2 of
+    them (N = 2^n), the whole transform, in place (``fwht_inplace``), is
+    cheaper, and its columns have the same bits.  A group's products take
+    one gather of the buffer per factor position: the first factors are
+    copied, and each later position's factors are gathered and multiplied
+    in, in the order ``prod`` takes them.  A group is split so that its
+    products and one gathered factor stay within one ``BLOCK_BYTES`` block.
+    The products buffer is reused for every group and block, so a consumer
+    may overwrite ``products``, and must reduce or copy it before taking
+    the next item.  Each call makes its own block buffers, so memory stays
+    within a few blocks whatever the number of sets, and calls may run on
+    several threads at once.
     """
     columns = []
     for s_set, t_set in sets:
@@ -363,40 +368,60 @@ def moment_products(params: ForrParams,
     # about 1 MiB of resident memory, for a few dozen indices.
     t_union = sorted({t for _, t_idx in columns for t in t_idx})
     full = 2 * len(t_union) > params.n
-    if not full:  # a T index names its column of fwht_columns' output
-        position = {t: j for j, t in enumerate(t_union)}
-        columns = [(s_idx, [position[t] for t in t_idx])
-                   for s_idx, t_idx in columns]
+    # Buffer row of each T index: N + t, or N + its column of fwht_columns.
+    position = {t: params.N + (t if full else j) for j, t in enumerate(t_union)}
     width = params.N if full else len(t_union)
+    # Each set's factors as buffer rows, in the order prod takes them, and
+    # one (members, factor rows) table per degree, in degree order.
+    factors = [s_idx + [position[t] for t in t_idx] for s_idx, t_idx in columns]
+    by_degree: dict[int, list[int]] = {}
+    for m, rows in enumerate(factors):
+        by_degree.setdefault(len(rows), []).append(m)
+    groups = [(members, np.array([factors[m] for m in members], dtype=np.intp))
+              for _, members in sorted(by_degree.items())]
     scale = math.sqrt(params.eps)
     root_n = math.sqrt(params.N)
 
     def products(gen, k):
         blocks = row_blocks(k, params.input_length)
-        first = _buffer(blocks, params.N).T
-        buffer = _buffer(blocks)
+        most = blocks[0].stop if blocks else 0
+        # Sets per gather: a group's products and one gathered factor of
+        # them fill at most one block together.
+        per = max(1, BLOCK_BYTES // (16 * max(most, 1)))
+        size = min(per, max((len(g) for g, _ in groups), default=0)) * most
+        cols_buffer = np.empty((params.N + width) * most)
+        product_buffer = np.empty(size)
+        factor_buffer = np.empty(size)
         for block, normals in _normal_blocks(gen, blocks, params.N):
             rows = len(normals)
-            x = np.multiply(normals.T, scale, out=first[:, :rows])
+            cols = cols_buffer[:(params.N + width) * rows].reshape(-1, rows)
+            x, y = cols[:params.N], cols[params.N:]
+            np.multiply(normals.T, scale, out=x)
             if width:  # y[j] is transform column j, or column t_union[j]
-                y = normals.reshape(-1)[:width * rows].reshape(width, rows)
                 if full:
                     np.copyto(y, x)
                     fwht_inplace(y)
                 else:
                     np.copyto(y, fwht_columns(x.T, t_union).T)
                 y /= root_n
-            product = buffer[:rows]
-            for m, (s_idx, t_pos) in enumerate(columns):
-                factors = [x[c] for c in s_idx] + [y[c] for c in t_pos]
-                # 1 times the first factor is that factor, bit for bit.
-                if factors:
-                    np.copyto(product, factors[0])
-                else:
-                    product.fill(1.0)
-                for factor in factors[1:]:
-                    np.multiply(product, factor, out=product)
-                yield block, m, product
+            for members, table in groups:
+                for start in range(0, len(members), per):
+                    idx = table[start:start + per]
+                    count = len(idx) * rows
+                    product = product_buffer[:count].reshape(-1, rows)
+                    if not idx.shape[1]:
+                        product.fill(1.0)
+                    else:  # 1 times the first factor is that factor
+                        # mode="clip": the rows are in range, and the
+                        # default mode gathers into a temporary first.
+                        np.take(cols, idx[:, 0], axis=0, out=product,
+                                mode="clip")
+                    factor = factor_buffer[:count].reshape(-1, rows)
+                    for j in range(1, idx.shape[1]):
+                        np.take(cols, idx[:, j], axis=0, out=factor,
+                                mode="clip")
+                        np.multiply(product, factor, out=product)
+                    yield block, members[start:start + per], product
     return products
 
 
@@ -410,7 +435,7 @@ def moment_draw(params: ForrParams, s_set: Iterable[int],
     def draw(gen, k):
         out = np.empty(k)
         for block, _, product in products(gen, k):
-            out[block] = product
+            out[block] = product[0]
         return out
     return draw
 
@@ -421,7 +446,10 @@ def moment_sums(params: ForrParams,
     ``sets`` from one Gaussian draw, for ``mc_means``: per set, the sum of
     its k ``moment_products`` and the sum of their squares.
 
-    Each block's products are reduced as they are made, so no (sets, k)
+    Each group's products are reduced as they are made, by
+    ``products.sum(axis=1)`` and ``np.square(products).sum(axis=1)``, whose
+    entries equal each set's ``row.sum()`` and ``np.square(row).sum()`` bit
+    for bit; the block sums are added in block order.  So no (sets, k)
     array is held.  A set's estimate is the mean of k i.i.d. products, as
     from its own ``moment_draw``, but the sets share their rows, so their
     estimates are dependent, and a set given twice gets the same estimate
@@ -432,9 +460,12 @@ def moment_sums(params: ForrParams,
 
     def draw(gen, k):
         total, squares = [0.0] * count, [0.0] * count
-        for _, m, product in products(gen, k):
-            total[m] += float(product.sum())
-            squares[m] += float(np.square(product).sum())
+        for _, members, product in products(gen, k):
+            sums = product.sum(axis=1).tolist()
+            sums_sq = np.square(product, out=product).sum(axis=1).tolist()
+            for m, s, sq in zip(members, sums, sums_sq):
+                total[m] += s
+                squares[m] += sq
         return Sums(total, squares)
     return draw
 

@@ -268,6 +268,30 @@ class TestParser:
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["[]", "0"]
 
+    def test_verify_moments_loads_no_pool_and_leaves_no_thread(self,
+                                                                tmp_path):
+        # The Monte Carlo fan-out uses plain threads and joins them all.
+        probe = textwrap.dedent("""
+            import sys, threading
+            from forrlab import cli
+            code = cli.main(["verify-moments", "--n", "4", "--samples",
+                             "10000", "--out", sys.argv[1]])
+            print(code, "concurrent.futures" in sys.modules,
+                  threading.active_count())
+            """)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", probe,
+                              str(tmp_path / "moments.csv")],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.splitlines()[-1].split() == [str(EXIT_PASS),
+                                                      "False", "1"]
+        assert re.fullmatch(r"# checks: 47, 2 draws, 2 chunks on [12] "
+                            r"threads in \d+\.\d\ds\n", out.stderr)
+
 
 class TestRunProtocol:
     def test_amplified_summary_and_csv(self, tmp_path, capsys):

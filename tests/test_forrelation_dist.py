@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forrlab import forrelation_dist
-from forrlab._rng import BLOCK_BYTES, CHUNK, ahead, mc_mean, substream
+from forrlab._rng import (BLOCK_BYTES, CHUNK, ahead, mc_mean, row_blocks,
+                          substream)
 from forrlab.boolean_fourier import (
     FourierSpectrum,
     fwht,
@@ -490,11 +491,25 @@ def shared_sets(N: int, wide: bool) -> list[tuple[list[int], list[int]]]:
     return sets
 
 
+def degree_sets(N: int, t_cols: list[int], many: int):
+    """Three sets of each degree |S| + |T| from 0 to 6, and ``many`` of
+    degree 2, in shuffled order: S from [0, N), T from ``t_cols``."""
+    gen = np.random.default_rng(N)
+    sets = []
+    for degree in range(7):
+        for _ in range(many if degree == 2 else 3):
+            t_size = int(gen.integers(min(degree, len(t_cols)) + 1))
+            sets.append((
+                gen.choice(N, size=degree - t_size, replace=False).tolist(),
+                gen.choice(t_cols, size=t_size, replace=False).tolist()))
+    return [sets[i] for i in gen.permutation(len(sets))]
+
+
 def shared_rows(params: ForrParams, sets, gen, k: int) -> np.ndarray:
     """Every set's k products from one moment_products draw, as an array."""
     rows = np.empty((len(sets), k))
-    for block, m, product in moment_products(params, sets)(gen, k):
-        rows[m, block] = product
+    for block, members, products in moment_products(params, sets)(gen, k):
+        rows[members, block] = products
     return rows
 
 
@@ -542,6 +557,52 @@ class TestSharedMomentDraw:
                 assert abs(total[m] - want) <= 1e-12 * abs(want), (k, m)
                 want_sq = math.fsum(row * row)
                 assert abs(squares[m] - want_sq) <= 1e-12 * want_sq, (k, m)
+
+    # The whole transform at N = 16; at N = 64 three T columns, at most
+    # n/2, so only they are transformed.
+    @pytest.mark.parametrize("N, t_cols, whole", [(16, range(16), True),
+                                                  (64, [5, 17, 40], False)])
+    def test_degree_groups_equal_per_set_products(self, N, t_cols, whole,
+                                                  monkeypatch):
+        params = ForrParams(N)
+        block = BLOCK_BYTES // (8 * params.input_length)
+        per = BLOCK_BYTES // (16 * block)  # sets in one full-block gather
+        sets = degree_sets(N, list(t_cols), per + 5)
+        calls = []
+        monkeypatch.setattr(
+            forrelation_dist, "fwht_inplace",
+            lambda table: calls.append(1) or fwht_inplace(table))
+        for k in (block - 1, block, block + 1, CHUNK):
+            calls.clear()
+            full = gaussian_rows(substream(72, k), params, k)
+            want = np.array([full[:, s_set + [N + t for t in t_set]].prod(
+                axis=1) for s_set, t_set in sets])
+            items = [(b, list(members), products.copy())
+                     for b, members, products
+                     in moment_products(params, sets)(substream(72, k), k)]
+            assert bool(calls) is whole
+            # Blocks in order, every set once per block, and the degree-2
+            # group in two gathers.
+            blocks = row_blocks(k, params.input_length)
+            assert list(dict.fromkeys(b.start for b, _, _ in items)) == [
+                b.start for b in blocks]
+            for b in blocks:
+                here = [(m, p) for got, m, p in items if got == b]
+                assert sorted(m for ms, _ in here for m in ms) == list(
+                    range(len(sets)))
+                assert max(len(ms) for ms, _ in here) <= per
+                assert sum(1 for ms, _ in here
+                           if len(sets[ms[0]][0] + sets[ms[0]][1]) == 2) == 2
+                for ms, products in here:
+                    assert np.array_equal(products, want[ms, b]), (k, b)
+            # Sums per block in block order, as Python floats.
+            total, squares = [0.0] * len(sets), [0.0] * len(sets)
+            for b in blocks:
+                for m, row in enumerate(want[:, b]):
+                    total[m] += float(row.sum())
+                    squares[m] += float(np.square(row).sum())
+            got = moment_sums(params, sets)(substream(72, k), k)
+            assert got.total == total and got.squares == squares, k
 
     def test_refuses_indices_outside_the_half(self):
         params = ForrParams(16)

@@ -2,6 +2,8 @@
 copy stream, and the chunked Monte Carlo estimator."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -189,6 +191,84 @@ def test_mc_means_raises_a_draw_error():
         raise RuntimeError("draw failed")
     with pytest.raises(RuntimeError, match="draw failed"):
         mc_means([(lambda gen, k: np.ones(k), 0), (broken, 1)], CHUNK + 1)
+
+
+def chunk_index(gen: np.random.Generator) -> int:
+    """The chunk i of a fresh ``substream(seed, i)`` (i below 2^64)."""
+    return int(gen.bit_generator.state["state"]["counter"][2])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_mc_means_raises_the_error_of_a_failing_chunk(workers, monkeypatch):
+    monkeypatch.setattr(_rng, "WORKERS", workers)
+    threads = threading.active_count()
+
+    def draw(gen, k):
+        if chunk_index(gen) == 2:
+            raise RuntimeError("chunk 2 failed")
+        return np.ones(k)
+    with pytest.raises(RuntimeError, match="^chunk 2 failed$"):
+        mc_means([(draw, 5)], 5 * CHUNK)
+    assert threading.active_count() == threads  # every thread joined
+
+
+def test_no_chunk_starts_after_a_failure_on_one_thread(monkeypatch):
+    monkeypatch.setattr(_rng, "WORKERS", 1)
+    started = []
+
+    def draw(gen, k):
+        started.append(chunk_index(gen))
+        if started[-1] == 2:
+            raise RuntimeError("chunk 2 failed")
+        return np.ones(k)
+    with pytest.raises(RuntimeError, match="^chunk 2 failed$"):
+        mc_means([(draw, 5), (draw, 6)], 5 * CHUNK)
+    assert started == [0, 1, 2]
+
+
+def test_an_interrupt_on_any_thread_reaches_the_caller(monkeypatch):
+    # Whichever thread draws chunk 1 stops there; the interrupt is raised
+    # on the calling thread once every thread is joined.
+    monkeypatch.setattr(_rng, "WORKERS", 2)
+    threads = threading.active_count()
+
+    def draw(gen, k):
+        if chunk_index(gen) == 1:
+            raise KeyboardInterrupt
+        return np.ones(k)
+    with pytest.raises(KeyboardInterrupt):
+        mc_means([(draw, 5)], 4 * CHUNK)
+    assert threading.active_count() == threads
+
+
+def test_every_chunk_is_drawn_once_under_contention(monkeypatch):
+    # More threads than cores and a short switch interval, so the threads
+    # race for the shared iterator: a chunk taken twice or lost would
+    # change the estimate or the list of chunks drawn.
+    samples = 40 * CHUNK + 3
+    taken = []
+
+    def draw(gen, k):
+        i = chunk_index(gen)
+        taken.append(i)
+        return np.full(k, float(i))
+    monkeypatch.setattr(_rng, "WORKERS", 1)
+    want = mc_means([(draw, 3)], samples)
+    taken.clear()
+    monkeypatch.setattr(_rng, "WORKERS", 4)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: got.append(mc_means([(draw, 3)], samples)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert sorted(taken) == list(range(41))
+    assert got == [want]
 
 
 def test_row_blocks_cover_rows_in_order():
