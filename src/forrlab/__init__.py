@@ -11,7 +11,21 @@ Submodules:
 * :mod:`forrlab.protocol` - the simultaneous-message quantum protocol and
   the rectangle-partition Fourier audit of classical protocols;
 * :mod:`forrlab.cli` - seeded experiment runner.
+
+Importing forrlab before numpy sets ``OPENBLAS_THREAD_TIMEOUT=4`` unless it
+is already set, so idle OpenBLAS workers sleep at once.
 """
+
+import os
+
+# An idle OpenBLAS worker busy-waits for 2^28 cycles (about 0.1 s) after
+# numpy loads and after every threaded product before it sleeps; a short
+# run spends its whole life beside that spinning thread, and the Monte Carlo
+# threads share a core with it.  4 is the smallest timeout OpenBLAS takes:
+# idle workers then sleep at once, and the thread count is unchanged.
+# OpenBLAS reads the variable when numpy loads it, which the next import
+# does; a value the user set wins, and a numpy already loaded keeps its own.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .boolean_fourier import (
     FourierSpectrum,

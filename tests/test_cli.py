@@ -572,6 +572,26 @@ class TestFourierAudit:
             row = rows[f"fourier-audit:adversary-pairs{m}"]
             assert row["estimate"] == mass and row["passed"] == "True"
 
+    def test_csv_same_on_one_and_two_blas_threads(self, tmp_path):
+        # level_transform is exact whatever the summation order, so the
+        # audit may not depend on how OpenBLAS splits its 2^16-point
+        # products between threads.
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"audit{threads}.csv"
+            subprocess.run([sys.executable, "-m", "forrlab.cli",
+                            "fourier-audit", "--n", "8", "--partitions", "4",
+                            "--max-cost", "3", "--seed", "0", "--out",
+                            str(out)],
+                           env={**env, "OPENBLAS_NUM_THREADS": threads},
+                           capture_output=True, check=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("scale", [0.0, 0.5])
     def test_wrong_level_two_engine_exits_one(self, scale, monkeypatch):
         from forrlab import protocol

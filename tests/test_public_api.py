@@ -4,11 +4,18 @@ Guards deletions against stale exports: a name left in a module's
 ``__all__`` or in the package's re-exports after its definition is gone
 fails here by name, not as an import error elsewhere.  The same holds for
 every function the benchmark tracer (``bench/tracing.py``) rebinds.
+Importing the package sets one environment default for OpenBLAS, and no
+other variable.
 """
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -62,3 +69,37 @@ def test_traced_layers_resolve():
                for name in names
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "4"), ("30", "30")])
+def test_import_sets_openblas_thread_timeout_before_numpy(preset, seen):
+    # OpenBLAS reads the variable when numpy loads it, so record it when the
+    # import system first looks numpy up.
+    probe = textwrap.dedent("""
+        import json, os, sys
+        assert "numpy" not in sys.modules
+        before = dict(os.environ)
+        seen = []
+        class Probe:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        sys.meta_path.insert(0, Probe())
+        import forrlab
+        changed = sorted(key for key in {*before, *os.environ}
+                         if before.get(key) != os.environ.get(key))
+        print(json.dumps([seen, changed]))
+        """)
+    # A small environment of the parent's: importing forrlab here already
+    # set whatever the import sets, and a key it set would not show as set.
+    src = Path(forrlab.__file__).resolve().parents[1]
+    env = {key: os.environ[key] for key in ("PATH", "HOME", "LD_LIBRARY_PATH",
+                                            "SYSTEMROOT") if key in os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    changed = [] if preset else ["OPENBLAS_THREAD_TIMEOUT"]
+    assert json.loads(out.stdout) == [[seen], changed]
