@@ -7,7 +7,8 @@ Submodules:
 * :mod:`forrlab.forrelation_dist` - the forrelation functional, its coupled
   Gaussian / sign / lifted input distributions, moment audits, instances;
 * :mod:`forrlab.quantum_sim` - state-vector simulation of the
-  {H, CNOT, R_pi/8, oracle, measure} gate set and the swap-test subroutines;
+  {H, CNOT, R_pi/8, oracle, measure} gate set, its controlled-H and
+  Bell-pair gate lists, and swap-test probabilities and shots;
 * :mod:`forrlab.protocol` - the simultaneous-message quantum protocol and
   the rectangle-partition Fourier audit of classical protocols;
 * :mod:`forrlab.cli` - seeded experiment runner.
@@ -56,9 +57,6 @@ from .forrelation_dist import (
     gaussian_moment,
     generate_instance,
     planted_instance,
-    sample_forrelation,
-    sample_gaussian,
-    sample_lifted,
     truncate,
 )
 from .protocol import (
@@ -67,7 +65,6 @@ from .protocol import (
     advantage,
     default_copies,
     l2_audit,
-    majority_amplify,
     protocol_H,
     run_quantum_protocol,
 )
@@ -75,10 +72,7 @@ from .quantum_sim import (
     Circuit,
     StateVector,
     apply_gate,
-    bell_pairs,
-    controlled_h,
     e_operator,
-    swap_test,
 )
 
 __version__ = "0.1.0"

@@ -49,9 +49,6 @@ __all__ = [
     "uniform_sign_rows",
     "lifted_rows",
     "chunked",
-    "sample_gaussian",
-    "sample_forrelation",
-    "sample_lifted",
     "moment_products",
     "moment_draw",
     "moment_sums",
@@ -160,11 +157,9 @@ def _normal_blocks(gen: np.random.Generator, blocks: list[slice], n: int):
 
 
 def standard_normal_rows(gen: np.random.Generator, k: int, n: int) -> np.ndarray:
-    """(k, n) standard normals from ``gen`` (n must be even): the values of
+    """(k, n) standard normals from ``gen``: the values of
     ``gen.standard_normal(size=(k, n))``, drawn by the row blocks every
     sampler here shares (``_normal_blocks``)."""
-    if n % 2:
-        raise ValueError(f"n must be even, got {n}")
     out = np.empty((k, n))
     for block, normals in _normal_blocks(gen, row_blocks(k, n), n):
         out[block] = normals
@@ -174,8 +169,8 @@ def standard_normal_rows(gen: np.random.Generator, k: int, n: int) -> np.ndarray
 def gaussian_rows(gen: np.random.Generator, params: ForrParams, k: int) -> np.ndarray:
     """k coupled-Gaussian rows of length 2N, drawn from ``gen``.
 
-    Generator-based primitive for custom Monte Carlo loops; the seeded
-    samplers below wrap it with fixed chunking.  Rows are made one
+    Generator-based primitive for custom Monte Carlo loops; ``chunked``
+    runs it over fixed seeded chunks.  Rows are made one
     ``row_blocks`` block at a time, with the bits of a one-row call.
     """
     out = np.empty((k, params.input_length))
@@ -271,57 +266,20 @@ def lifted_rows(gen: np.random.Generator, params: ForrParams,
     return x, x * z
 
 
-def chunked(seed: int, samples: int | None, draw):
+def chunked(seed: int, samples: int, draw):
     """Run ``draw(gen, k)`` over fixed-size chunks with per-chunk substreams
-    and join the results along the first axis; one result row with
-    ``samples`` None.
+    and join the results along the first axis.
 
     Chunk i always uses substream(seed, i), so the result is a pure function
     of (seed, samples) no matter how chunks are scheduled.  A draw that
     reduces its rows, such as to their forrelation, keeps only the reduced
     values of earlier chunks.
     """
-    if samples is None:
-        return draw(substream(seed, 0), 1)[0]
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     parts = [draw(substream(seed, i), k)
              for i, k in enumerate(chunk_sizes(samples))]
     return np.concatenate(parts, axis=0)
-
-
-def sample_gaussian(params: ForrParams, seed: int,
-                    samples: int | None = None) -> np.ndarray:
-    """Draw from the coupled Gaussian over 2N coordinates.
-
-    Returns shape (2N,) when ``samples`` is None, else (samples, 2N).  The
-    second half of every row is exactly the normalized Hadamard image of the
-    first half.
-    """
-    return chunked(seed, samples, lambda gen, k: gaussian_rows(gen, params, k))
-
-
-def sample_forrelation(params: ForrParams, seed: int,
-                       samples: int | None = None) -> np.ndarray:
-    """Draw sign vectors from the forrelation distribution.
-
-    Each coordinate of a truncated Gaussian draw is rounded to +-1
-    independently with conditional mean equal to the truncated value.
-    """
-    return chunked(seed, samples,
-                   lambda gen, k: forrelation_rows(gen, params, k))
-
-
-def sample_lifted(params: ForrParams, seed: int,
-                  samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Draw lifted input pairs (x, y) with x uniform and y = x . z for a
-    forrelation-distributed z.  Marginally each of x, y is uniform, and
-    x . y recovers z."""
-    out = chunked(seed, samples, lambda gen, k: np.stack(
-        lifted_rows(gen, params, k), axis=1))
-    if samples is None:
-        return out[0], out[1]
-    return out[:, 0, :], out[:, 1, :]
 
 
 def moment_products(params: ForrParams,

@@ -75,7 +75,6 @@ __all__ = [
     "L2Audit",
     "l2_audit",
     "advantage",
-    "majority_amplify",
     "random_protocol_partition",
     "check_partition_size",
     "pair_parity_partition",
@@ -279,19 +278,6 @@ def default_copies(params: ForrParams, target_error: float) -> int:
         else:
             lo = mid
     return hi
-
-
-def majority_amplify(base_error: float, reps: int) -> float:
-    """Exact error bound after independent repetition and majority vote:
-    P[Binomial(reps, base_error) >= ceil(reps/2)]."""
-    if not 0 <= base_error < 0.5:
-        raise ValueError(f"base error must lie in [0, 1/2), got {base_error}")
-    if reps < 1 or reps % 2 == 0:
-        raise ValueError(f"reps must be odd and positive, got {reps}")
-    need = (reps + 1) // 2
-    q = 1.0 - base_error
-    return math.fsum(math.comb(reps, k) * base_error ** k * q ** (reps - k)
-                     for k in range(need, reps + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -60,15 +60,12 @@ __all__ = [
     "Circuit",
     "apply_gate",
     "simulate",
-    "controlled_h",
     "controlled_h_gates",
     "not_gates",
     "e_operator",
     "e_operator_gates",
-    "swap_test",
     "swap_test_probability",
     "swap_test_shots",
-    "bell_pairs",
     "bell_prep_gates",
     "verify_controlled_h_decomposition",
 ]
@@ -383,16 +380,6 @@ def controlled_h_gates(control: int, target: int) -> list:
     return _controlled_h_sequence(control, target)
 
 
-def controlled_h(state: StateVector, control: int, target: int) -> StateVector:
-    """Apply H to ``target`` when ``control`` carries the -1 label (bit 1),
-    identity otherwise, by the checked five-gate sequence."""
-    state._check_qubit(control)
-    state._check_qubit(target)
-    for g in controlled_h_gates(control, target):
-        apply_gate(state, g)
-    return state
-
-
 def e_operator_gates(block_a: Sequence[int], block_b: Sequence[int]) -> list:
     """CNOT cascade from block_a bit j to block_b bit j."""
     a, b = list(block_a), list(block_b)
@@ -412,20 +399,13 @@ def e_operator(state: StateVector, block_a: Sequence[int],
     return state
 
 
-def swap_test(state: StateVector, control: int, rng: np.random.Generator) -> int:
-    """Swap test on a state (|0>|phi> + |1>|psi>)/sqrt(2) over the control
-    qubit: Hadamard the control, measure it, and negate the outcome, so
-    P[outcome = 1] = (1 + <phi|psi>)/2.  Consumes the state."""
-    apply_gate(state, Hadamard(control))
-    sign = apply_gate(state, Measure(control), rng)
-    return 1 if sign == 1 else 0
-
-
 def swap_test_probability(state: StateVector, control: int
                           ) -> float | np.ndarray:
     """P[outcome = 1] of the swap test, without consuming the state: a float
     for one state, a (k,) array for a batch of k, each entry bit-identical
-    to a one-state call on that row."""
+    to a one-state call on that row.  The test Hadamards the control and
+    measures it, reading the +1 label (bit 0) as outcome 1, which on
+    (|0>|phi> + |1>|psi>)/sqrt(2) has probability (1 + <phi|psi>)/2."""
     work = state.copy()
     apply_gate(work, Hadamard(control))
     p0, _ = _bit_probabilities(work.amps, control)
@@ -454,11 +434,3 @@ def bell_prep_gates(m: int) -> list:
     gates += e_operator_gates(range(m), range(m, 2 * m))
     return gates
 
-
-def bell_pairs(m: int) -> StateVector:
-    """m shared Bell pairs as one 2m-qubit state; amplitude 2^{-m/2} on
-    every doubled index a + 2^m a, zero elsewhere."""
-    state = StateVector.zero(2 * m)
-    for g in bell_prep_gates(m):
-        apply_gate(state, g)
-    return state

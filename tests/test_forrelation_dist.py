@@ -33,6 +33,7 @@ from forrlab.forrelation_dist import (
     InstanceMode,
     Label,
     LiftedInstance,
+    chunked,
     classify,
     forr,
     forrelation_rows,
@@ -40,14 +41,12 @@ from forrlab.forrelation_dist import (
     gaussian_rows,
     generate_instance,
     instance_rows,
+    lifted_rows,
     moment_draw,
     moment_products,
     moment_sums,
     planted_instance,
     round_rows,
-    sample_forrelation,
-    sample_gaussian,
-    sample_lifted,
     standard_normal_rows,
     truncate,
     uniform_sign_rows,
@@ -196,7 +195,7 @@ class TestTruncate:
 
 
 class TestGaussianSampler:
-    def test_box_muller_moments(self):
+    def test_standard_normal_moments(self):
         from forrlab.forrelation_dist import standard_normal_rows
         z = standard_normal_rows(substream(41, 0), 50_000, 8).ravel()
         n = z.size
@@ -209,12 +208,12 @@ class TestGaussianSampler:
 
     def test_second_half_is_transform_of_first(self):
         p = ForrParams(16)
-        rows = sample_gaussian(p, seed=5, samples=50)
+        rows = chunked(5, 50, lambda gen, k: gaussian_rows(gen, p, k))
         assert np.allclose(rows[:, 16:], fwht(rows[:, :16]) / 4.0, atol=1e-12)
 
     def test_marginal_variance(self):
         p = ForrParams(16)
-        rows = sample_gaussian(p, seed=6, samples=1_000_000)
+        rows = chunked(6, 1_000_000, lambda gen, k: gaussian_rows(gen, p, k))
         for col in (0, 3, 17, 30):
             var = rows[:, col].var()
             se = p.eps * math.sqrt(2.0 / rows.shape[0])
@@ -222,7 +221,7 @@ class TestGaussianSampler:
 
     def test_cross_covariance_sign_pattern(self):
         p = ForrParams(16)
-        rows = sample_gaussian(p, seed=7, samples=400_000)
+        rows = chunked(7, 400_000, lambda gen, k: gaussian_rows(gen, p, k))
         for i, j in ((0, 0), (1, 2), (5, 13), (7, 7)):
             prod = rows[:, i] * rows[:, 16 + j]
             want = p.eps * (-1) ** bin(i & j).count("1") / 4.0
@@ -230,34 +229,36 @@ class TestGaussianSampler:
             assert abs(prod.mean() - want) <= 5 * se
 
     def test_single_draw_matches_first_of_batch(self):
+        # A row's bits do not depend on how many rows its chunk draws.
         p = ForrParams(8)
-        one = sample_gaussian(p, seed=11)
-        batch = sample_gaussian(p, seed=11, samples=3)
-        assert np.array_equal(one, batch[0])
+        one = chunked(11, 1, lambda gen, k: gaussian_rows(gen, p, k))
+        batch = chunked(11, 3, lambda gen, k: gaussian_rows(gen, p, k))
+        assert np.array_equal(one[0], batch[0])
 
     def test_deterministic(self):
         p = ForrParams(8)
-        a = sample_gaussian(p, seed=12, samples=100)
-        b = sample_gaussian(p, seed=12, samples=100)
+        a = chunked(12, 100, lambda gen, k: gaussian_rows(gen, p, k))
+        b = chunked(12, 100, lambda gen, k: gaussian_rows(gen, p, k))
         assert np.array_equal(a, b)
 
 
 class TestSignSampler:
     def test_signs_and_shape(self):
         p = ForrParams(8)
-        rows = sample_forrelation(p, seed=1, samples=100)
+        rows = chunked(1, 100, lambda gen, k: forrelation_rows(gen, p, k))
         assert rows.dtype == np.int8
         assert set(np.unique(rows)) <= {-1, 1}
 
     def test_coordinate_means_vanish(self):
         p = ForrParams(8)
-        rows = sample_forrelation(p, seed=2, samples=1_000_000)
+        rows = chunked(2, 1_000_000,
+                       lambda gen, k: forrelation_rows(gen, p, k))
         se = 1.0 / math.sqrt(rows.shape[0])
         assert np.max(np.abs(rows.mean(axis=0))) <= 5 * se
 
     def test_mean_forrelation_exceeds_half_eps(self):
         p = ForrParams(64)
-        rows = sample_forrelation(p, seed=3, samples=200_000)
+        rows = chunked(3, 200_000, lambda gen, k: forrelation_rows(gen, p, k))
         vals = forr(rows.astype(np.float64))
         se = vals.std() / math.sqrt(len(vals))
         assert vals.mean() >= p.eps / 2 - 3 * se
@@ -285,21 +286,25 @@ class TestSignSampler:
 class TestLiftedSampler:
     def test_marginals_uniform_mean(self):
         p = ForrParams(8)
-        x, y = sample_lifted(p, seed=4, samples=100_000)
+        pairs = chunked(4, 100_000, lambda gen, k: np.stack(
+            lifted_rows(gen, p, k), axis=1))
+        x, y = pairs[:, 0], pairs[:, 1]
         se = 1.0 / math.sqrt(x.shape[0])
         assert np.max(np.abs(x.mean(axis=0))) <= 5 * se
         assert np.max(np.abs(y.mean(axis=0))) <= 5 * se
 
     def test_product_recovers_hidden_sample(self):
         p = ForrParams(8)
-        x, y = sample_lifted(p, seed=5)
+        x, y = lifted_rows(substream(5, 0), p, 1)
         gen = substream(5, 0)
         z = forrelation_rows(gen, p, 1)[0]
-        assert np.array_equal(x * y, z)
+        assert np.array_equal(x[0] * y[0], z)
 
     def test_high_forrelation_event_probability(self):
         p = ForrParams(64)
-        x, y = sample_lifted(p, seed=6, samples=50_000)
+        pairs = chunked(6, 50_000, lambda gen, k: np.stack(
+            lifted_rows(gen, p, k), axis=1))
+        x, y = pairs[:, 0], pairs[:, 1]
         vals = forr((x * y).astype(np.float64))
         rate = float((vals >= p.eps / 4).mean())
         se = math.sqrt(rate * (1 - rate) / len(vals))
@@ -457,17 +462,13 @@ class TestMomentFastPath:
             assert got.shape == (k,)
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n", [2, 8, 32])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 32, 33])
     def test_standard_normal_rows_equals_reference(self, n):
         # One unblocked draw; k rows span three blocks and part of a fourth.
         k = 3 * (BLOCK_BYTES // (8 * n)) + 5
         want = substream(45, n).standard_normal(size=(k, n))
         got = standard_normal_rows(substream(45, n), k, n)
         assert np.array_equal(got, want)
-
-    def test_standard_normal_rows_refuses_odd_n(self):
-        with pytest.raises(ValueError, match="^n must be even, got 7$"):
-            standard_normal_rows(substream(45, 0), 4, 7)
 
     def test_gaussian_moment_equals_reference_estimate(self):
         params = ForrParams(16)

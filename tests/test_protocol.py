@@ -44,7 +44,6 @@ from forrlab.protocol import (
     default_copies,
     forrelation_probe_partition,
     l2_audit,
-    majority_amplify,
     pair_parity_mass,
     pair_parity_partition,
     protocol_H,
@@ -272,35 +271,6 @@ class TestDefaultCopies:
         rate = 2.0 * (eps / 32.0) ** 2
         assert 2.0 * math.exp(-rate * t) <= 1.0 / 3.0
         assert 2.0 * math.exp(-rate * (t - 1)) > 1.0 / 3.0
-
-
-class TestMajorityAmplify:
-    def test_single_repetition_is_identity(self):
-        assert majority_amplify(1.0 / 3.0, 1) == pytest.approx(1.0 / 3.0)
-
-    def test_fifteen_repetitions_exact_sum(self):
-        want = sum(math.comb(15, k) * (1 / 3) ** k * (2 / 3) ** (15 - k)
-                   for k in range(8, 16))
-        assert majority_amplify(1.0 / 3.0, 15) == pytest.approx(want, rel=1e-12)
-
-    def test_matches_scipy_tail(self):
-        for p, reps in ((0.3, 11), (0.1, 7), (0.45, 21)):
-            want = float(stats.binom.sf((reps + 1) // 2 - 1, reps, p))
-            assert majority_amplify(p, reps) == pytest.approx(want, rel=1e-10)
-
-    def test_zero_error_stays_zero(self):
-        for reps in (1, 3, 11):
-            assert majority_amplify(0.0, reps) == 0.0
-
-    def test_monotone_decreasing_in_reps(self):
-        values = [majority_amplify(1.0 / 3.0, r) for r in range(1, 30, 2)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            majority_amplify(0.5, 3)
-        with pytest.raises(ValueError):
-            majority_amplify(0.1, 4)
 
 
 def product_sign_partition(n: int, coord: int,

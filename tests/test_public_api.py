@@ -3,7 +3,8 @@
 Guards deletions against stale exports: a name left in a module's
 ``__all__`` or in the package's re-exports after its definition is gone
 fails here by name, not as an import error elsewhere.  The same holds for
-every function the benchmark tracer (``bench/tracing.py``) rebinds.
+every function the benchmark tracer (``bench/tracing.py``) rebinds and
+every name the README's Layout table lists for a library module.
 Importing the package sets one environment default for OpenBLAS, and no
 other variable.
 """
@@ -13,6 +14,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -51,6 +53,20 @@ def test_package_imports_resolve():
         assert name in getattr(module, "__all__", [name]), (
             f"forrlab re-exports {name}, which forrlab.{sub} does not export")
         assert getattr(forrlab, name) is getattr(module, name)
+
+
+@pytest.mark.parametrize("name", ["forrlab.boolean_fourier",
+                                  "forrlab.forrelation_dist",
+                                  "forrlab.quantum_sim", "forrlab.protocol"])
+def test_readme_layout_names_resolve(name):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [line for line in readme.read_text().splitlines()
+            if line.startswith(f"| `{name}` |")]
+    assert len(rows) == 1, f"one Layout row for {name}"
+    listed = re.findall(r"`([^`]+)`", rows[0].split("|")[2])
+    assert listed
+    module = importlib.import_module(name)
+    assert [n for n in listed if not hasattr(module, n)] == []
 
 
 def traced_layers() -> dict:

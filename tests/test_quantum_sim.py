@@ -19,15 +19,12 @@ from forrlab.quantum_sim import (
     RPi8,
     StateVector,
     apply_gate,
-    bell_pairs,
     bell_prep_gates,
     check_state_size,
-    controlled_h,
     controlled_h_gates,
     e_operator,
     not_gates,
     simulate,
-    swap_test,
     swap_test_probability,
     swap_test_shots,
     verify_controlled_h_decomposition,
@@ -204,12 +201,14 @@ class TestControlledH:
         view[:, 1, :] = 0
         sv.amps /= np.linalg.norm(sv.amps)
         ref = sv.amps.copy()
-        controlled_h(sv, control=1, target=0)
+        for g in controlled_h_gates(control=1, target=0):
+            apply_gate(sv, g)
         assert np.max(np.abs(sv.amps - ref)) <= 1e-12
 
     def test_active_control_applies_hadamard(self):
         sv = basis_state(2, 0b10)  # control qubit 1 set, target 0 clear
-        controlled_h(sv, control=1, target=0)
+        for g in controlled_h_gates(control=1, target=0):
+            apply_gate(sv, g)
         assert np.allclose(sv.amps, [0, 0, 1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_direct_agrees_with_sequence(self):
@@ -222,7 +221,8 @@ class TestControlledH:
         for seed in range(5):
             a = random_state(4, 20 + seed)
             want = block @ a.amps
-            controlled_h(a, control=3, target=1)
+            for g in controlled_h_gates(control=3, target=1):
+                apply_gate(a, g)
             assert np.max(np.abs(a.amps - want)) <= 1e-10
 
     def test_broken_sequence_fails_the_check(self, monkeypatch):
@@ -232,12 +232,16 @@ class TestControlledH:
         quantum_sim._verify_controlled_h_once.cache_clear()
         with pytest.raises(InvariantError):
             controlled_h_gates(1, 0)
+        state = StateVector.zero(2)
         with pytest.raises(InvariantError):
-            controlled_h(StateVector.zero(2), 1, 0)
+            for g in controlled_h_gates(1, 0):
+                apply_gate(state, g)
 
     def test_rejects_equal_wires(self):
+        state = StateVector.zero(2)
         with pytest.raises(ValueError):
-            controlled_h(StateVector.zero(2), 0, 0)
+            for g in controlled_h_gates(0, 0):
+                apply_gate(state, g)
         with pytest.raises(ValueError):
             controlled_h_gates(1, 1)
 
@@ -289,7 +293,9 @@ class TestSwapTest:
         sv = self.superposed(phi, phi)
         assert swap_test_probability(sv, control=3) == pytest.approx(1.0)
         for s in range(20):
-            assert swap_test(sv.copy(), 3, substream(s, 0)) == 1
+            work = sv.copy()
+            apply_gate(work, Hadamard(3))
+            assert apply_gate(work, Measure(3), substream(s, 0)) == 1
 
     def test_opposite_states_always_reject(self):
         gen = np.random.default_rng(13)
@@ -316,7 +322,11 @@ class TestSwapTest:
         psi /= np.linalg.norm(psi)
         sv = self.superposed(phi, psi)
         p = swap_test_probability(sv, 2)
-        single = [swap_test(sv.copy(), 2, substream(100, t)) for t in range(500)]
+        single = []
+        for t in range(500):
+            work = sv.copy()
+            apply_gate(work, Hadamard(2))
+            single.append(apply_gate(work, Measure(2), substream(100, t)) == 1)
         batch = swap_test_shots(sv, 2, 500, substream(200, 0))
         se = math.sqrt(p * (1 - p) / 500)
         assert abs(np.mean(single) - p) <= 4 * se
@@ -336,18 +346,18 @@ class TestSwapTest:
 
 class TestBellPairs:
     def test_single_pair(self):
-        sv = bell_pairs(1)
+        sv, _, _ = simulate(Circuit(2, bell_prep_gates(1)))
         assert np.allclose(sv.amps, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
 
     def test_three_pairs_doubled_indices(self):
-        sv = bell_pairs(3)
+        sv, _, _ = simulate(Circuit(6, bell_prep_gates(3)))
         nz = np.flatnonzero(np.abs(sv.amps) > 1e-15)
         assert list(nz) == [a + 8 * a for a in range(8)]
         assert np.allclose(sv.amps[nz], 1 / math.sqrt(8))
 
     def test_single_side_marginal_uniform(self):
         m = 3
-        sv = bell_pairs(m)
+        sv, _, _ = simulate(Circuit(2 * m, bell_prep_gates(m)))
         probs = np.abs(sv.amps.reshape(1 << m, 1 << m)) ** 2
         marginal = probs.sum(axis=0)  # Alice's block is the low bits
         assert np.allclose(marginal, 1 / (1 << m), atol=1e-12)
@@ -371,16 +381,16 @@ class TestBellPairs:
         with pytest.raises(ResourceLimitError, match="bytes"):
             StateVector.zero(28)
         monkeypatch.setattr(quantum_sim, "MAX_STATE_BYTES", 8 << 6)
-        assert bell_pairs(3).m == 6
+        assert simulate(Circuit(6, bell_prep_gates(3)))[0].m == 6
         with pytest.raises(ResourceLimitError):
-            bell_pairs(4)
+            simulate(Circuit(8, bell_prep_gates(4)))
 
     def test_cap_checked_before_allocation(self):
         # 16 TiB each: an allocation would fail as numpy's MemoryError.
         with pytest.raises(ResourceLimitError, match="bytes"):
             StateVector.zero(40)
         with pytest.raises(ResourceLimitError, match="bytes"):
-            bell_pairs(20)
+            simulate(Circuit(40, bell_prep_gates(20)))
 
 
 class TestCircuit:
@@ -414,9 +424,17 @@ class TestCircuit:
         assert abs(sv.amps[0b010]) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_prep_gate_list_matches_builder(self):
+        # simulate's full-circuit run against the gates applied one by one
+        # and against the amplitudes written out: 1/2 on a + 4a.
         circ = Circuit(4, bell_prep_gates(2))
         state, _, _ = simulate(circ)
-        assert np.max(np.abs(state.amps - bell_pairs(2).amps)) <= 1e-12
+        built = StateVector.zero(4)
+        for g in bell_prep_gates(2):
+            apply_gate(built, g)
+        want = np.zeros(16)
+        want[[a + 4 * a for a in range(4)]] = 0.5
+        assert np.max(np.abs(state.amps - built.amps)) <= 1e-12
+        assert np.max(np.abs(state.amps - want)) <= 1e-12
 
     def test_from_amplitudes_must_normalize(self):
         with pytest.raises(ValueError):
@@ -463,7 +481,7 @@ class TestRealState:
     def test_gates_keep_float64(self):
         state, _, _ = simulate(Circuit(3, batch_gates(3)))
         assert state.amps.dtype == np.float64
-        assert bell_pairs(2).amps.dtype == np.float64
+        assert simulate(Circuit(4, bell_prep_gates(2)))[0].amps.dtype == np.float64
 
     def test_27_qubits_fit_and_28_refused_without_allocation(self):
         tracemalloc.start()
