@@ -32,9 +32,10 @@ those sums follow the fixed blocks of ``row_blocks``.
 
 ``BLOCK_BYTES`` is 512 KiB: the buffers a draw keeps for a block then fit
 in a core's 2 MiB L2 cache, where 1 MiB blocks spilled out of it.  For the
-sign sampler these are the block's normals (half a block), the half block
-that their transform returns and the rounding uniforms (a block).  Smaller
-blocks pay more numpy call overhead per row than they save.
+sign sampler these are the block's coupled rows (a block) and its
+rounding uniforms (a block), whose buffer first holds the block's normals
+and their transform.  Smaller blocks pay more numpy call overhead per row
+than they save.
 """
 
 from __future__ import annotations

@@ -205,14 +205,16 @@ def cmd_verify_moments(args) -> int:
     # P(some row fails) <= sum of P(row fails) holds under any dependence,
     # so a correct sampler fails a run with no more than the probability
     # bound it had when every check drew its own rows.
-    jobs = [(moment_sums(params, sets), derive(args.seed, "moment", 0))]
+    draws = {"moments": (moment_sums(params, sets),
+                         derive(args.seed, "moment", 0))}
 
     # Mean forrelation of the sign distribution is at least eps/2.  The
     # bound needs small eps: truncation is common at an override near 1,
     # so an override run gets no verdict, as in advantage.  Stream index
     # len(sets), 46, is the stream this row has always read.
-    jobs.append((lambda gen, k: forr(forrelation_rows(gen, params, k)),
-                 derive(args.seed, "moment", len(sets))))
+    draws["mean_forrelation"] = (
+        lambda gen, k: forr(forrelation_rows(gen, params, k)),
+        derive(args.seed, "moment", len(sets)))
     checks.append((
         "mean_forrelation", f"est >= eps/2 = {params.eps / 2:.3e} - 3 se",
         None if args.eps_override is not None else
@@ -228,14 +230,29 @@ def cmd_verify_moments(args) -> int:
             f"--eps-override {params.eps:g} is too small: moments of degree "
             f"{degree} square to below {tiny:.3g}, so their standard "
             f"errors underflow")
+    # Each draw's busy seconds, summed over its chunks on every thread.
+    busy = {name: [] for name in draws}
+
+    def timed(name, draw):
+        def run(gen, k):
+            start = time.perf_counter()
+            try:
+                return draw(gen, k)
+            finally:
+                busy[name].append(time.perf_counter() - start)
+        return run
+
+    jobs = [(timed(name, draw), seed) for name, (draw, seed) in draws.items()]
     for (metric, bound, ok), est in zip(checks, mc_means(jobs, args.samples)):
         add(metric, metric, est.estimate, standard_error=est.standard_error,
             bound=bound, passed=ok(est) if ok else None)
     code = finish(args, records)
     chunks = len(jobs) * len(chunk_sizes(args.samples))
-    print(f"# checks: {len(checks)}, {len(jobs)} draws, {chunks} chunks on "
-          f"{fan_out(chunks)} threads in {time.perf_counter() - t0:.2f}s",
-          file=sys.stderr)
+    times = ", ".join(f"{name} {sum(spans):.3f}s"
+                      for name, spans in busy.items())
+    print(f"# checks: {len(checks)}, {len(jobs)} draws ({times}), {chunks} "
+          f"chunks on {fan_out(chunks)} threads in "
+          f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return code
 
 
@@ -504,8 +521,16 @@ def cmd_sample_dist(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
+
+
 def _power_of_two(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 4 or value & (value - 1):
         raise argparse.ArgumentTypeError(
             f"N must be a power of two >= 4, got {value}")
@@ -513,14 +538,14 @@ def _power_of_two(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
 def _seed(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     if value >> 64:
@@ -529,7 +554,10 @@ def _seed(text: str) -> int:
 
 
 def _probability(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0.0 <= value <= 1.0:  # also false for nan
         raise argparse.ArgumentTypeError(
             f"must be a finite number in [0, 1], got {text}")

@@ -111,16 +111,28 @@ def forr(z: np.ndarray) -> float | np.ndarray:
     Computed with one normalized Walsh-Hadamard transform in O(N log N):
     (1/(N sqrt(N))) sum_{i,j} (-1)^{<i,j>} z1(i) z2(j).  Sign inputs always
     land in [-1, 1] by Cauchy-Schwarz.  Rows of any dtype are scored in
-    float64 one ``row_blocks`` block at a time, so the temporaries stay near
+    float64 one ``row_blocks`` block at a time: a block's first half is cast
+    into an (N, rows) buffer, transformed there in place
+    (``fwht_inplace``) and multiplied by the second half, and each row's
+    products are summed from a C-contiguous (rows, N) copy, as
+    ``sum(axis=1)`` of a one-row call sums them.  So the buffers stay near
     one block, and each row has the bits of a one-row call.
     """
     z = np.asarray(z)
     N = _check_pair_length(z.shape[-1])
     rows = z.reshape(-1, 2 * N)
     out = np.empty(len(rows))
-    for block in row_blocks(len(rows), 2 * N):
-        part = rows[block].astype(np.float64)
-        out[block] = (fwht(part[:, :N]) * part[:, N:]).sum(axis=1)
+    blocks = row_blocks(len(rows), 2 * N)
+    tables, products = (_buffer(blocks, N) for _ in range(2))
+    for block in blocks:
+        part = rows[block]
+        table = tables[:len(part)].reshape(N, -1)
+        np.copyto(table, part[:, :N].T)
+        fwht_inplace(table)
+        np.multiply(table, part[:, N:].T, out=table)
+        product = products[:len(part)]
+        np.copyto(product, table.T)
+        out[block] = product.sum(axis=1)
     out = out.reshape(z.shape[:-1]) / (N * math.sqrt(N))
     return float(out) if out.ndim == 0 else out
 
@@ -158,8 +170,8 @@ def _normal_blocks(gen: np.random.Generator, blocks: list[slice], n: int):
 
 def standard_normal_rows(gen: np.random.Generator, k: int, n: int) -> np.ndarray:
     """(k, n) standard normals from ``gen``: the values of
-    ``gen.standard_normal(size=(k, n))``, drawn by the row blocks every
-    sampler here shares (``_normal_blocks``)."""
+    ``gen.standard_normal(size=(k, n))``, drawn by the row blocks the
+    samplers here share (``_normal_blocks``)."""
     out = np.empty((k, n))
     for block, normals in _normal_blocks(gen, row_blocks(k, n), n):
         out[block] = normals
@@ -176,10 +188,26 @@ def gaussian_rows(gen: np.random.Generator, params: ForrParams, k: int) -> np.nd
     out = np.empty((k, params.input_length))
     blocks = row_blocks(k, params.input_length)
     for block, normals in _normal_blocks(gen, blocks, params.N):
-        first = out[block, :params.N]
-        np.multiply(normals, math.sqrt(params.eps), out=first)
-        np.divide(fwht(first), math.sqrt(params.N), out=out[block, params.N:])
+        _coupled(params, normals, out[block])
     return out
+
+
+def _coupled(params: ForrParams, normals: np.ndarray, out: np.ndarray) -> None:
+    """Write the coupled-Gaussian rows of the (rows, N) standard normals
+    ``normals`` into the (rows, 2N) float64 ``out``.
+
+    The normals are scaled into the first half.  Their buffer, spent, then
+    takes the first half transposed, as an (N, rows) table whose transform
+    runs in place (``fwht_inplace``) with the bits of ``fwht``, and the
+    transform divided by sqrt(N) goes straight into the second half.
+    """
+    N = params.N
+    first = out[:, :N]
+    np.multiply(normals, math.sqrt(params.eps), out=first)
+    table = normals.reshape(N, -1)
+    np.copyto(table, first.T)
+    fwht_inplace(table)
+    np.divide(table.T, math.sqrt(N), out=out[:, N:])
 
 
 def _round(rows: np.ndarray, uniforms: np.ndarray, out: np.ndarray,
@@ -226,25 +254,24 @@ def forrelation_rows(gen: np.random.Generator, params: ForrParams,
     params, k))`` for ``gaussians = ahead(gen, 2Nk)``, bit for bit, and
     ``gen`` then takes that reader's place, so successive draws never share
     words.  Each row block of ``row_blocks(k, 2N)`` is drawn, transformed
-    and rounded before the next block starts.  A block's two halves are
-    rounded where they are made: the first in the normals' buffer, the
-    second in its transform's output.  All blocks share one set of buffers,
-    so memory stays near a few blocks besides the int8 output.
+    and rounded before the next block starts: its coupled-Gaussian rows are
+    made in one (rows, 2N) buffer, as ``gaussian_rows`` makes them, and
+    rounded there in one pass against the block's contiguous uniforms.  The
+    block's normals, and then their transform, use the uniforms' buffer
+    before the uniforms do, so two block buffers serve every block and
+    memory stays near a few blocks besides the int8 output.
     """
-    N = params.N
-    gaussians = ahead(gen, 2 * N * k)
+    gaussians = ahead(gen, 2 * params.N * k)
     out = np.empty((k, params.input_length), dtype=np.int8)
     blocks = row_blocks(k, params.input_length)
-    uniforms = _buffer(blocks, params.input_length)
-    for block, first in _normal_blocks(gaussians, blocks, N):
-        u = uniforms[:len(first)]
-        gen.random(out=u)
-        np.multiply(first, math.sqrt(params.eps), out=first)
-        second = fwht(first)
-        second /= math.sqrt(N)
-        _round(first, u[:, :N], out[block, :N], first)
-        _round(second, u[:, N:], out[block, N:], second)
-        del second  # so the next block's transform does not overlap it
+    rows, uniforms = (_buffer(blocks, params.input_length) for _ in range(2))
+    for block in blocks:
+        size = block.stop - block.start
+        normals = uniforms.reshape(-1)[:size * params.N].reshape(size, -1)
+        gaussians.standard_normal(out=normals)
+        _coupled(params, normals, rows[:size])
+        gen.random(out=uniforms[:size])
+        _round(rows[:size], uniforms[:size], out[block], rows[:size])
     gen.bit_generator.state = gaussians.bit_generator.state
     return out
 

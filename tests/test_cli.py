@@ -85,6 +85,26 @@ class TestUsageErrors:
         assert "argument --seed: must be nonnegative, got -1" in err_text
         assert "Traceback" not in err_text
 
+    @pytest.mark.parametrize("args, message", [
+        (["verify-moments", "--seed", "abc"],
+         "argument --seed: must be an integer, got 'abc'"),
+        (["run-protocol", "--copies", "1.5"],
+         "argument --copies: must be an integer, got '1.5'"),
+        (["verify-moments", "--n", "abc"],
+         "argument --n: must be an integer, got 'abc'"),
+        (["run-protocol", "--threshold", "abc"],
+         "argument --threshold: must be a finite number in [0, 1], got abc"),
+    ], ids=["seed", "copies", "n", "threshold"])
+    def test_non_numeric_value_names_no_function(self, args, message,
+                                                 capsys):
+        with pytest.raises(SystemExit) as err:
+            run(args)
+        assert err.value.code == EXIT_USAGE
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].endswith(f"error: {message}")
+        assert re.search(r"\b_[a-z]", err_lines[0]) is None
+
     @pytest.mark.parametrize("seed", [2**64, 2**128 + 1])
     @pytest.mark.parametrize("subcommand", [
         "verify-moments", "run-protocol", "fourier-audit", "advantage",
@@ -289,8 +309,9 @@ class TestParser:
                              check=True)
         assert out.stdout.splitlines()[-1].split() == [str(EXIT_PASS),
                                                       "False", "1"]
-        assert re.fullmatch(r"# checks: 47, 2 draws, 2 chunks on [12] "
-                            r"threads in \d+\.\d\ds\n", out.stderr)
+        assert re.fullmatch(r"# checks: 47, 2 draws \(moments \d+\.\d{3}s, "
+                            r"mean_forrelation \d+\.\d{3}s\), 2 chunks on "
+                            r"[12] threads in \d+\.\d\ds\n", out.stderr)
 
 
 class TestRunProtocol:

@@ -140,8 +140,17 @@ class TestForrBlocks:
         signs = uniform_sign_rows(substream(53, k), (k, 2 * N))
         return signs > 0 if dtype is np.bool_ else signs
 
+    @staticmethod
+    def reference(rows: np.ndarray) -> np.ndarray:
+        """forr as a float64 cast, a row-major ``fwht`` and a row sum."""
+        N = rows.shape[-1] // 2
+        first = rows[:, :N].astype(np.float64)
+        second = rows[:, N:].astype(np.float64)
+        return (fwht(first) * second).sum(axis=1) / (N * math.sqrt(N))
+
+    # At N = 16384 a block holds 2 rows.
     @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.float64])
-    @pytest.mark.parametrize("N", [16, 64])
+    @pytest.mark.parametrize("N", [16, 64, 1024, 16384])
     def test_stack_equals_one_row_calls(self, N, dtype):
         block = BLOCK_BYTES // (8 * 2 * N)
         for k in (1, block - 1, block, block + 1, 3 * block - 5):
@@ -149,6 +158,7 @@ class TestForrBlocks:
             got = forr(rows)
             assert got.shape == (k,)
             assert np.array_equal(got, [forr(row) for row in rows]), k
+            assert np.array_equal(got, self.reference(rows)), k
 
     @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.float64])
     def test_leading_axes(self, dtype):
@@ -388,7 +398,7 @@ class TestBlockedSampler:
     it must equal the unblocked draw and leave the stream where it would."""
 
     @pytest.mark.parametrize("skip", [0, 3])
-    @pytest.mark.parametrize("N", [4, 16, 64])
+    @pytest.mark.parametrize("N", [4, 16, 64, 1024])
     def test_equals_unblocked_draw(self, N, skip):
         params = ForrParams(N)
         block = BLOCK_BYTES // (8 * params.input_length)
@@ -574,10 +584,10 @@ class TestSharedMomentDraw:
             forrelation_dist, "fwht_inplace",
             lambda table: calls.append(1) or fwht_inplace(table))
         for k in (block - 1, block, block + 1, CHUNK):
-            calls.clear()
             full = gaussian_rows(substream(72, k), params, k)
             want = np.array([full[:, s_set + [N + t for t in t_set]].prod(
                 axis=1) for s_set, t_set in sets])
+            calls.clear()  # gaussian_rows transforms in place too
             items = [(b, list(members), products.copy())
                      for b, members, products
                      in moment_products(params, sets)(substream(72, k), k)]
