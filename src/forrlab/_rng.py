@@ -9,6 +9,13 @@ distinct (seed, purpose, index) triples never share a key.  Substreams never
 collide as long as a single stream draws fewer than 2^192 blocks, and
 results are independent of how work is scheduled across threads or chunks.
 
+A draw that reads only bits of its words, or only compares each uniform
+with a probability, reads the raw 64-bit words (``random_raw``) instead of
+doubles.  ``Generator.random`` makes the uniform (w >> 11) 2^-53 of word w,
+and ``uniform_below`` gives that uniform's ``u < p`` by one integer
+comparison of w, so results and the generator's state after the draw are
+those of the double draw, a pending 32-bit half included.
+
 Monte Carlo estimates are built from fixed-size chunks: chunk i of an
 experiment draws from substream(seed, i).  ``mc_means`` runs independent
 chunks at the same time: the calling thread and up to ``WORKERS - 1``
@@ -159,15 +166,43 @@ def chunk_sizes(total: int) -> list[int]:
     return [CHUNK] * full + ([rest] if rest else [])
 
 
+def uniform_below(words: np.ndarray, p,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Whether the uniform u = (w >> 11) 2^-53 that ``Generator.random``
+    makes of each raw 64-bit word w falls below ``p``: ``u < p``, without
+    making the doubles.  Since w >> 11 is an integer and p 2^53 is exact,
+    u < p exactly when w < ceil(p 2^53) << 11.
+
+    ``p`` is a float, or an array of one value per row of a 2-D
+    ``words``.  As with ``u < p``, p >= 1 gives all True and p <= 0 or NaN
+    all False.  The result is written to ``out`` if given, else to a new
+    bool array."""
+    if not isinstance(p, np.ndarray):
+        p = float(p)
+        if p >= 1.0:
+            return np.less_equal(words, _MASK64, out=out)
+        return np.less(words, math.ceil(p * 2.0 ** 53) << 11 if p > 0.0 else 0,
+                       out=out)
+    p = p.astype(np.float64, copy=False)[:, None]
+    # Rows with p outside (0, 1), NaN included, get limit 0 (all False);
+    # those with p >= 1 are then set.
+    steps = np.ceil(np.where((p > 0.0) & (p < 1.0), p, 0.0) * 2.0 ** 53)
+    below = np.less(words, steps.astype(np.uint64) << 11, out=out)
+    full = p >= 1.0
+    return np.logical_or(below, full, out=below) if full.any() else below
+
+
 def bernoulli_bits(gen: np.random.Generator, p: float,
                    count: int) -> np.ndarray:
     """``count`` uint8 bits, bit t 1 when uniform t of ``gen`` falls below
-    ``p``: those of ``gen.uniform(size=count) < p``, drawn ``CHUNK`` at a
-    time, so memory stays near one byte per bit."""
+    ``p``: those of ``gen.uniform(size=count) < p``, read from the raw
+    words by ``uniform_below`` ``CHUNK`` at a time, so memory stays near
+    one byte per bit.  ``gen`` ends where ``gen.uniform`` would leave it."""
     bits = np.empty(count, dtype=np.uint8)
+    raw = gen.bit_generator.random_raw
     for start in range(0, count, CHUNK):
         out = bits[start:start + CHUNK]
-        np.less(gen.random(out.size), p, out=out)
+        uniform_below(raw(out.size), p, out=out)
     return bits
 
 

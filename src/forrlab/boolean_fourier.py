@@ -29,7 +29,7 @@ from ._bits import (
     popcount,
     signs_to_base64,
 )
-from ._rng import substream
+from ._rng import substream, uniform_below
 
 __all__ = [
     "SignVector",
@@ -416,19 +416,22 @@ def _random_indicators(n: int, k: int, count: int, seed: int):
     """Yield (members, alphas) blocks holding ``count`` accepted random
     indicators on n variables in all, drawn from substream (seed, 0).
 
-    Candidate i takes 2^n + 1 consecutive uniforms: the first sets its
-    density 0.02 + 0.33 u (the value ``gen.uniform(0.02, 0.35)`` returns),
-    the rest are compared against it.  Candidates are drawn AUDIT_BLOCK at a
-    time; one whose mean alpha is 0 or too large for the level-k bound is
-    skipped.  Rows drawn past the last one needed are never used."""
-    gen = substream(seed, 0)
+    Candidate i takes 2^n + 1 consecutive raw words, the words of as many
+    ``gen.random()`` uniforms: the first word's uniform u, made as that
+    double, sets its density 0.02 + 0.33 u (the value
+    ``gen.uniform(0.02, 0.35)`` returns); member j is whether uniform j + 1
+    falls below it, read from its word by ``uniform_below``.  Candidates are
+    drawn AUDIT_BLOCK at a time; one whose mean alpha is 0 or too large for
+    the level-k bound is skipped.  Rows drawn past the last one needed are
+    never used."""
+    raw = substream(seed, 0).bit_generator.random_raw
     left = count
     while left > 0:
-        draws = gen.random((AUDIT_BLOCK, (1 << n) + 1))
-        density = 0.02 + (0.35 - 0.02) * draws[:, :1]
-        members = draws[:, 1:] < density
+        words = raw((AUDIT_BLOCK, (1 << n) + 1))
+        density = 0.02 + (0.35 - 0.02) * ((words[:, 0] >> 11) * 2.0 ** -53)
+        members = uniform_below(words[:, 1:], density)
         alphas = np.count_nonzero(members, axis=1) / (1 << n)
-        keep = [r for r, alpha in enumerate(alphas)
+        keep = [r for r, alpha in enumerate(alphas.tolist())
                 if alpha > 0 and k <= 2 * math.log(1 / alpha)][:left]
         left -= len(keep)
         if keep:

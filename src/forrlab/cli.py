@@ -432,7 +432,17 @@ def cmd_fourier_audit(args) -> int:
                f"l2_mass[pair parity m={m} c={2 * m}]", mass,
                bound=f"== {want} +- {EXACT_TOL}",
                passed=abs(mass - want) <= EXACT_TOL)
-    return finish(args, records)
+    code = finish(args, records)
+    # H of a partition on a window of k coordinates has its level-2 mass on
+    # the C(k, 2) pairs inside it, and sum H^(S)^2 <= 1 since |H| <= 1, so
+    # by Cauchy-Schwarz the mass is at most sqrt(C(k, 2)).  Below the least
+    # random-row bound, 120 at cost 1, no valid partition can fail it.
+    ceiling = math.sqrt(math.comb(length, 2))
+    print(f"# l2 window ceiling sqrt(C({length}, 2)) = {ceiling:.4f} vs "
+          f"120 c^2 >= 120: the l2_violations row is "
+          + ("vacuous, no valid partition can fail it" if ceiling < 120
+             else "not vacuous"))
+    return code
 
 
 # ---------------------------------------------------------------------------

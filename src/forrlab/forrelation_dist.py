@@ -34,7 +34,7 @@ import numpy as np
 
 from ._bits import is_power_of_two
 from ._rng import (BLOCK_BYTES, Estimate, Sums, ahead, chunk_sizes, mc_mean,
-                   row_blocks, substream)
+                   row_blocks, substream, uniform_below)
 from .boolean_fourier import SignVector, fwht, fwht_columns, fwht_inplace
 from .errors import SamplingFailureError
 
@@ -566,7 +566,8 @@ def instance_rows(params: ForrParams, modes: Sequence[InstanceMode | str],
         raise ValueError(f"strength must lie in [-1, 1], got {strength}")
     N = params.N
     # A flip is +1 when its uniform falls below this: the draw and compare
-    # of round_rows on a constant row of strength, without the row.
+    # of round_rows on a constant row of strength, without the row, read
+    # from the uniforms' raw words.
     keep_sign = (1.0 + strength) / 2.0
     gens = [substream(seed, 0) for seed in seeds]
     xs = np.empty((len(modes), 2 * N), dtype=np.int8)
@@ -589,7 +590,8 @@ def instance_rows(params: ForrParams, modes: Sequence[InstanceMode | str],
             if mode is InstanceMode.PLANTED_YES:
                 planted.append(j)
                 z1.append(uniform_sign_rows(gen, (N,)))
-                flips.append(gen.random(N) < keep_sign)
+                flips.append(uniform_below(gen.bit_generator.random_raw(N),
+                                           keep_sign))
                 x[j] = uniform_sign_rows(gen, (2 * N,))
             elif mode is InstanceMode.PROMISE_YES:
                 z = forrelation_rows(gen, params, 1)[0]

@@ -643,73 +643,102 @@ def _random_tree_masks(n: int, cost: int, seed: int) -> tuple[
     before the part outside it.  In that order the leaves merge back into
     the full square (see :func:`_leaves_merge`).
 
-    The tree reads substream (seed, 0) one uint32 word at a time in stream
-    order: a node's message takes ceil(2^n / 4) words whose bytes' top bits
-    are its 2^n bits, then one word whose top bit picks the speaker (0 is
+    The tree reads the uint32 words of substream (seed, 0) in stream order:
+    a node's message takes ceil(2^n / 4) words whose bytes' top bits are
+    its 2^n bits, then one word whose top bit picks the speaker (0 is
     Alice); a leaf takes one word whose top bit picks the sign (0 is +1).
     Those are the words and bits that per-node ``integers(0, 2, size=2^n,
     dtype=uint8)`` and ``integers(2)`` draws and per-leaf ``integers(2)``
-    draws consume, but the words are read in refills of ``TREE_WORDS``, or
-    of the most words the tree can read if that is fewer, so the stream is
-    touched once per refill rather than up to three times per node.  A
-    part of a split that is empty is pruned.
+    draws consume.  The stream is read by ``random_raw`` in refills of
+    about ``TREE_WORDS`` uint32 words, or of the most words the tree can
+    read if that is fewer: each 64-bit word gives its low half, then its
+    high half, as those draws do, and only the four top bits of each half
+    are kept, packed by :func:`_top_bits`.  A refill's last high half that
+    the tree has not reached stays in the buffer for the next node.
 
-    Each leaf's masks are written once, into arrays with a row for every
-    leaf the tree could have: at most 2^cost, and at most 4^n, since the
-    leaves are disjoint nonempty rectangles.  Rows past the last leaf are
-    never written, and the arrays returned are views of the rows that are.
+    Each side is a Python-int bitset, bit p holding point p, so a split is
+    an ``&`` and an ``^``, and a part of a split that is empty is pruned.
+    The leaves' bitsets are unpacked once, at the end, into two
+    C-contiguous (leaves, 2^n) bool arrays.
     """
-    gen = substream(seed, 0)
+    raw = substream(seed, 0).bit_generator.random_raw
     points = 1 << n
+    full = (1 << points) - 1
     msg_words = -(-points // 4)
-    words = np.empty(0, dtype="<u4")
-    pos = 0
-    rows = 1 << min(cost, 2 * n)
     # The most words the tree can read: a message and a speaker word for
     # each internal node, of which there are at most 2^cost - 1 up to cost
-    # 2n and at most cost above each of the ``rows`` leaves past it, and one
-    # word for each leaf.
-    nodes = rows - 1 if cost <= 2 * n else rows * cost
-    most = nodes * (msg_words + 1) + rows
-    alice = np.empty((rows, points), dtype=bool)
-    bob = np.empty((rows, points), dtype=bool)
-    outputs = np.empty(rows, dtype=np.int8)
-    leaves = 0
-    full = np.ones(points, dtype=bool)
-    # Pending subtrees, the next one on top, with the point counts of
-    # their sides.
-    stack = [(full, full, points, points, 0)]
+    # 2n and at most cost above each of the at most 4^n leaves past it (the
+    # leaves are disjoint nonempty rectangles), and one word for each leaf.
+    leaves = 1 << min(cost, 2 * n)
+    nodes = leaves - 1 if cost <= 2 * n else leaves * cost
+    most = nodes * (msg_words + 1) + leaves
+    # Nibble w of tops, low nibble first, holds the top bits of the bytes
+    # of word w of the buffer; word pos is the next one to read.
+    tops = b""
+    pos = 0
+    alice, bob, outputs = [], [], []
+    # Pending subtrees, the next one on top.
+    stack = [(full, full, 0)]
     while stack:
-        amask, bmask, asize, bsize, depth = stack.pop()
+        amask, bmask, depth = stack.pop()
         need = 1 if depth == cost else msg_words + 1
-        if pos + need > words.size:
-            fresh = gen.integers(0, 1 << 32, dtype=np.uint32,
-                                 size=max(need, min(most, TREE_WORDS)))
-            words = np.concatenate([words[pos:], fresh]).astype("<u4",
-                                                               copy=False)
-            # The top bit of each byte; bits[4 w + 3] is that of word w.
-            bits = words.view(np.uint8) >= 128
-            pos = 0
+        if pos + need > 2 * len(tops):
+            fresh = raw(-(-max(need, min(most, TREE_WORDS)) // 2))
+            tops = tops[pos >> 1:] + _top_bits(fresh)
+            pos &= 1
         if depth == cost:
-            alice[leaves] = amask
-            bob[leaves] = bmask
-            outputs[leaves] = -1 if bits[4 * pos + 3] else 1
-            leaves += 1
+            alice.append(amask)
+            bob.append(bmask)
+            outputs.append(-1 if (tops[pos >> 1] >> 4 * (pos & 1) + 3) & 1
+                           else 1)
             pos += 1
             continue
-        msg = bits[4 * pos:4 * pos + points]
-        alice_speaks = not bits[4 * (pos + msg_words) + 3]
-        pos += need
-        side, size = (amask, asize) if alice_speaks else (bmask, bsize)
+        end = pos + msg_words
+        msg = (int.from_bytes(tops[pos >> 1:(end + 1) >> 1], "little")
+               >> 4 * (pos & 1)) & full
+        alice_speaks = not (tops[end >> 1] >> 4 * (end & 1) + 3) & 1
+        pos = end + 1
+        side = amask if alice_speaks else bmask
         inside = side & msg
-        within = np.count_nonzero(inside)
         # The part inside the message pops first.
-        for part, count in ((side ^ inside, size - within), (inside, within)):
-            if count:
-                stack.append((part, bmask, count, bsize, depth + 1)
-                             if alice_speaks else
-                             (amask, part, asize, count, depth + 1))
-    return alice[:leaves], bob[:leaves], outputs[:leaves]
+        for part in (side ^ inside, inside):
+            if part:
+                stack.append((part, bmask, depth + 1) if alice_speaks else
+                             (amask, part, depth + 1))
+    sides = _unpack_sides(alice + bob, points)
+    return (sides[:len(alice)], sides[len(alice):],
+            np.array(outputs, dtype=np.int8))
+
+
+def _top_bits(words: np.ndarray) -> bytes:
+    """One byte per raw 64-bit word, bit j holding bit 8 j + 7 of the word:
+    the top bits of the bytes of its low uint32 half, then of its high
+    half.  Integer operations only, so the result does not depend on the
+    machine's byte order; ``words`` is overwritten."""
+    words &= 0x8080808080808080
+    # Bit 8 j + 7 lands on bit 56 + j; no two partial products land on one
+    # bit, so none carries.
+    words *= 0x0002040810204081
+    words >>= 56
+    return words.astype(np.uint8).tobytes()
+
+
+def _unpack_sides(sides: list[int], points: int) -> np.ndarray:
+    """Python-int bitsets over ``points`` points as a C-contiguous
+    (len(sides), points) bool array, bit p of a set as entry p.  Sibling
+    leaves share the listener's side, so a side that is the one before it
+    reuses its bytes."""
+    size = -(-points // 8)
+    rows, last, row = [], None, b""
+    for side in sides:
+        if side is not last:
+            last, row = side, side.to_bytes(size, "little")
+        rows.append(row)
+    # One flat unpack is faster than a per-row one; below 8 points the
+    # rows' pad bits are cut off after it.
+    bits = np.unpackbits(np.frombuffer(b"".join(rows), dtype=np.uint8),
+                         bitorder="little").reshape(len(sides), 8 * size)
+    return np.ascontiguousarray(bits[:, :points]).view(bool)
 
 
 def pair_parity_partition(n: int, m: int) -> RectanglePartition:

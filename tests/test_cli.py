@@ -613,6 +613,22 @@ class TestFourierAudit:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("n, width, ceiling",
+                             [("4", 8, "5.2915"), ("8", 16, "10.9545")])
+    def test_prints_the_window_ceiling(self, n, width, ceiling, tmp_path,
+                                       capsys):
+        # No level-2 mass on a window of 2N coordinates exceeds
+        # sqrt(C(2N, 2)), below 120 c^2 at every c >= 1 up to 2N = 16.
+        out = tmp_path / "audit.csv"
+        assert run(["fourier-audit", "--n", n, "--partitions", "2",
+                    "--out", str(out)]) == EXIT_PASS
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if "ceiling" in line]
+        assert lines == [f"# l2 window ceiling sqrt(C({width}, 2)) = "
+                         f"{ceiling} vs 120 c^2 >= 120: the l2_violations "
+                         f"row is vacuous, no valid partition can fail it"]
+        assert "ceiling" not in out.read_text()
+
     @pytest.mark.parametrize("scale", [0.0, 0.5])
     def test_wrong_level_two_engine_exits_one(self, scale, monkeypatch):
         from forrlab import protocol

@@ -383,15 +383,20 @@ def assert_same_cells(got, want):
 class TestRandomTreeReader:
     """The bulk word reader draws the tree the per-node draws would."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 10, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 10, 12, 13, 16])
     def test_matches_per_node_draws(self, n):
-        # n = 1 reads half of each message word; n = 16 reads 2^14 words
-        # per message, more than one refill.
+        # n = 1 reads half of each message word; from n = 12 a node needs
+        # 2^(n-2) + 1 words, an odd refill whose last high half is carried
+        # to the next; n = 16 reads 2^14 words per message, more than one
+        # refill.
         for cost in range(8):
             for seed in range(20):
-                assert_same_cells(
-                    protocol._random_tree_masks(n, cost, seed),
-                    scalar_tree_cells(n, cost, seed))
+                got = protocol._random_tree_masks(n, cost, seed)
+                assert_same_cells(got, scalar_tree_cells(n, cost, seed))
+                for masks in got[:2]:
+                    assert masks.dtype == np.bool_
+                    assert masks.flags.c_contiguous
+                    assert masks.shape == (len(got[2]), 1 << n)
 
     def test_partition_keeps_the_tree(self):
         for n, cost, seed in ((4, 3, 0), (8, 6, 1), (10, 2, 2)):

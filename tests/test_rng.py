@@ -22,6 +22,7 @@ from forrlab._rng import (
     mc_means,
     row_blocks,
     substream,
+    uniform_below,
 )
 from forrlab.forrelation_dist import ForrParams, forr, uniform_sign_rows
 from forrlab.protocol import QuantumProtocolConfig, run_quantum_protocol
@@ -52,6 +53,80 @@ def test_bernoulli_bits_equal_one_unblocked_draw(count):
         want = substream(9, 0).uniform(size=count) < p
         assert bits.dtype == np.uint8
         assert np.array_equal(bits, want)
+
+
+def test_bernoulli_bits_leave_the_stream_where_uniforms_do():
+    # The raw words take what gen.uniform takes and leave a pending 32-bit
+    # half alone: the draws after the bits are those after the uniforms.
+    for count in (1, 5, CHUNK + 1):
+        gen, ref = substream(4, 0), substream(4, 0)
+        assert gen.integers(1 << 32, dtype=np.uint32) == ref.integers(
+            1 << 32, dtype=np.uint32)
+        bits = bernoulli_bits(gen, 0.7, count)
+        assert np.array_equal(bits, ref.uniform(size=count) < 0.7)
+        assert gen.integers(1 << 32, dtype=np.uint32) == ref.integers(
+            1 << 32, dtype=np.uint32)
+        assert gen.random() == ref.random()
+        assert gen.integers(1 << 32, dtype=np.uint32) == ref.integers(
+            1 << 32, dtype=np.uint32)
+
+
+def as_uniform(words):
+    """numpy's double of each raw word: (w >> 11) 2^-53."""
+    return (words >> 11).astype(np.float64) * 2.0 ** -53
+
+
+# Probabilities at the edges of the 2^-53 grid, outside [0, 1], and NaN.
+EDGE_P = [0.0, 2.0 ** -53, 0.5, 1 - 2.0 ** -53, 1.0, 1.5, math.nan]
+
+
+class TestUniformBelow:
+    @pytest.mark.parametrize("p", [2.0 ** -53, 0.5, 1 - 2.0 ** -53, 0.3,
+                                   0.02 + 0.33 * 0.25, 1e-300])
+    def test_words_at_the_threshold(self, p):
+        # The first step whose uniform is not below p, at both ends of its
+        # 2^11 words, gives False; the step below it gives True.  For p on
+        # the grid that first step's uniform equals p.
+        step = math.ceil(p * 2.0 ** 53)
+        words = np.array([step << 11, (step << 11) | 0x7FF,
+                          (step - 1) << 11, ((step - 1) << 11) | 0x7FF],
+                         dtype=np.uint64)
+        if p * 2.0 ** 53 == step:
+            assert as_uniform(words[0]) == p
+        got = uniform_below(words, p)
+        assert got.dtype == np.bool_
+        assert got.tolist() == [False, False, True, True]
+        assert np.array_equal(got, as_uniform(words) < p)
+
+    @pytest.mark.parametrize("p", EDGE_P)
+    def test_edge_probabilities(self, p):
+        words = np.array([0, 1, 0x7FF, 0x800, 1 << 63, 2**64 - 0x801,
+                          2**64 - 0x800, 2**64 - 1], dtype=np.uint64)
+        want = as_uniform(words) < p
+        assert np.array_equal(uniform_below(words, p), want)
+        if p >= 1:
+            assert want.all()
+        elif not p > 0:  # 0 or NaN
+            assert not want.any()
+        rows = np.tile(words, (3, 1))
+        assert np.array_equal(uniform_below(rows, np.full(3, p)),
+                              np.tile(want, (3, 1)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_random_below_on_philox_streams(self, seed):
+        p_values = EDGE_P + list(substream(100 + seed, 0).random(5))
+        for p in p_values:
+            words = substream(seed, 0).bit_generator.random_raw(1000)
+            want = substream(seed, 0).random(1000) < p
+            assert np.array_equal(uniform_below(words, p), want)
+            out = np.empty(1000, dtype=np.uint8)
+            assert uniform_below(words, p, out=out) is out
+            assert np.array_equal(out, want)
+        # One probability per row.
+        p_rows = np.array(p_values)
+        words = substream(seed, 0).bit_generator.random_raw((len(p_rows), 64))
+        want = substream(seed, 0).random((len(p_rows), 64)) < p_rows[:, None]
+        assert np.array_equal(uniform_below(words, p_rows), want)
 
 
 TRIPLE_PARTS = (st.integers(0, 2**64 - 1), st.sampled_from(sorted(PURPOSES)),
