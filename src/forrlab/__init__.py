@@ -34,7 +34,6 @@ from .boolean_fourier import (
     SignVector,
     convolve,
     fwht,
-    fwht_columns,
     inverse_spectrum,
     level_mass,
     multilinear_eval,

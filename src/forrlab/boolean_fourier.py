@@ -10,8 +10,8 @@ transform (applying it twice multiplies by 2^n), while :func:`spectrum`
 divides by 2^n so coefficients are expectations.  Convolution is
 f*g(x) = E_y[f(y) g(y.x)] and factorizes as (f*g)_hat(S) = f_hat(S) g_hat(S).
 
-Everything here is a pure function of its arguments; tables are never
-mutated in place.
+Everything here is a pure function of its arguments except
+:func:`fwht_inplace`, the one function that writes its argument.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from ._bits import (
     signs_to_base64,
 )
 from ._rng import substream, uniform_below
+from .errors import ResourceLimitError
 
 __all__ = [
     "SignVector",
     "FunctionTable",
     "FourierSpectrum",
     "fwht",
-    "fwht_columns",
     "fwht_inplace",
     "level_transform",
     "spectrum",
@@ -185,35 +185,6 @@ def fwht_inplace(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def fwht_columns(values: np.ndarray, cols) -> np.ndarray:
-    """Columns ``cols`` of the transform, in that order: bit for bit
-    ``fwht(values)[..., cols]``, without computing the other columns.
-
-    Column t pairs the entries on the lowest index bit and keeps lo + hi or
-    lo - hi by the matching bit of t, halving the length, until one entry
-    is left: size - 1 adds per column instead of size log2(size) for the
-    whole transform.  Every add takes the operands of the matching
-    :func:`fwht` butterfly in the same order, so the bits agree.  The pairs
-    are strided views, so a column-major ``values`` is never copied.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    size = values.shape[-1]
-    if not is_power_of_two(size):
-        raise ValueError(f"fwht length must be a power of two, got {size}")
-    cols = np.asarray(cols, dtype=np.int64).reshape(-1)
-    if cols.size and (cols.min() < 0 or cols.max() >= size):
-        raise ValueError(f"fwht columns must lie in [0, {size})")
-    out = np.empty(values.shape[:-1] + (cols.size,))
-    for j, col in enumerate(cols.tolist()):
-        acc = values
-        while acc.shape[-1] > 1:
-            combine = np.subtract if col & 1 else np.add
-            acc = combine(acc[..., 0::2], acc[..., 1::2])
-            col >>= 1
-        out[..., j] = acc[..., 0]
-    return out
-
-
 def spectrum(f: FunctionTable) -> FourierSpectrum:
     """Fourier coefficients f_hat(S) = 2^{-n} sum_x f(x) chi_S(x)."""
     return FourierSpectrum(f.n, fwht(f.values) / (1 << f.n))
@@ -248,7 +219,15 @@ def _level_masks(n: int, k: int) -> np.ndarray:
 def _level_characters(n: int, k: int) -> np.ndarray:
     """The (2^n, C(n, k)) float32 matrix of +-1 characters chi_S(x), one
     column per size-k subset S in ascending mask order.  Cached: about
-    30 MiB at (16, 2), and read-only since every caller shares it."""
+    30 MiB at (16, 2), and read-only since every caller shares it.  A
+    matrix over ``quantum_sim.MAX_STATE_BYTES`` raises
+    ``ResourceLimitError`` before anything is allocated."""
+    from .quantum_sim import MAX_STATE_BYTES  # it imports this module
+    need = 4 * math.comb(n, k) << n
+    if need > MAX_STATE_BYTES:
+        raise ResourceLimitError(
+            f"level-{k} characters on {n} variables need {need} bytes, "
+            f"over {MAX_STATE_BYTES}")
     codes = np.arange(1 << n, dtype=np.uint32)
     subsets = codes[np.bitwise_count(codes) == k]
     odd = np.bitwise_count(codes[:, None] & subsets) & 1
@@ -265,7 +244,9 @@ def level_transform(values: np.ndarray, k: int) -> np.ndarray:
     Only bool and int8 tables over at most 2^17 points are taken: every
     partial sum is then an integer of magnitude at most 128 * 2^17 = 2^24,
     which float32 holds exactly, whatever the summation order.  Use
-    :func:`fwht` or :func:`fwht_columns` for other values.
+    :func:`fwht` for other values.  A character matrix over
+    ``quantum_sim.MAX_STATE_BYTES`` raises ``ResourceLimitError`` before
+    the table is cast.
     """
     values = np.asarray(values)
     size = values.shape[-1]
@@ -277,7 +258,8 @@ def level_transform(values: np.ndarray, k: int) -> np.ndarray:
     n = size.bit_length() - 1
     if not 0 <= k <= n:
         raise ValueError(f"level k must satisfy 0 <= k <= {n}, got {k}")
-    product = values.astype(np.float32) @ _level_characters(n, k)
+    characters = _level_characters(n, k)
+    product = values.astype(np.float32) @ characters
     return product.astype(np.float64)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from ._bits import is_power_of_two
 from ._rng import (BLOCK_BYTES, Estimate, Sums, ahead, chunk_sizes, mc_mean,
                    row_blocks, substream, uniform_below)
-from .boolean_fourier import SignVector, fwht, fwht_columns, fwht_inplace
+from .boolean_fourier import SignVector, fwht, fwht_inplace
 from .errors import SamplingFailureError
 
 __all__ = [
@@ -323,14 +323,12 @@ def moment_products(params: ForrParams,
     ``gaussian_rows(gen, params, k)[block, cols].prod(axis=1)`` for cols = S
     followed by N + T, bit for bit.  Every set appears once per block.
 
-    The second half is not made in full.  Each row block draws the N
-    normals of ``gaussian_rows`` and scales them into the first N rows of
-    one (N + width, rows) column buffer, so that every factor is a
-    contiguous row of it.  Each column of the transform reads every
-    first-half value, so only the columns in the union of the T sets are
-    taken (``fwht_columns``) into the width rows after them; past n/2 of
-    them (N = 2^n), the whole transform, in place (``fwht_inplace``), is
-    cheaper, and its columns have the same bits.  A group's products take
+    Each row block draws the N normals of ``gaussian_rows`` and scales
+    them into the first N rows of a column buffer, so that every factor is
+    a contiguous row of it.  If any set reads the second half, the buffer
+    has N more rows: the first N are copied there, transformed in place
+    (``fwht_inplace``) and divided by sqrt(N), so T index t is buffer row
+    N + t.  Otherwise nothing is transformed.  A group's products take
     one gather of the buffer per factor position: the first factors are
     copied, and each later position's factors are gathered and multiplied
     in, in the order ``prod`` takes them.  A group is split so that its
@@ -349,16 +347,10 @@ def moment_products(params: ForrParams,
             if idx.size and (idx.min() < 0 or idx.max() >= params.N):
                 raise ValueError(f"{name} indices must lie in [0, {params.N})")
         columns.append((s_idx.tolist(), t_idx.tolist()))
-    # Sorted in Python: numpy's sort would page in its SIMD sort kernels,
-    # about 1 MiB of resident memory, for a few dozen indices.
-    t_union = sorted({t for _, t_idx in columns for t in t_idx})
-    full = 2 * len(t_union) > params.n
-    # Buffer row of each T index: N + t, or N + its column of fwht_columns.
-    position = {t: params.N + (t if full else j) for j, t in enumerate(t_union)}
-    width = params.N if full else len(t_union)
+    width = params.N if any(t_idx for _, t_idx in columns) else 0
     # Each set's factors as buffer rows, in the order prod takes them, and
     # one (members, factor rows) table per degree, in degree order.
-    factors = [s_idx + [position[t] for t in t_idx] for s_idx, t_idx in columns]
+    factors = [s_idx + [params.N + t for t in t_idx] for s_idx, t_idx in columns]
     by_degree: dict[int, list[int]] = {}
     for m, rows in enumerate(factors):
         by_degree.setdefault(len(rows), []).append(m)
@@ -382,12 +374,9 @@ def moment_products(params: ForrParams,
             cols = cols_buffer[:(params.N + width) * rows].reshape(-1, rows)
             x, y = cols[:params.N], cols[params.N:]
             np.multiply(normals.T, scale, out=x)
-            if width:  # y[j] is transform column j, or column t_union[j]
-                if full:
-                    np.copyto(y, x)
-                    fwht_inplace(y)
-                else:
-                    np.copyto(y, fwht_columns(x.T, t_union).T)
+            if width:
+                np.copyto(y, x)
+                fwht_inplace(y)
                 y /= root_n
             for members, table in groups:
                 for start in range(0, len(members), per):

@@ -7,6 +7,7 @@ products.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from forrlab.boolean_fourier import (
     character_table,
     convolve,
     fwht,
-    fwht_columns,
     fwht_inplace,
     indicator_table,
     inverse_spectrum,
@@ -39,6 +39,7 @@ from forrlab.boolean_fourier import (
     spectrum,
     subcube_violations,
 )
+from forrlab.errors import ResourceLimitError
 
 
 def signs_of(code: int, n: int) -> np.ndarray:
@@ -146,37 +147,6 @@ class TestFwhtFastPath:
         assert np.array_equal(values, kept)
 
 
-class TestFwhtColumns:
-    """fwht_columns must give the full transform's columns bit for bit."""
-
-    @pytest.mark.parametrize("size", [4, 8, 16, 64, 256, 1024])
-    @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
-    def test_equals_full_transform_columns(self, size, batch):
-        values = np.random.default_rng(size + len(batch)).normal(
-            size=batch + (size,))
-        full = fwht(values)
-        every = list(range(size))
-        for cols in ([size // 2 + 1], every, every[::-1]):
-            got = fwht_columns(values, cols)
-            assert got.shape == batch + (len(cols),)
-            assert np.array_equal(got, full[..., cols])
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="power of two"):
-            fwht_columns(np.ones(6), [0])
-        for cols in ([8], [-1]):
-            with pytest.raises(ValueError, match="columns"):
-                fwht_columns(np.ones(8), cols)
-
-    @pytest.mark.parametrize("size", [4, 16, 64])
-    def test_column_major_input(self, size):
-        # The transposed view of a (size, rows) table, as the moment draw
-        # passes it: same columns, bit for bit.
-        table = np.random.default_rng(size).normal(size=(size, 9))
-        every = list(range(size))
-        assert np.array_equal(fwht_columns(table.T, every), fwht(table.T))
-
-
 class TestFwhtInplace:
     """fwht_inplace transforms along the first axis, in place, with the
     bits of fwht on each column."""
@@ -189,6 +159,27 @@ class TestFwhtInplace:
         got = fwht_inplace(table)
         assert got is table
         assert np.array_equal(table, want)
+
+    @pytest.mark.parametrize("size", [4, 8, 16, 64, 256, 1024])
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+    def test_buffer_tail_rows_equal_transform_columns(self, size, batch):
+        # The moment draw's layout: the values fill the first rows of a
+        # (2 size, batch) buffer, are copied into the rest and transformed
+        # there, and column t of the transform is read as row size + t.
+        values = np.random.default_rng(size + len(batch)).normal(
+            size=batch + (size,))
+        full = fwht(values)
+        buffer = np.empty((2 * size,) + batch)
+        head, tail = buffer[:size], buffer[size:]
+        head[...] = np.moveaxis(values, -1, 0)
+        np.copyto(tail, head)
+        assert fwht_inplace(tail) is tail
+        assert np.array_equal(head, np.moveaxis(values, -1, 0))
+        every = list(range(size))
+        for cols in ([size // 2 + 1], every, every[::-1]):
+            got = np.moveaxis(buffer[[size + c for c in cols]], 0, -1)
+            assert got.shape == batch + (len(cols),)
+            assert np.array_equal(got, full[..., cols])
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -528,6 +519,20 @@ class TestLevelTransform:
         values[::3] = 127
         mask = popcount(np.arange(1 << 17)) == 1
         assert np.array_equal(level_transform(values, 1), fwht(values)[mask])
+
+    def test_refuses_characters_over_the_cap(self):
+        # The (2^17, C(17, 8)) float32 characters would need about 12.7 GB;
+        # the refusal comes before the matrix, or the table's cast, exists.
+        values = np.broadcast_to(np.zeros(1, dtype=bool), (1, 1 << 17))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError,
+                               match="level-8 characters on 17 variables"):
+                level_transform(values, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
     def test_rejects_wider_values(self, dtype):

@@ -449,7 +449,7 @@ def moment_reference(params: ForrParams, s_set, t_set):
 
 def moment_sets(N: int) -> dict[str, tuple[list[int], list[int]]]:
     return {
-        # S only: a sine column (second half of the normals) then a cosine one.
+        # S only: no set reads the second half, so nothing is transformed.
         "t_empty": ([N // 2 + 1, 0], []),
         "s_empty": ([], [1, N - 1]),
         "three_by_three": ([N - 1, 0, N // 2], [2, N // 2 + 1, 1]),
@@ -457,11 +457,12 @@ def moment_sets(N: int) -> dict[str, tuple[list[int], list[int]]]:
 
 
 class TestMomentFastPath:
-    """moment_draw computes only the columns its product reads; every value
-    must still equal the product over full gaussian_rows."""
+    """moment_draw gathers only the factors its product reads, and
+    transforms only when T is nonempty; every value must still equal the
+    product over full gaussian_rows."""
 
     @pytest.mark.parametrize("case", ["t_empty", "s_empty", "three_by_three"])
-    @pytest.mark.parametrize("N", [4, 16, 64])
+    @pytest.mark.parametrize("N", [4, 16, 64, 1024])
     def test_equals_full_rows(self, N, case):
         params = ForrParams(N)
         s_set, t_set = moment_sets(N)[case]
@@ -529,10 +530,10 @@ class TestSharedMomentDraw:
     set's products must equal its own moment_draw, and moment_sums must
     reduce them without holding a (sets, k) array."""
 
-    # Three T columns at N = 64 are at most n/2, so only they are
-    # transformed; every other case takes the whole transform in place.
+    # Every case has a nonempty T, so each takes the whole transform in
+    # place.
     @pytest.mark.parametrize("N, wide, whole", [(16, False, True),
-                                                (64, False, False),
+                                                (64, False, True),
                                                 (16, True, True),
                                                 (64, True, True)])
     def test_rows_equal_one_set_draws(self, N, wide, whole, monkeypatch):
@@ -569,10 +570,10 @@ class TestSharedMomentDraw:
                 want_sq = math.fsum(row * row)
                 assert abs(squares[m] - want_sq) <= 1e-12 * want_sq, (k, m)
 
-    # The whole transform at N = 16; at N = 64 three T columns, at most
-    # n/2, so only they are transformed.
+    # Every T column at N = 16, and three at N = 64: either way some set
+    # reads the second half, so the whole transform runs in place.
     @pytest.mark.parametrize("N, t_cols, whole", [(16, range(16), True),
-                                                  (64, [5, 17, 40], False)])
+                                                  (64, [5, 17, 40], True)])
     def test_degree_groups_equal_per_set_products(self, N, t_cols, whole,
                                                   monkeypatch):
         params = ForrParams(N)
