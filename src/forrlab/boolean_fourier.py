@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ from ._bits import (
     popcount,
     signs_to_base64,
 )
+from ._record import Record
 from ._rng import substream, uniform_below
 from .errors import ResourceLimitError
 
@@ -60,8 +60,7 @@ AUDIT_BLOCK = 16
 TRANSFORM_BYTES = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
-class SignVector:
+class SignVector(Record):
     """A point of {-1,1}^n; doubles as an oracle input string.
 
     The canonical in-memory form is an int8 array of +-1.  ``to_base64``
@@ -70,10 +69,10 @@ class SignVector:
     base64-encoded.
     """
 
-    signs: np.ndarray
+    __slots__ = ("signs",)
 
-    def __post_init__(self):
-        signs = np.asarray(self.signs, dtype=np.int8)
+    def __init__(self, signs: np.ndarray):
+        signs = np.asarray(signs, dtype=np.int8)
         if signs.ndim != 1:
             raise ValueError("SignVector takes a one-dimensional sign sequence")
         if not np.all(np.abs(signs) == 1):
@@ -105,37 +104,35 @@ class SignVector:
         return cls(base64_to_signs(text, n))
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionTable:
+class FunctionTable(Record):
     """Dense table of f: {-1,1}^n -> R, indexed by point code."""
 
-    n: int
-    values: np.ndarray
+    __slots__ = ("n", "values")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (1 << self.n,):
+    def __init__(self, n: int, values: np.ndarray):
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (1 << n,):
             raise ValueError(
-                f"table for n={self.n} must have length {1 << self.n}, "
+                f"table for n={n} must have length {1 << n}, "
                 f"got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("table values must all be finite")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True, eq=False)
-class FourierSpectrum:
+class FourierSpectrum(Record):
     """Fourier coefficients of a function, indexed by subset bitmask."""
 
-    n: int
-    coeffs: np.ndarray
+    __slots__ = ("n", "coeffs")
 
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if coeffs.shape != (1 << self.n,):
+    def __init__(self, n: int, coeffs: np.ndarray):
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        if coeffs.shape != (1 << n,):
             raise ValueError(
-                f"spectrum for n={self.n} must have length {1 << self.n}, "
+                f"spectrum for n={n} must have length {1 << n}, "
                 f"got shape {coeffs.shape}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
 
 

@@ -17,11 +17,11 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._bits import f2_inner_sign
+from ._record import Record
 from ._rng import chunk_sizes, derive, fan_out, mc_means, row_blocks, substream
 from .boolean_fourier import random_indicator_violations, subcube_violations
 from .errors import ForrlabError, ResourceLimitError
@@ -72,25 +72,39 @@ RESULT_COLUMNS = ["experiment", "subcommand", "N", "eps", "seed", "samples",
                   "bound", "passed", "flags"]
 
 
-@dataclass
-class ResultRecord:
-    """One audited quantity; self-describing enough to re-run from the row."""
+class ResultRecord(Record):
+    """One audited quantity; self-describing enough to re-run from the row.
+    ``wall_time`` is shown on the console only, never written to files.
+    Mutable, and equal only to itself."""
 
-    experiment: str
-    subcommand: str
-    metric: str
-    estimate: float | str
-    standard_error: float | str = "exact"
-    bound: str = ""
-    passed: bool | None = None
-    N: int | None = None
-    eps: float | None = None
-    seed: int | None = None
-    samples: int | None = None
-    copies: int | None = None
-    mode: str = ""
-    flags: str = ""
-    wall_time: float = 0.0  # console only; never written to files
+    __slots__ = ("experiment", "subcommand", "metric", "estimate",
+                 "standard_error", "bound", "passed", "N", "eps", "seed",
+                 "samples", "copies", "mode", "flags", "wall_time")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, experiment: str, subcommand: str, metric: str,
+                 estimate: float | str, standard_error: float | str = "exact",
+                 bound: str = "", passed: bool | None = None,
+                 N: int | None = None, eps: float | None = None,
+                 seed: int | None = None, samples: int | None = None,
+                 copies: int | None = None, mode: str = "", flags: str = "",
+                 wall_time: float = 0.0):
+        self.experiment = experiment
+        self.subcommand = subcommand
+        self.metric = metric
+        self.estimate = estimate
+        self.standard_error = standard_error
+        self.bound = bound
+        self.passed = passed
+        self.N = N
+        self.eps = eps
+        self.seed = seed
+        self.samples = samples
+        self.copies = copies
+        self.mode = mode
+        self.flags = flags
+        self.wall_time = wall_time
 
     def row(self) -> list[str]:
         def fmt(v):
@@ -575,6 +589,8 @@ def _probability(text: str) -> float:
 
 
 def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError(f"must name a file, got {text!r}")
     folder = os.path.dirname(text)
     if folder and not os.path.isdir(folder):
         raise argparse.ArgumentTypeError(f"directory {folder!r} does not exist")

@@ -27,12 +27,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._bits import is_power_of_two
+from ._record import Record
 from ._rng import (BLOCK_BYTES, Estimate, Sums, ahead, chunk_sizes, mc_mean,
                    row_blocks, substream, uniform_below)
 from .boolean_fourier import SignVector, fwht, fwht_inplace
@@ -63,22 +63,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ForrParams:
+class ForrParams(Record):
     """Problem size N (a power of two) and the derived coupling eps.
 
     eps is always 1/(50 ln N); pass ``eps_override`` only for exploratory
     runs in the amplified regime.
     """
 
-    N: int
-    eps_override: float | None = None
+    __slots__ = _compare = ("N", "eps_override")
 
-    def __post_init__(self):
-        if self.N < 4 or not is_power_of_two(self.N):
-            raise ValueError(f"N must be a power of two >= 4, got {self.N}")
-        if self.eps_override is not None and not 0 < self.eps_override <= 1:
-            raise ValueError(f"eps override must lie in (0, 1], got {self.eps_override}")
+    def __init__(self, N: int, eps_override: float | None = None):
+        if N < 4 or not is_power_of_two(N):
+            raise ValueError(f"N must be a power of two >= 4, got {N}")
+        if eps_override is not None and not 0 < eps_override <= 1:
+            raise ValueError(f"eps override must lie in (0, 1], got {eps_override}")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "eps_override", eps_override)
 
     @property
     def eps(self) -> float:
@@ -477,8 +477,7 @@ def classify(params: ForrParams, value: float) -> Label:
     return Label.OUTSIDE_PROMISE
 
 
-@dataclass(frozen=True)
-class LiftedInstance:
+class LiftedInstance(Record):
     """A labeled two-player input pair.
 
     ``attempts`` is the number of candidate pairs its generator drew (1
@@ -486,13 +485,14 @@ class LiftedInstance:
     equality.
     """
 
-    N: int
-    eps: float
-    x: SignVector
-    y: SignVector
-    forr_value: float
-    label: Label
-    attempts: int = field(default=1, compare=False)
+    __slots__ = ("N", "eps", "x", "y", "forr_value", "label", "attempts")
+    _compare = __slots__[:-1]
+
+    def __init__(self, N: int, eps: float, x: SignVector, y: SignVector,
+                 forr_value: float, label: Label, attempts: int = 1):
+        for name, value in zip(self.__slots__, (N, eps, x, y, forr_value,
+                                                label, attempts)):
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> str:
         return json.dumps({

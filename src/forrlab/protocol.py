@@ -22,13 +22,13 @@ exact transform over the window, at any input length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import quantum_sim
 from ._bits import codes_to_signs, f2_inner_sign, signs_to_codes
+from ._record import Record
 from ._rng import Estimate, bernoulli_bits, mc_mean, substream
 from .boolean_fourier import (
     AUDIT_BLOCK,
@@ -93,8 +93,7 @@ AUDIT_BYTES = 1 << 16
 # ---------------------------------------------------------------------------
 # Quantum protocol
 
-@dataclass(frozen=True)
-class QuantumProtocolConfig:
+class QuantumProtocolConfig(Record):
     """Copies, decision threshold, and seed for one protocol run.
 
     ``threshold`` defaults to 1/2 + (3/32) eps, the promise-regime cut;
@@ -103,21 +102,23 @@ class QuantumProtocolConfig:
     ``ResourceLimitError``.
     """
 
-    params: ForrParams
-    copies: int
-    threshold: float | None = None
-    seed: int = 0
+    __slots__ = _compare = ("params", "copies", "threshold", "seed")
 
-    def __post_init__(self):
-        if self.copies < 1:
-            raise ValueError(f"copies must be positive, got {self.copies}")
-        if self.copies > quantum_sim.MAX_STATE_BYTES:
+    def __init__(self, params: ForrParams, copies: int,
+                 threshold: float | None = None, seed: int = 0):
+        if copies < 1:
+            raise ValueError(f"copies must be positive, got {copies}")
+        if copies > quantum_sim.MAX_STATE_BYTES:
             raise ResourceLimitError(
-                f"{self.copies} copies need {self.copies} bytes of copy "
+                f"{copies} copies need {copies} bytes of copy "
                 f"bits, over {quantum_sim.MAX_STATE_BYTES}")
-        if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
+        if threshold is not None and not 0.0 <= threshold <= 1.0:
             raise ValueError(
-                f"threshold must be a finite number in [0, 1], got {self.threshold}")
+                f"threshold must be a finite number in [0, 1], got {threshold}")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "copies", copies)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def decision_threshold(self) -> float:
@@ -126,16 +127,19 @@ class QuantumProtocolConfig:
         return 0.5 + (3.0 / 32.0) * self.params.eps
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolRunStats:
+class ProtocolRunStats(Record):
     """Outcome and cost accounting of one protocol run."""
 
-    ones_fraction: float
-    per_copy_bits: np.ndarray
-    decision: Label
-    qubits_sent: int
-    oracle_calls: int
-    gate_count: int
+    __slots__ = ("ones_fraction", "per_copy_bits", "decision", "qubits_sent",
+                 "oracle_calls", "gate_count")
+
+    def __init__(self, ones_fraction: float, per_copy_bits: np.ndarray,
+                 decision: Label, qubits_sent: int, oracle_calls: int,
+                 gate_count: int):
+        for name, value in zip(self.__slots__, (
+                ones_fraction, per_copy_bits, decision, qubits_sent,
+                oracle_calls, gate_count)):
+            object.__setattr__(self, name, value)
 
 
 def referee_gates(half: int) -> list:

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
+from ._record import Record
 from ._rng import bernoulli_bits
 from .boolean_fourier import SignVector
 from .errors import InvariantError, ResourceLimitError
@@ -151,34 +151,40 @@ class StateVector:
 # ---------------------------------------------------------------------------
 # Gates
 
-@dataclass(frozen=True)
-class Hadamard:
-    q: int
+class Hadamard(Record):
+    __slots__ = _compare = ("q",)
+
+    def __init__(self, q: int):
+        object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
-class CNot:
-    control: int
-    target: int
+class CNot(Record):
+    __slots__ = _compare = ("control", "target")
 
-    def __post_init__(self):
-        if self.control == self.target:
+    def __init__(self, control: int, target: int):
+        if control == target:
             raise ValueError("CNOT control and target must differ")
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "target", target)
 
 
-@dataclass(frozen=True)
-class RPi8:
+class RPi8(Record):
     """Rotation by pi/8: [[cos, -sin], [sin, cos]]; its 16th power is I."""
 
-    q: int
+    __slots__ = _compare = ("q",)
+
+    def __init__(self, q: int):
+        object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
-class Oracle:
+class Oracle(Record):
     """Sign oracle on the contiguous qubit block [start, start + width)."""
 
-    signs: SignVector
-    start: int
+    __slots__ = _compare = ("signs", "start")
+
+    def __init__(self, signs: SignVector, start: int):
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "start", start)
 
     @property
     def width(self) -> int:
@@ -186,20 +192,28 @@ class Oracle:
         return max(1, (self.signs.n - 1).bit_length())
 
 
-@dataclass(frozen=True)
-class Measure:
-    q: int
+class Measure(Record):
+    __slots__ = _compare = ("q",)
+
+    def __init__(self, q: int):
+        object.__setattr__(self, "q", q)
 
 
 Gate = Union[Hadamard, CNot, RPi8, Oracle, Measure]
 
 
-@dataclass
-class Circuit:
-    """An ordered gate list; ``size`` is the operator count."""
+class Circuit(Record):
+    """An ordered gate list; ``size`` is the operator count.  Unlike the
+    gates it is mutable, and so unhashable."""
 
-    m: int
-    gates: list = field(default_factory=list)
+    __slots__ = _compare = ("m", "gates")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, m: int, gates: list | None = None):
+        self.m = m
+        self.gates = [] if gates is None else gates
 
     @property
     def size(self) -> int:

@@ -148,6 +148,19 @@ class TestUsageErrors:
         assert "Traceback" not in err_text
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("subcommand", [
+        "verify-moments", "run-protocol", "fourier-audit", "advantage",
+        "gen-instances", "sample-dist"])
+    def test_empty_out_rejected(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as err:
+            run([subcommand, "--out", ""])
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"forrlab {subcommand}: error: argument --out: must name a "
+            f"file, got ''"]
+
     @pytest.mark.parametrize("args", [
         ["sample-dist", "--n", "4", "--samples", "10"],
         ["gen-instances", "--n", "4", "--count", "1"]], ids=lambda a: a[0])
@@ -267,7 +280,8 @@ class TestParser:
             "finite number in [0, 1], got 2"]
 
     def test_import_loads_no_random_no_pool_and_builds_no_parser(self):
-        # Work done at import would move time from a run into set-up.
+        # Work done at import would move time from a run into set-up;
+        # dataclasses would compile its records' methods on every import.
         probe = textwrap.dedent("""
             import argparse, sys
             built = []
@@ -277,8 +291,8 @@ class TestParser:
                 init(self, *args, **kwargs)
             argparse.ArgumentParser.__init__ = counted
             import forrlab.cli
-            print(sorted({"numpy.random", "concurrent.futures"}
-                         & set(sys.modules)), len(built))
+            print(sorted({"numpy.random", "concurrent.futures",
+                          "dataclasses"} & set(sys.modules)), len(built))
             """)
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ,
