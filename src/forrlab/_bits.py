@@ -53,10 +53,20 @@ def signs_to_base64(signs: np.ndarray) -> str:
 
 
 def base64_to_signs(text: str, n: int) -> np.ndarray:
-    """Inverse of :func:`signs_to_base64`; an int8 array of length ``n``."""
-    bits = np.unpackbits(np.frombuffer(base64.b64decode(text), dtype=np.uint8),
-                         count=n, bitorder="little")
-    return bits_to_signs(bits)
+    """Inverse of :func:`signs_to_base64`; an int8 array of length ``n``.
+
+    Raises ``ValueError`` unless ``text`` decodes to exactly ceil(n/8)
+    bytes whose bits past n are clear, so each sign vector has one
+    encoding.
+    """
+    packed = np.frombuffer(base64.b64decode(text), dtype=np.uint8)
+    size = -(-n // 8)
+    if len(packed) != size:
+        raise ValueError(f"{n} signs pack into {size} bytes, "
+                         f"got {len(packed)}")
+    if n % 8 and packed[-1] >> (n % 8):
+        raise ValueError(f"pad bits past the {n} signs must be clear")
+    return bits_to_signs(np.unpackbits(packed, count=n, bitorder="little"))
 
 
 def popcount(values: np.ndarray) -> np.ndarray:

@@ -517,8 +517,9 @@ def cmd_sample_dist(args) -> int:
     # Each chunk is scored as it is drawn, so only the forrelation values
     # of earlier chunks are kept.
     if args.dist == "gaussian":
-        # Float64 rows that read gen row by row: a chunk is drawn and
-        # scored one row block at a time, with the bits of a whole draw.
+        # gaussian_rows draws its float64 rows in one piece, reading gen
+        # row by row: so a chunk is drawn and scored one row block at a
+        # time, with the bits of a whole draw.
         def score(gen, k):
             return np.concatenate([
                 forr(gaussian_rows(gen, params, block.stop - block.start))

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._bits import is_power_of_two
 from ._record import Record
-from ._rng import (BLOCK_BYTES, Estimate, Sums, ahead, chunk_sizes, mc_mean,
+from ._rng import (BLOCK_BYTES, Estimate, Sums, ahead, chunk_sizes, mc_means,
                    row_blocks, substream, uniform_below)
 from .boolean_fourier import SignVector, fwht, fwht_inplace
 from .errors import SamplingFailureError
@@ -50,7 +50,6 @@ __all__ = [
     "lifted_rows",
     "chunked",
     "moment_products",
-    "moment_draw",
     "moment_sums",
     "gaussian_moment",
     "Label",
@@ -148,47 +147,29 @@ def _buffer(blocks: list[slice], *shape: int) -> np.ndarray:
     return np.empty((blocks[0].stop if blocks else 0, *shape))
 
 
-def _normal_blocks(gen: np.random.Generator, blocks: list[slice], n: int):
-    """Yield (block, normals) for each row block of ``blocks``: that
-    block's (rows, n) standard normals, read from ``gen`` row by row, so no
-    row depends on the blocking.
-
-    The normals are numpy's ziggurat draws (``gen.standard_normal``).  They
-    use only integer and table arithmetic, with a scalar C-library exp or
-    log1p in the rare rejection branches, so their bits do not depend on
-    which SIMD kernels numpy picks for the CPU.  One buffer, made on the
-    call and sized to the first block, serves every block: a block's
-    normals are overwritten by the next block's, and calls share nothing,
-    so draws may run on several threads at once.
-    """
-    normals = _buffer(blocks, n)
-    for block in blocks:
-        out = normals[:block.stop - block.start]
-        gen.standard_normal(out=out)
-        yield block, out
-
-
 def standard_normal_rows(gen: np.random.Generator, k: int, n: int) -> np.ndarray:
-    """(k, n) standard normals from ``gen``: the values of
-    ``gen.standard_normal(size=(k, n))``, drawn by the row blocks the
-    samplers here share (``_normal_blocks``)."""
-    out = np.empty((k, n))
-    for block, normals in _normal_blocks(gen, row_blocks(k, n), n):
-        out[block] = normals
-    return out
+    """(k, n) standard normals from ``gen``, ``gen.standard_normal((k, n))``:
+    the reference that the samplers' row-block draws are tested against.
+
+    The normals are numpy's ziggurat draws.  They use only integer and
+    table arithmetic, with a scalar C-library exp or log1p in the rare
+    rejection branches, so their bits do not depend on which SIMD kernels
+    numpy picks for the CPU, and they are read row by row, so a row block
+    drawn alone gets the rows of one whole draw.
+    """
+    return gen.standard_normal((k, n))
 
 
 def gaussian_rows(gen: np.random.Generator, params: ForrParams, k: int) -> np.ndarray:
-    """k coupled-Gaussian rows of length 2N, drawn from ``gen``.
+    """k coupled-Gaussian rows of length 2N, drawn from ``gen`` in one piece.
 
-    Generator-based primitive for custom Monte Carlo loops; ``chunked``
-    runs it over fixed seeded chunks.  Rows are made one
-    ``row_blocks`` block at a time, with the bits of a one-row call.
+    The reference for the blocked samplers (``forrelation_rows``,
+    ``moment_products``), which build each row block as this builds its k
+    rows; a caller that must bound its memory, as ``sample-dist --dist
+    gaussian`` does, asks for one ``row_blocks`` block at a time.
     """
     out = np.empty((k, params.input_length))
-    blocks = row_blocks(k, params.input_length)
-    for block, normals in _normal_blocks(gen, blocks, params.N):
-        _coupled(params, normals, out[block])
+    _coupled(params, gen.standard_normal((k, params.N)), out)
     return out
 
 
@@ -227,19 +208,14 @@ def round_rows(gen: np.random.Generator, rows: np.ndarray) -> np.ndarray:
     """Round truncated rows to signs, independently per coordinate, with
     conditional mean equal to the truncated value.
 
-    Rounds in row blocks, in one pair of block buffers; the uniforms are
-    consumed in row order, so the result equals one unblocked draw of
-    ``gen.uniform(size=rows.shape)``.  ``gen.random`` gives the same
-    doubles without uniform's scaling pass.
+    One draw of ``gen.random(rows.shape)`` gives the uniforms, the doubles
+    of ``gen.uniform(size=rows.shape)`` without uniform's scaling pass, and
+    one ``_round`` pass rounds every row: the reference for the rounding
+    that ``forrelation_rows`` does block by block.
     """
     rows = np.asarray(rows)
     out = np.empty(rows.shape, dtype=np.int8)
-    blocks = row_blocks(len(rows), math.prod(rows.shape[1:]))
-    probs, uniforms = (_buffer(blocks, *rows.shape[1:]) for _ in range(2))
-    for block in blocks:
-        size = block.stop - block.start
-        gen.random(out=uniforms[:size])
-        _round(rows[block], uniforms[:size], out[block], probs[:size])
+    _round(rows, gen.random(rows.shape), out, np.empty(rows.shape))
     return out
 
 
@@ -323,9 +299,9 @@ def moment_products(params: ForrParams,
     ``gaussian_rows(gen, params, k)[block, cols].prod(axis=1)`` for cols = S
     followed by N + T, bit for bit.  Every set appears once per block.
 
-    Each row block draws the N normals of ``gaussian_rows`` and scales
-    them into the first N rows of a column buffer, so that every factor is
-    a contiguous row of it.  If any set reads the second half, the buffer
+    Each row block draws its rows' N normals of ``gaussian_rows`` into one
+    block buffer and scales them into the first N rows of a column buffer,
+    so that every factor is a contiguous row of it.  If any set reads the second half, the buffer
     has N more rows: the first N are copied there, transformed in place
     (``fwht_inplace``) and divided by sqrt(N), so T index t is buffer row
     N + t.  Otherwise nothing is transformed.  A group's products take
@@ -361,7 +337,8 @@ def moment_products(params: ForrParams,
 
     def products(gen, k):
         blocks = row_blocks(k, params.input_length)
-        most = blocks[0].stop if blocks else 0
+        normals_buffer = _buffer(blocks, params.N)
+        most = len(normals_buffer)
         # Sets per gather: a group's products and one gathered factor of
         # them fill at most one block together.
         per = max(1, BLOCK_BYTES // (16 * max(most, 1)))
@@ -369,8 +346,10 @@ def moment_products(params: ForrParams,
         cols_buffer = np.empty((params.N + width) * most)
         product_buffer = np.empty(size)
         factor_buffer = np.empty(size)
-        for block, normals in _normal_blocks(gen, blocks, params.N):
-            rows = len(normals)
+        for block in blocks:
+            rows = block.stop - block.start
+            normals = normals_buffer[:rows]
+            gen.standard_normal(out=normals)
             cols = cols_buffer[:(params.N + width) * rows].reshape(-1, rows)
             x, y = cols[:params.N], cols[params.N:]
             np.multiply(normals.T, scale, out=x)
@@ -399,21 +378,6 @@ def moment_products(params: ForrParams,
     return products
 
 
-def moment_draw(params: ForrParams, s_set: Iterable[int],
-                t_set: Iterable[int]):
-    """The draw ``(gen, k) -> products`` whose mean is the moment
-    E[prod_{i in S} x_i prod_{j in T} y_j], for ``mc_means``: the k
-    products of ``moment_products`` for the one set (S, T)."""
-    products = moment_products(params, [(s_set, t_set)])
-
-    def draw(gen, k):
-        out = np.empty(k)
-        for block, _, product in products(gen, k):
-            out[block] = product[0]
-        return out
-    return draw
-
-
 def moment_sums(params: ForrParams,
                 sets: Sequence[tuple[Iterable[int], Iterable[int]]]):
     """The draw ``(gen, k) -> Sums`` that estimates every moment of
@@ -424,10 +388,9 @@ def moment_sums(params: ForrParams,
     ``products.sum(axis=1)`` and ``np.square(products).sum(axis=1)``, whose
     entries equal each set's ``row.sum()`` and ``np.square(row).sum()`` bit
     for bit; the block sums are added in block order.  So no (sets, k)
-    array is held.  A set's estimate is the mean of k i.i.d. products, as
-    from its own ``moment_draw``, but the sets share their rows, so their
-    estimates are dependent, and a set given twice gets the same estimate
-    twice.
+    array is held.  A set's estimate is the mean of k i.i.d. products, but
+    the sets share their rows, so their estimates are dependent, and a set
+    given twice gets the same estimate twice.
     """
     products = moment_products(params, sets)
     count = len(sets)
@@ -450,8 +413,11 @@ def gaussian_moment(params: ForrParams, s_set: Iterable[int], t_set: Iterable[in
     the coupled Gaussian, with a normal-approximation standard error.
 
     S indexes the first half, T the second half, both 0-based in [0, N).
+    It is the one-set case of the engine behind ``verify-moments``: one
+    ``moment_sums`` job for ``mc_means``.
     """
-    return mc_mean(moment_draw(params, s_set, t_set), samples, seed)
+    return mc_means([(moment_sums(params, [(s_set, t_set)]), seed)],
+                    samples)[0]
 
 
 class Label(str, enum.Enum):

@@ -470,6 +470,19 @@ class TestSignVector:
         back = SignVector.from_base64(v.to_base64(), n)
         assert np.array_equal(back.signs, v.signs)
 
+    def test_base64_takes_one_encoding_per_vector(self):
+        # ceil(n/8) bytes with the pad bits past n clear, and nothing else.
+        signs = np.array([-1, 1, 1, 1, 1, 1, 1, -1, -1, 1, 1, 1], dtype=np.int8)
+        text = SignVector(signs).to_base64()
+        assert text == "gQE="
+        assert np.array_equal(SignVector.from_base64(text, 12).signs, signs)
+        for text, n in [("", 8), ("", 1),  # empty
+                        ("gQ==", 16), ("gQE=", 24),  # short
+                        ("gQAA", 8), ("gQE=", 4),  # long
+                        ("/w==", 4), ("gRE=", 12)]:  # a pad bit set
+            with pytest.raises(ValueError):
+                SignVector.from_base64(text, n)
+
 
 class TestLevelTransform:
     """The exact level-k path against the full butterfly, for the integer

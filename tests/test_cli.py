@@ -784,8 +784,10 @@ class TestInstanceAndSampleEmitters:
 
     def test_gaussian_rows_are_scored_per_chunk(self, tmp_path, capsys):
         # Two full chunks and a ragged one: every float64 row at once would
-        # take samples * 2N * 8 bytes, 64 MiB here.
-        samples, width = 2 * _rng.CHUNK + 5, 128
+        # take samples * 2N * 8 bytes, 64 MiB here.  gaussian_rows draws
+        # what it is asked for in one piece, so the command must hand it
+        # one row block at a time: one float per sample and a few blocks.
+        samples = 2 * _rng.CHUNK + 5
         tracemalloc.start()
         try:
             code = run(["sample-dist", "--n", "64", "--dist", "gaussian",
@@ -796,7 +798,7 @@ class TestInstanceAndSampleEmitters:
             tracemalloc.stop()
         assert code == EXIT_PASS
         assert summary_of(capsys)["samples"] == samples
-        assert peak < samples * width * 8
+        assert peak < samples * 8 + 8 * _rng.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("args", [

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forrlab import forrelation_dist
-from forrlab._rng import (BLOCK_BYTES, CHUNK, ahead, mc_mean, row_blocks,
+from forrlab._rng import (BLOCK_BYTES, CHUNK, ahead, chunk_sizes, row_blocks,
                           substream)
 from forrlab.boolean_fourier import (
     FourierSpectrum,
@@ -42,7 +42,6 @@ from forrlab.forrelation_dist import (
     generate_instance,
     instance_rows,
     lifted_rows,
-    moment_draw,
     moment_products,
     moment_sums,
     planted_instance,
@@ -372,13 +371,11 @@ class TestRowBlocking:
     @pytest.mark.parametrize("k", sizes)
     @pytest.mark.parametrize("s_set, t_set", [([3], [5]), ([0, 7], [2]),
                                               ([], [])])
-    def test_moment_draw_equals_unblocked_products(self, k, s_set, t_set):
-        cols = np.array(s_set + [self.params.N + j for j in t_set], dtype=int)
-        got = moment_draw(self.params, s_set, t_set)(substream(40, k), k)
-        want = gaussian_rows(substream(40, k), self.params, k)[:, cols].prod(
-            axis=1)
-        assert got.shape == (k,)
-        assert np.array_equal(got, want)
+    def test_moment_products_equal_unblocked_products(self, k, s_set, t_set):
+        got = shared_rows(self.params, [(s_set, t_set)], substream(40, k), k)
+        want = moment_reference(self.params, s_set, t_set)(substream(40, k), k)
+        assert got.shape == (1, k)
+        assert np.array_equal(got[0], want)
 
     @pytest.mark.parametrize("k", sizes)
     def test_round_rows_equals_unblocked_reference(self, k):
@@ -457,9 +454,9 @@ def moment_sets(N: int) -> dict[str, tuple[list[int], list[int]]]:
 
 
 class TestMomentFastPath:
-    """moment_draw gathers only the factors its product reads, and
-    transforms only when T is nonempty; every value must still equal the
-    product over full gaussian_rows."""
+    """moment_products gathers only the factors a product reads, and
+    transforms only when some T is nonempty; every value must still equal
+    the product over full gaussian_rows."""
 
     @pytest.mark.parametrize("case", ["t_empty", "s_empty", "three_by_three"])
     @pytest.mark.parametrize("N", [4, 16, 64, 1024])
@@ -468,10 +465,10 @@ class TestMomentFastPath:
         s_set, t_set = moment_sets(N)[case]
         block = BLOCK_BYTES // (8 * params.input_length)
         for k in (1, block - 1, block + 1, 3 * block - 5):
-            got = moment_draw(params, s_set, t_set)(substream(43, k), k)
+            got = shared_rows(params, [(s_set, t_set)], substream(43, k), k)
             want = moment_reference(params, s_set, t_set)(substream(43, k), k)
-            assert got.shape == (k,)
-            assert np.array_equal(got, want)
+            assert got.shape == (1, k)
+            assert np.array_equal(got[0], want)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 32, 33])
     def test_standard_normal_rows_equals_reference(self, n):
@@ -486,9 +483,21 @@ class TestMomentFastPath:
         s_set, t_set = moment_sets(16)["three_by_three"]
         samples = 2 * CHUNK + 17
         got = gaussian_moment(params, s_set, t_set, samples, 44)
-        want = mc_mean(moment_reference(params, s_set, t_set), samples, 44)
-        assert got.estimate == want.estimate
-        assert got.standard_error == want.standard_error
+        # The reference products summed per row block, the block sums added
+        # in block order within a chunk and the chunk sums in chunk order.
+        total = total_sq = 0.0
+        for i, k in enumerate(chunk_sizes(samples)):
+            row = moment_reference(params, s_set, t_set)(substream(44, i), k)
+            chunk = chunk_sq = 0.0
+            for b in row_blocks(k, params.input_length):
+                chunk += float(row[b].sum())
+                chunk_sq += float(np.square(row[b]).sum())
+            total += chunk
+            total_sq += chunk_sq
+        mean = total / samples
+        error = math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+        assert got.estimate == mean
+        assert got.standard_error == error
 
 
 def shared_sets(N: int, wide: bool) -> list[tuple[list[int], list[int]]]:
@@ -527,7 +536,7 @@ def shared_rows(params: ForrParams, sets, gen, k: int) -> np.ndarray:
 
 class TestSharedMomentDraw:
     """moment_products draws the Gaussian rows once for many sets; each
-    set's products must equal its own moment_draw, and moment_sums must
+    set's products must equal its own one-set draw, and moment_sums must
     reduce them without holding a (sets, k) array."""
 
     # Every case has a nonempty T, so each takes the whole transform in
@@ -549,7 +558,8 @@ class TestSharedMomentDraw:
             rows = shared_rows(params, sets, substream(70, k), k)
             assert bool(calls) is whole
             for m, (s_set, t_set) in enumerate(sets):
-                want = moment_draw(params, s_set, t_set)(substream(70, k), k)
+                want = shared_rows(params, [(s_set, t_set)], substream(70, k),
+                                   k)[0]
                 assert np.array_equal(rows[m], want), (k, m)
             assert np.array_equal(rows[2], rows[4])  # repeated sets
             assert np.array_equal(rows[0], rows[5])
@@ -657,8 +667,8 @@ class TestDrawScratch:
         def signs(gen, k):
             return forrelation_rows(gen, params, k)
 
-        draws = {"moments": moment_draw(params, [3], [5]),
-                 "s_only": moment_draw(params, [3, 9], []),
+        draws = {"moments": moment_sums(params, [([3], [5])]),
+                 "s_only": moment_sums(params, [([3, 9], [])]),
                  "shared": moment_sums(params, shared_sets(16, True)),
                  "signs": signs}
         k = 4 * BLOCK_BYTES // (8 * params.input_length) + 7
@@ -677,19 +687,19 @@ class TestDrawScratch:
         for (name, _, i), got, want in zip(jobs, threaded, serial):
             assert np.array_equal(got, want), (name, i)
 
-    def test_moment_draw_memory_stays_near_one_block(self):
-        # The float64 output and one block's buffers and transform
-        # temporaries, never a chunk's rows.
-        draw = moment_draw(ForrParams(64), [1], [2])
+    def test_one_set_memory_stays_near_one_block(self):
+        # One block's buffers and transform temporaries, never a chunk's
+        # rows or products.
+        draw = moment_sums(ForrParams(64), [([1], [2])])
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            out = draw(substream(1, 0), CHUNK)
+            sums = draw(substream(1, 0), CHUNK)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.nbytes == CHUNK * 8
-        assert peak <= out.nbytes + 4 * BLOCK_BYTES
+        assert len(sums.total) == 1
+        assert peak <= 4 * BLOCK_BYTES
 
 
 class TestInstances:
