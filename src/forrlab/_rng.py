@@ -27,8 +27,11 @@ no import, where ``concurrent.futures`` would load ``logging``.  A chunk's
 draw returns either its values, which ``mc_means`` sums, or ``Sums`` for
 several estimates at once, so that one draw of rows can serve many
 statistics without holding all of their values.  ``mc_means`` is the one
-sample floor: an estimate from fewer than ``MIN_SAMPLES`` samples is
-refused.  Within a chunk, draws may be taken in row blocks of about
+estimator and the one sample floor: an estimate from fewer than
+``MIN_SAMPLES`` samples is refused.  ``verify-moments`` passes it all of
+its draws as the jobs of one call, and ``gaussian_moment`` and
+``protocol.advantage`` (whose lifted pairs come from ``lifted_rows``) one
+job each.  Within a chunk, draws may be taken in row blocks of about
 ``BLOCK_BYTES`` to bound memory; values are consumed row by row, so a block
 sees the same stream values as an unblocked draw.  Where one draw reads two
 runs of words, ``ahead`` opens a second reader at a word offset of the same
@@ -305,9 +308,3 @@ def mc_means(jobs: list[tuple[Callable[[np.random.Generator, int],
             var = max(total_sq / samples - mean * mean, 0.0)
             out.append(Estimate(mean, math.sqrt(var / samples)))
     return out
-
-
-def mc_mean(draw: Callable[[np.random.Generator, int], np.ndarray],
-            samples: int, seed: int) -> Estimate:
-    """``mc_means`` for one job: the estimate of ``draw`` at ``seed``."""
-    return mc_means([(draw, seed)], samples)[0]

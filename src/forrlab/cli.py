@@ -35,7 +35,6 @@ from .forrelation_dist import (
     gaussian_rows,
     generate_instance,
     instance_rows,
-    lifted_rows,
     moment_sums,
 )
 from .protocol import (
@@ -524,13 +523,9 @@ def cmd_sample_dist(args) -> int:
             return np.concatenate([
                 forr(gaussian_rows(gen, params, block.stop - block.start))
                 for block in row_blocks(k, params.input_length)])
-    elif args.dist == "signs":
+    else:  # signs
         def score(gen, k):
             return forr(forrelation_rows(gen, params, k))
-    else:  # lifted
-        def score(gen, k):
-            x, y = lifted_rows(gen, params, k)
-            return forr(x * y)
     values = chunked(derive(args.seed, "sample", 0), args.samples, score)
     write_csv(args.out, ["index", "forr"],
               ([str(i), repr(float(v))] for i, v in enumerate(values)))
@@ -662,7 +657,7 @@ def _gen_instances_args(p):
 def _sample_dist_args(p):
     _common(p, samples_default=10_000)
     p.add_argument("--dist", default="signs",
-                   choices=["gaussian", "signs", "lifted"])
+                   choices=["gaussian", "signs"])
 
 
 # (name, help, add-arguments function, handler) of every subcommand, in

@@ -263,7 +263,8 @@ def uniform_sign_rows(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nd
 def lifted_rows(gen: np.random.Generator, params: ForrParams,
                 k: int) -> tuple[np.ndarray, np.ndarray]:
     """k lifted input pairs (x, y) drawn from ``gen``: forrelation rows z,
-    then uniform rows x, and y = x . z."""
+    then uniform rows x, and y = x . z.  The one lifted sampler: promise_yes
+    instances and ``protocol.advantage`` draw their pairs through it."""
     z = forrelation_rows(gen, params, k)
     x = uniform_sign_rows(gen, z.shape)
     return x, x * z
@@ -501,8 +502,8 @@ def instance_rows(params: ForrParams, modes: Sequence[InstanceMode | str],
     drew.  A candidate draws, in this order: planted_yes z1, the N flip
     uniforms and x, for y = x . (z1, sign(H z1) . flips) with ties of the
     sign going to +1 and each flip +1 with probability (1 + strength)/2;
-    promise_yes z = ``forrelation_rows(gen, params, 1)`` and x, for
-    y = x . z; the other modes x and y, both uniform.  Only the transforms
+    promise_yes the pair (x, x . z) of ``lifted_rows(gen, params, 1)``, z
+    first; the other modes x and y, both uniform.  Only the transforms
     are stacked, one ``fwht`` call for all planted candidates and one
     ``forr`` call per round; both treat each row as a one-row call would,
     so an instance is the same in any block.
@@ -549,9 +550,7 @@ def instance_rows(params: ForrParams, modes: Sequence[InstanceMode | str],
                                            keep_sign))
                 x[j] = uniform_sign_rows(gen, (2 * N,))
             elif mode is InstanceMode.PROMISE_YES:
-                z = forrelation_rows(gen, params, 1)[0]
-                x[j] = uniform_sign_rows(gen, (2 * N,))
-                y[j] = x[j] * z
+                x[j:j + 1], y[j:j + 1] = lifted_rows(gen, params, 1)
             else:
                 x[j] = uniform_sign_rows(gen, (2 * N,))
                 y[j] = uniform_sign_rows(gen, (2 * N,))

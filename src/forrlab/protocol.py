@@ -29,7 +29,7 @@ import numpy as np
 from . import quantum_sim
 from ._bits import codes_to_signs, f2_inner_sign, signs_to_codes
 from ._record import Record
-from ._rng import Estimate, bernoulli_bits, mc_mean, substream
+from ._rng import Estimate, bernoulli_bits, mc_means, substream
 from .boolean_fourier import (
     AUDIT_BLOCK,
     TRANSFORM_BYTES,
@@ -45,7 +45,7 @@ from .errors import PartitionError, ResourceLimitError
 from .forrelation_dist import (
     ForrParams,
     Label,
-    forrelation_rows,
+    lifted_rows,
     uniform_sign_rows,
 )
 from .quantum_sim import (
@@ -174,6 +174,13 @@ def build_copy_circuit(x: SignVector, y: SignVector) -> Circuit:
     return Circuit(2 * half, gates)
 
 
+def _copy_cost(params: ForrParams) -> tuple[int, int]:
+    """``build_copy_circuit``'s qubits 2L and gates 8L + 2, L = log2(2N):
+    3L H, 3L - 1 CNOT, 2L R_pi/8, 2 oracles and 1 measurement."""
+    half = params.n + 1
+    return 2 * half, 8 * half + 2
+
+
 def _sign_rows(v: SignVector | np.ndarray) -> np.ndarray:
     """A SignVector, a sign row or a (k, 2N) stack of them as int8 rows."""
     if isinstance(v, SignVector):
@@ -209,8 +216,8 @@ def run_quantum_protocol(x: SignVector | np.ndarray, y: SignVector | np.ndarray,
     uniform t of substream (its seed, 0) falls below it, exactly as
     simulating the copies in order on that stream would, so a shorter run's
     bits are a prefix of a longer run's.  Bits are i.i.d. with P[1] = 1/2 +
-    forr(x . y)/2.  Cost accounting is taken from the full single-copy
-    circuit, which depends only on N.
+    forr(x . y)/2.  Cost accounting is that of the full single-copy
+    circuit, which depends only on N (``_copy_cost``).
     """
     single = isinstance(cfg, QuantumProtocolConfig)
     cfgs = [cfg] if single else list(cfg)
@@ -226,7 +233,7 @@ def run_quantum_protocol(x: SignVector | np.ndarray, y: SignVector | np.ndarray,
     if xs.shape[1] != params.input_length:
         raise ValueError(f"inputs have length {xs.shape[1]}, config expects "
                          f"{params.input_length}")
-    circuit = build_copy_circuit(SignVector(xs[0]), SignVector(ys[0]))
+    qubits, gates = _copy_cost(params)
     half = params.n + 1  # log2(2N)
 
     state = StateVector(half, xs * ys / math.sqrt(params.input_length))
@@ -244,9 +251,9 @@ def run_quantum_protocol(x: SignVector | np.ndarray, y: SignVector | np.ndarray,
             ones_fraction=ones_fraction,
             per_copy_bits=bits,
             decision=decision,
-            qubits_sent=c.copies * circuit.m,
+            qubits_sent=c.copies * qubits,
             oracle_calls=c.copies * 2,
-            gate_count=c.copies * circuit.size,
+            gate_count=c.copies * gates,
         ))
     return out[0] if single else out
 
@@ -599,18 +606,18 @@ def advantage(p: RectanglePartition, params: ForrParams, samples: int,
 
     Paired with common random numbers: each sample shares the mask x across
     the lifted and uniform terms, so the trivial protocol gives exactly 0.
+    A chunk draws its pairs (x, x . z) by ``lifted_rows``, then uniform y.
     """
     if p.n != params.input_length:
         raise ValueError(
             f"partition is over length {p.n}, params give {params.input_length}")
 
     def draw(gen, k):
-        z_lift = forrelation_rows(gen, params, k)
-        x = uniform_sign_rows(gen, (k, p.n))
+        x, y_lift = lifted_rows(gen, params, k)
         y_unif = uniform_sign_rows(gen, (k, p.n))
-        return (p.evaluate_rows(x, x * z_lift).astype(np.float64) -
+        return (p.evaluate_rows(x, y_lift).astype(np.float64) -
                 p.evaluate_rows(x, y_unif).astype(np.float64))
-    return mc_mean(draw, samples, seed)
+    return mc_means([(draw, seed)], samples)[0]
 
 
 def random_protocol_partition(n: int, cost: int, seed: int) -> RectanglePartition:

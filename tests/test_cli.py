@@ -215,8 +215,8 @@ PINNED_HELP = {
         "20a71148fc6869f169f93bffe4eaba9146c4044f9a0ead00b44560d12e20c298",
     "gen-instances":
         "13cf32ea61c234af3917b4d528e9412eaf0986d4294e36e99bcc811a424a3393",
-    "sample-dist":
-        "2377d74891bd43d4ee432105bdcd4248f22aa6529d9088036c8b8a8f2dcd48f9",
+    "sample-dist":  # re-pinned when --dist lost its lifted choice
+        "9efdd3a334e1c5718dc30975404ea1926a8350f265c8eef8484adef52bbffc38",
 }
 
 
@@ -768,19 +768,13 @@ class TestInstanceAndSampleEmitters:
         assert len(rows) == 2000
         assert set(rows[0]) == {"index", "forr"}
 
-    def test_lifted_csv_equals_signs_csv(self, tmp_path, capsys):
-        # x . y = x . x . z = z exactly, and both draws take z first from
-        # the same chunk streams: the lifted rows repeat the sign rows.
-        summaries = {}
-        for dist in ("signs", "lifted"):
-            assert run(["sample-dist", "--n", "16", "--dist", dist,
-                        "--samples", "40000", "--seed", "3",
-                        "--out", str(tmp_path / f"{dist}.csv")]) == EXIT_PASS
-            summaries[dist] = json.loads(
-                capsys.readouterr().out.strip().splitlines()[-1])
-        assert ((tmp_path / "lifted.csv").read_bytes()
-                == (tmp_path / "signs.csv").read_bytes())
-        assert summaries["lifted"] == {**summaries["signs"], "dist": "lifted"}
+    def test_lifted_dist_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["sample-dist", "--dist", "lifted"])
+        assert err.value.code == EXIT_USAGE
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert "invalid choice: 'lifted'" in err_lines[0]
 
     def test_gaussian_rows_are_scored_per_chunk(self, tmp_path, capsys):
         # Two full chunks and a ragged one: every float64 row at once would
@@ -806,7 +800,7 @@ class TestInstanceAndSampleEmitters:
     ["advantage", "--n", "16", "--samples", "10000", "--seed", "3"],
     ["gen-instances", "--n", "16", "--mode", "promise_yes", "--count", "3",
      "--seed", "4"],
-    ["sample-dist", "--n", "16", "--dist", "lifted", "--samples", "500",
+    ["sample-dist", "--n", "16", "--dist", "signs", "--samples", "500",
      "--seed", "5"],
 ], ids=lambda args: args[0])
 def test_byte_identical_reruns(args, tmp_path, capsys):

@@ -113,14 +113,14 @@ class TestQuantumProtocol:
         assert out.gate_count == circ.size
 
     def test_gate_count_scales_logarithmically(self):
-        sizes = {}
-        for N in (4, 8, 16, 32):
-            x, y = random_instance(N, N)
-            sizes[N] = build_copy_circuit(x, y).size
-        # 8 L + 2 operators for L = log2(2N)
-        for N, size in sizes.items():
-            L = int(math.log2(2 * N))
-            assert size == 8 * L + 2
+        # 8 L + 2 operators on 2 L qubits for L = log2(2N): the closed forms
+        # run_quantum_protocol reads its cost accounting from.
+        for n in range(2, 21):
+            N = 1 << n
+            signs = SignVector(np.ones(2 * N, dtype=np.int8))
+            circ = build_copy_circuit(signs, signs)
+            assert circ.size == 8 * (n + 1) + 2
+            assert protocol._copy_cost(ForrParams(N)) == (circ.m, circ.size)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.1, 1.5])
     def test_threshold_outside_unit_interval_rejected(self, threshold):

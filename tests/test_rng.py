@@ -18,7 +18,6 @@ from forrlab._rng import (
     bernoulli_bits,
     chunk_sizes,
     derive,
-    mc_mean,
     mc_means,
     row_blocks,
     substream,
@@ -216,7 +215,7 @@ def test_mc_mean_matches_hand_written_accumulator():
     mean = total / samples
     se = math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
 
-    est = mc_mean(draw, samples, seed)
+    est, = mc_means([(draw, seed)], samples)
     assert len(chunk_sizes(samples)) == 3
     assert est.estimate == mean
     assert est.standard_error == se
@@ -224,14 +223,14 @@ def test_mc_mean_matches_hand_written_accumulator():
 
 def test_mc_mean_rejects_empty():
     with pytest.raises(ValueError):
-        mc_mean(lambda gen, k: np.ones(k), 0, 0)
+        mc_means([(lambda gen, k: np.ones(k), 0)], 0)
 
 
 def test_mc_mean_sample_floor():
     assert _rng.MIN_SAMPLES == 10_000
     with pytest.raises(ValueError, match="at least 10000 samples, got 9999"):
-        mc_mean(lambda gen, k: np.ones(k), 9_999, 0)
-    assert mc_mean(lambda gen, k: np.ones(k), 10_000, 0) == (1.0, 0.0)
+        mc_means([(lambda gen, k: np.ones(k), 0)], 9_999)
+    assert mc_means([(lambda gen, k: np.ones(k), 0)], 10_000) == [(1.0, 0.0)]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
